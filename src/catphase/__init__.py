@@ -38,7 +38,7 @@ from .phasedist import (
     trig_moments,
     wrap_angle,
 )
-from .quasiprob import S_UPPER, chi, chi_complex_s, w, w_symmetrized
+from .quasiprob import S_UPPER, chi, w, w_symmetrized
 from .specfun import (
     LogScaledValue,
     bessel_i_ratio,
@@ -88,7 +88,6 @@ __all__ = [
     "wrap_angle",
     "S_UPPER",
     "chi",
-    "chi_complex_s",
     "w",
     "w_symmetrized",
     "LogScaledValue",

@@ -7,7 +7,11 @@ Two oracle families live here:
   accurate for the periodic integrands), checking normalization and the
   phase-distribution series, and
 * a truncated-Fock-basis trace of the displacement operator, checking the
-  closed-form characteristic function.
+  closed-form characteristic function.  The number-basis displacement
+  matrix is built from log-factorials and the forward three-term recurrence
+  of the generalized Laguerre polynomials in the degree; the truncation
+  bound uses the Poisson tail, summed by its upward series (or as one minus
+  its head once the mean passes the cutoff).
 
 Node sums use NumPy's pairwise summation on fixed shapes, so results are
 bit-stable across runs for a fixed spec.
@@ -21,10 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_genlaguerre, gammainc, gammaln
 
 from .errors import CutoffTooSmallError, DomainError
 from .quasiprob import _require_s_below_one, w, w_symmetrized
+from .specfun import _branch_sign
 from .states import QuasiBellState, normalization_constant
 
 __all__ = [
@@ -83,6 +87,22 @@ def _angular_rule(spec: QuadratureSpec):
     return nodes, _TWO_PI / spec.n_angular
 
 
+def _marginal(values, state: QuasiBellState, s: float, phi, spec: QuadratureSpec | None):
+    """Quadrature of r1 r2 values(r1, r2, phi, angle) over both radii and the free angle.
+
+    Axes are (phi, angle, r1, r2); ``phi`` may be a scalar or a 1-D array.
+    """
+    spec = spec or QuadratureSpec()
+    r_nodes, r_weights = _radial_rule(state, s, spec)
+    a_nodes, a_weight = _angular_rule(spec)
+    fixed = np.atleast_1d(np.asarray(phi, dtype=float))[:, None, None, None]
+    r_1 = r_nodes[None, None, :, None]
+    r_2 = r_nodes[None, None, None, :]
+    integrand = r_1 * r_2 * values(r_1, r_2, fixed, a_nodes[None, :, None, None])
+    out = a_weight * np.einsum("pars,r,s->p", integrand, r_weights, r_weights)
+    return float(out[0]) if np.ndim(phi) == 0 else out
+
+
 def quadrature_phase_dist(
     state: QuasiBellState,
     s: float,
@@ -96,27 +116,15 @@ def quadrature_phase_dist(
     angle (phi_minus for the plus branch and vice versa), with the fixed
     angle set to phi.  ``phi`` may be a scalar or a 1-D array.
     """
-    if branch not in ("plus", "minus"):
-        raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    plus = _branch_sign(branch) > 0
     s = _require_s_below_one(s)
-    spec = spec or QuadratureSpec()
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    scalar = np.ndim(phi) == 0
 
-    r_nodes, r_weights = _radial_rule(state, s, spec)
-    a_nodes, a_weight = _angular_rule(spec)
+    def values(r_g, r_d, fixed, other):
+        if plus:
+            return w_symmetrized(state, r_g, r_d, fixed, other, s)
+        return w_symmetrized(state, r_g, r_d, other, fixed, s)
 
-    fixed = phi_arr[:, None, None, None]
-    other = a_nodes[None, :, None, None]
-    r_g = r_nodes[None, None, :, None]
-    r_d = r_nodes[None, None, None, :]
-    if branch == "plus":
-        values = w_symmetrized(state, r_g, r_d, fixed, other, s)
-    else:
-        values = w_symmetrized(state, r_g, r_d, other, fixed, s)
-    integrand = r_g * r_d * values
-    out = a_weight * np.einsum("pars,r,s->p", integrand, r_weights, r_weights)
-    return float(out[0]) if scalar else out
+    return _marginal(values, state, s, phi, spec)
 
 
 def quadrature_normalization(
@@ -157,26 +165,13 @@ def quadrature_one_mode(
     if mode not in (1, 2):
         raise DomainError(f"mode must be 1 or 2, got {mode!r}")
     s = _require_s_below_one(s)
-    spec = spec or QuadratureSpec()
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    scalar = np.ndim(phi) == 0
 
-    r_nodes, r_weights = _radial_rule(state, s, spec)
-    a_nodes, a_weight = _angular_rule(spec)
+    def values(r_own, r_other, own_angle, other_angle):
+        own = r_own * np.exp(1j * own_angle)
+        other = r_other * np.exp(1j * other_angle)
+        return w(state, own, other, s) if mode == 1 else w(state, other, own, s)
 
-    own_angle = phi_arr[:, None, None, None]
-    other_angle = a_nodes[None, :, None, None]
-    r_own = r_nodes[None, None, :, None]
-    r_other = r_nodes[None, None, None, :]
-    own = r_own * np.exp(1j * own_angle)
-    other = r_other * np.exp(1j * other_angle)
-    if mode == 1:
-        values = w(state, own, other, s)
-    else:
-        values = w(state, other, own, s)
-    integrand = r_own * r_other * values
-    out = a_weight * np.einsum("pars,r,s->p", integrand, r_weights, r_weights)
-    return float(out[0]) if scalar else out
+    return _marginal(values, state, s, phi, spec)
 
 
 class FockChiResult(NamedTuple):
@@ -186,50 +181,66 @@ class FockChiResult(NamedTuple):
     bound: float
 
 
-def _coherent_vector(alpha: complex, n_cut: int) -> np.ndarray:
-    """Number-basis coefficients of |alpha> up to n_cut."""
+def _coherent_pair(alpha: complex, n_cut: int) -> np.ndarray:
+    """Number-basis coefficients of |alpha> and |-alpha> up to n_cut, as two columns."""
     coeffs = np.empty(n_cut + 1, dtype=complex)
     coeffs[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, n_cut + 1):
         coeffs[n] = coeffs[n - 1] * alpha / math.sqrt(n)
-    return coeffs
+    return np.column_stack([coeffs, np.where(np.arange(n_cut + 1) % 2, -coeffs, coeffs)])
 
 
 def _displacement_matrix(xi: complex, n_cut: int) -> np.ndarray:
     """Number-basis matrix of the one-mode displacement operator D(xi).
 
-    For m >= n:  D_mn = sqrt(n!/m!) xi^(m-n) e^(-|xi|^2/2) L_n^(m-n)(|xi|^2);
-    the upper triangle follows from D(xi)^dagger = D(-xi).
+    For m >= n:  D_mn = sqrt(m!/n!) / (m-n)! xi^(m-n) e^(-|xi|^2/2) p_n^(m-n)(|xi|^2),
+    with log-factorials by cumulative sum and p_j^(k) = L_j^(k) / C(j+k, j) from the
+    forward three-term Laguerre recurrence in the degree, run on the steps p_(j+1) - p_j
+    so that small |xi| does not cancel.  The upper triangle follows from
+    D(xi)^dagger = D(-xi), which has the same magnitudes.
     """
     dim = n_cut + 1
     if xi == 0:
         return np.eye(dim, dtype=complex)
-
-    def lower(z: complex) -> np.ndarray:
-        rows = np.arange(dim)[:, None]
-        cols = np.arange(dim)[None, :]
-        diff = np.maximum(rows - cols, 0)
-        zsq = abs(z) ** 2
-        log_mag = np.where(
-            rows >= cols,
-            0.5 * (gammaln(cols + 1.0) - gammaln(rows + 1.0))
-            + diff * math.log(abs(z))
-            - 0.5 * zsq,
-            -np.inf,
-        )
-        return np.exp(log_mag) * eval_genlaguerre(cols, diff, zsq) * np.exp(
-            1j * np.angle(z) * diff
-        )
-
-    low = lower(xi)
-    upp = lower(-xi).conj().T
-    np.fill_diagonal(upp, 0.0)
+    x = abs(xi) ** 2
+    k = np.arange(dim)
+    p = np.ones((dim, dim))
+    step = np.zeros(dim)
+    for j in range(dim - 1):
+        step = (j * step - x * p[j]) / (j + 1 + k)
+        p[j + 1] = p[j] + step
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+    rows, cols = k[:, None], k[None, :]
+    diff = np.maximum(rows - cols, 0)
+    log_mag = 0.5 * (log_fact[rows] - log_fact[cols]) - log_fact[diff] + diff * math.log(abs(xi))
+    magnitude = np.tril(np.exp(log_mag - 0.5 * x) * p[cols, diff])
+    low = magnitude * np.exp(1j * np.angle(xi) * diff)
+    upp = np.tril(magnitude * np.exp(1j * np.angle(-xi) * diff), -1).conj().T
     return low + upp
 
 
 def _poisson_tail(mean: float, n_cut: int) -> float:
-    """P(N > n_cut) for N ~ Poisson(mean)."""
-    return float(gammainc(n_cut + 1, mean))
+    """P(N > n_cut) for N ~ Poisson(mean).
+
+    For mean <= n_cut + 1, the upward series sum_(j > n_cut) e^(-mean) mean^j / j!,
+    summed relative to its first term.  Past that the tail is at least about 1/2, so it
+    is 1 minus the n_cut + 1 head terms.
+    """
+    if mean == 0.0:
+        return 0.0
+    if mean > n_cut + 1:
+        log_mean = math.log(mean)
+        return 1.0 - math.fsum(
+            math.exp(-mean + j * log_mean - math.lgamma(j + 1.0)) for j in range(n_cut + 1)
+        )
+    j = n_cut + 1
+    term = total = 1.0
+    while term > 1e-17 * total:
+        j += 1
+        term *= mean / j
+        total += term
+    log_first = -mean + (n_cut + 1) * math.log(mean) - math.lgamma(n_cut + 2.0)
+    return math.exp(log_first + math.log(total))
 
 
 def fock_chi_oracle(
@@ -253,22 +264,13 @@ def fock_chi_oracle(
     xi = complex(xi)
     eta = complex(eta)
 
-    vec_a = np.column_stack(
-        [_coherent_vector(state.alpha, n_cut), _coherent_vector(-state.alpha, n_cut)]
-    )
-    vec_b = np.column_stack(
-        [_coherent_vector(state.beta, n_cut), _coherent_vector(-state.beta, n_cut)]
-    )
+    vec_a = _coherent_pair(state.alpha, n_cut)
+    vec_b = _coherent_pair(state.beta, n_cut)
     overlap_a = vec_a.conj().T @ _displacement_matrix(xi, n_cut) @ vec_a
     overlap_b = vec_b.conj().T @ _displacement_matrix(eta, n_cut) @ vec_b
 
     mu, nu = state.mu, state.nu
-    weights = np.array(
-        [
-            [np.conj(mu) * mu, np.conj(mu) * nu],
-            [np.conj(nu) * mu, np.conj(nu) * nu],
-        ]
-    )
+    weights = np.outer(np.conj([mu, nu]), [mu, nu])
     n2 = normalization_constant(state) ** 2
     prefactor = math.exp(0.5 * s * (abs(xi) ** 2 + abs(eta) ** 2))
     value = prefactor * n2 * complex(np.sum(weights * overlap_a * overlap_b))

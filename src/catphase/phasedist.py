@@ -7,14 +7,17 @@ cosine series
 
 with coefficients built from the scaled Bessel combinations of
 :mod:`catphase.specfun`; the one-mode distributions add odd-index sine
-terms.  Spectra are truncated once two consecutive coefficients drop below
-``eps_tail`` (the decay is super-geometric, so a two-term test is safe
-against even/odd alternation) and carry their construction context so
-moments can recompute coefficients on demand.
+terms.  Both kinds share one path: a per-spectrum ``terms(n) ->
+(c_n, d_n)`` (d_n = 0 for the pair branches) feeds one truncation loop,
+which stops once two consecutive terms drop below ``eps_tail`` (the decay is
+super-geometric, so a two-term test is safe against even/odd alternation),
+and one Clenshaw evaluator sums either series.  Spectra carry their
+construction context so moments can recompute coefficients on demand.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergenceError
 from .quasiprob import _require_s_below_one
-from .specfun import LogScaledValue, i_n_combo
+from .specfun import LogScaledValue, _branch_sign, i_n_combo
 from .states import QuasiBellState, normalization_constant
 
 __all__ = [
@@ -158,12 +161,45 @@ def _signed_exp_sum(terms: list[LogScaledValue], log_scale: float, context: str)
     return math.copysign(math.exp(total_log), acc)
 
 
-def _branch_sign(branch: str) -> int:
-    if branch == "plus":
-        return 1
-    if branch == "minus":
-        return -1
-    raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+def _pair_terms(state: QuasiBellState, s: float, branch: str):
+    """terms(n) -> (c_n, 0.0) of the phase-sum (plus) or phase-difference (minus) series."""
+    sign = _branch_sign(branch)
+    x_a = abs(state.alpha) ** 2 / (1.0 - s)
+    x_b = abs(state.beta) ** 2 / (1.0 - s)
+    asq = state.amplitude_sq_sum
+    overlap = state.weight_overlap.real
+    log_scale = 2.0 * math.log(normalization_constant(state)) + math.log(0.5 * math.pi)
+
+    def terms(n: int) -> tuple[float, float]:
+        gauss = _product(i_n_combo(n, x_a, "plus"), i_n_combo(n, x_b, "plus"))
+        interf = LogScaledValue.from_value((sign**n) * 2.0 * overlap)
+        interf = _product(interf, i_n_combo(n, x_a, "minus"))
+        interf = _product(interf, i_n_combo(n, x_b, "minus")).scaled(-2.0 * asq)
+        c_n = _signed_exp_sum([gauss, interf], log_scale, f"c_{n}^({branch}) at s={s!r}")
+        return c_n, 0.0
+
+    return terms
+
+
+def _truncate(terms, policy: TruncationPolicy | None) -> tuple[np.ndarray, float]:
+    """Rows (c_n, d_n) = terms(n) for n = 1..n_used, and the tail where they stop.
+
+    They stop at the first n >= max(n_min, 2) where max(|c_n|, |d_n|,
+    |c_(n-1)|, |d_(n-1)|) < eps_tail, or raise NoConvergenceError by n_max.
+    """
+    policy = policy or TruncationPolicy()
+    if policy.n_max < 2:
+        raise NoConvergenceError(f"the two-term tail test needs n_max >= 2, got {policy.n_max}")
+    rows: list[tuple[float, float]] = []
+    for n in range(1, policy.n_max + 1):
+        rows.append(terms(n))
+        tail = max(map(abs, rows[-2] + rows[-1])) if n >= 2 else math.inf
+        if n >= policy.n_min and tail < policy.eps_tail:
+            return np.array(rows), tail
+    raise NoConvergenceError(
+        f"spectrum tail still {tail:.3e} "
+        f"above eps_tail={policy.eps_tail:g} at n_max={policy.n_max}"
+    )
 
 
 def fourier_coefficient(state: QuasiBellState, s: float, n: int, branch: str) -> float:
@@ -177,25 +213,11 @@ def fourier_coefficient(state: QuasiBellState, s: float, n: int, branch: str) ->
     e^(-2(...)) is fused with the log-scaled minus combinations before
     anything is exponentiated.
     """
-    sign = _branch_sign(branch)
+    _branch_sign(branch)
     s = _require_s_below_one(s)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"coefficient index n must be an integer >= 1, got {n!r}")
-
-    x_a = abs(state.alpha) ** 2 / (1.0 - s)
-    x_b = abs(state.beta) ** 2 / (1.0 - s)
-    asq = state.amplitude_sq_sum
-    gauss = _product(i_n_combo(n, x_a, "plus"), i_n_combo(n, x_b, "plus"))
-
-    weight = (sign**n) * 2.0 * state.weight_overlap.real
-    interf = LogScaledValue.from_value(weight)
-    interf = _product(interf, i_n_combo(n, x_a, "minus"))
-    interf = _product(interf, i_n_combo(n, x_b, "minus")).scaled(-2.0 * asq)
-
-    log_scale = 2.0 * math.log(normalization_constant(state)) + math.log(0.5 * math.pi)
-    return _signed_exp_sum(
-        [gauss, interf], log_scale, f"c_{n}^({branch}) at s={s!r}"
-    )
+    return _pair_terms(state, s, branch)(n)[0]
 
 
 def build_spectrum(
@@ -211,50 +233,46 @@ def build_spectrum(
     """
     sign = _branch_sign(branch)
     s = _require_s_below_one(s)
-    policy = policy or TruncationPolicy()
-
-    phi_prime = math.atan2(state.beta.imag, state.beta.real) + sign * math.atan2(
-        state.alpha.imag, state.alpha.real
-    )
-    phi_prime = phi_prime % _TWO_PI
-
-    coeffs: list[float] = []
-    for n in range(1, policy.n_max + 1):
-        coeffs.append(fourier_coefficient(state, s, n, branch))
-        if n >= max(policy.n_min, 2):
-            tail = max(abs(coeffs[-1]), abs(coeffs[-2]))
-            if tail < policy.eps_tail:
-                return FourierSpectrum(
-                    branch=branch,
-                    phi_prime=phi_prime,
-                    coeffs=np.asarray(coeffs),
-                    n_used=n,
-                    tail_bound=tail,
-                    state=state,
-                    s=s,
-                )
-    raise NoConvergenceError(
-        f"spectrum tail still {max(abs(coeffs[-1]), abs(coeffs[-2])):.3e} "
-        f"above eps_tail={policy.eps_tail:g} at n_max={policy.n_max}"
+    phi_prime = (cmath.phase(state.beta) + sign * cmath.phase(state.alpha)) % _TWO_PI
+    rows, tail = _truncate(_pair_terms(state, s, branch), policy)
+    return FourierSpectrum(
+        branch=branch,
+        phi_prime=phi_prime,
+        coeffs=rows[:, 0].copy(),
+        n_used=len(rows),
+        tail_bound=tail,
+        state=state,
+        s=s,
     )
 
 
-def _clenshaw_cos(coeffs: np.ndarray, cos_delta: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n-1] cos(n delta) by the Clenshaw recurrence."""
+def _clenshaw(coeffs, cos_delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clenshaw recurrence for the series with coefficients coeffs[n-1], n >= 1.
+
+    Returns (b1, b2) with sum_n coeffs[n-1] cos(n delta) = b1 cos(delta) - b2
+    and sum_n coeffs[n-1] sin(n delta) = b1 sin(delta).
+    """
     b1 = np.zeros_like(cos_delta)
     b2 = np.zeros_like(cos_delta)
     for a in coeffs[::-1]:
         b1, b2 = a + 2.0 * cos_delta * b1 - b2, b1
-    return b1 * cos_delta - b2
+    return b1, b2
 
 
-def _clenshaw_sin(coeffs: np.ndarray, cos_delta: np.ndarray, sin_delta: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n-1] sin(n delta) by the Clenshaw recurrence."""
-    b1 = np.zeros_like(cos_delta)
-    b2 = np.zeros_like(cos_delta)
-    for a in coeffs[::-1]:
-        b1, b2 = a + 2.0 * cos_delta * b1 - b2, b1
-    return b1 * sin_delta
+def _eval_series(cos_coeffs, sin_coeffs, phi_ref: float, phi):
+    """(1/2pi)[1 + 2 sum_n (c_n cos n delta + d_n sin n delta)], delta = phi - phi_ref.
+
+    ``sin_coeffs`` is None for a cosine-only series.
+    """
+    scalar = np.ndim(phi) == 0
+    delta = wrap_angle(np.asarray(phi, dtype=float) - phi_ref)
+    cos_delta = np.cos(delta)
+    b1, b2 = _clenshaw(cos_coeffs, cos_delta)
+    total = b1 * cos_delta - b2
+    if sin_coeffs is not None:
+        total = total + _clenshaw(sin_coeffs, cos_delta)[0] * np.sin(delta)
+    out = (1.0 + 2.0 * total) / _TWO_PI
+    return float(out) if scalar else out
 
 
 def eval_phase_dist(spectrum: FourierSpectrum, phi):
@@ -263,12 +281,7 @@ def eval_phase_dist(spectrum: FourierSpectrum, phi):
     ``phi`` may be any real scalar or array; the offset is reduced to
     (-pi, pi] and the series is summed without per-term trig calls.
     """
-    delta = wrap_angle(np.asarray(phi, dtype=float) - spectrum.phi_prime)
-    delta = np.asarray(delta, dtype=float)
-    scalar = delta.ndim == 0
-    total = _clenshaw_cos(spectrum.coeffs, np.cos(delta))
-    out = (1.0 + 2.0 * total) / _TWO_PI
-    return float(out) if scalar else out
+    return _eval_series(spectrum.coeffs, None, spectrum.phi_prime, phi)
 
 
 def one_mode_coefficients(
@@ -287,73 +300,47 @@ def one_mode_coefficients(
     s = _require_s_below_one(s)
     if mode not in (1, 2):
         raise DomainError(f"mode must be 1 or 2, got {mode!r}")
-    policy = policy or TruncationPolicy()
 
     amp = state.alpha if mode == 1 else state.beta
     x_m = abs(amp) ** 2 / (1.0 - s)
     asq = state.amplitude_sq_sum
-    phi_ref = math.atan2(amp.imag, amp.real) % _TWO_PI
     log_scale = 2.0 * math.log(normalization_constant(state)) + 0.5 * math.log(0.5 * math.pi)
     cross = state.weight_overlap
     imbalance = abs(state.mu) ** 2 - abs(state.nu) ** 2
 
-    cos_coeffs: list[float] = []
-    sin_coeffs: list[float] = []
-    for n in range(1, policy.n_max + 1):
-        plus_part = i_n_combo(n, x_m, "plus")
-        minus_part = i_n_combo(n, x_m, "minus")
+    def terms(n: int) -> tuple[float, float]:
+        plus_part, minus_part = i_n_combo(n, x_m, "plus"), i_n_combo(n, x_m, "minus")
         if n % 2 == 0:
             interf = LogScaledValue.from_value(2.0 * cross.real)
             interf = _product(interf, minus_part).scaled(-2.0 * asq)
             c_n = _signed_exp_sum(
                 [plus_part, interf], log_scale, f"one-mode c_{n} at s={s!r}"
             )
-            d_n = 0.0
-        else:
-            c_n = _signed_exp_sum(
-                [_product(LogScaledValue.from_value(imbalance), plus_part)],
-                log_scale,
-                f"one-mode c_{n} at s={s!r}",
-            )
-            d_term = LogScaledValue.from_value(2.0 * cross.imag)
-            d_term = _product(d_term, minus_part).scaled(-2.0 * asq)
-            d_n = _signed_exp_sum([d_term], log_scale, f"one-mode d_{n} at s={s!r}")
-        cos_coeffs.append(c_n)
-        sin_coeffs.append(d_n)
-        if n >= max(policy.n_min, 2):
-            tail = max(
-                abs(cos_coeffs[-1]),
-                abs(sin_coeffs[-1]),
-                abs(cos_coeffs[-2]),
-                abs(sin_coeffs[-2]),
-            )
-            if tail < policy.eps_tail:
-                return OneModeSpectrum(
-                    mode=mode,
-                    phi_ref=phi_ref,
-                    cos_coeffs=np.asarray(cos_coeffs),
-                    sin_coeffs=np.asarray(sin_coeffs),
-                    n_used=n,
-                    state=state,
-                    s=s,
-                )
-    raise NoConvergenceError(
-        f"one-mode spectrum tail above eps_tail={policy.eps_tail:g} at n_max={policy.n_max}"
+            return c_n, 0.0
+        c_n = _signed_exp_sum(
+            [_product(LogScaledValue.from_value(imbalance), plus_part)],
+            log_scale,
+            f"one-mode c_{n} at s={s!r}",
+        )
+        d_term = LogScaledValue.from_value(2.0 * cross.imag)
+        d_term = _product(d_term, minus_part).scaled(-2.0 * asq)
+        return c_n, _signed_exp_sum([d_term], log_scale, f"one-mode d_{n} at s={s!r}")
+
+    rows, _ = _truncate(terms, policy)
+    return OneModeSpectrum(
+        mode=mode,
+        phi_ref=cmath.phase(amp) % _TWO_PI,
+        cos_coeffs=rows[:, 0].copy(),
+        sin_coeffs=rows[:, 1].copy(),
+        n_used=len(rows),
+        state=state,
+        s=s,
     )
 
 
 def eval_one_mode_dist(spectrum: OneModeSpectrum, phi):
     """Evaluate the one-mode distribution at phi (scalar or array)."""
-    delta = wrap_angle(np.asarray(phi, dtype=float) - spectrum.phi_ref)
-    delta = np.asarray(delta, dtype=float)
-    scalar = delta.ndim == 0
-    cos_delta = np.cos(delta)
-    sin_delta = np.sin(delta)
-    total = _clenshaw_cos(spectrum.cos_coeffs, cos_delta) + _clenshaw_sin(
-        spectrum.sin_coeffs, cos_delta, sin_delta
-    )
-    out = (1.0 + 2.0 * total) / _TWO_PI
-    return float(out) if scalar else out
+    return _eval_series(spectrum.cos_coeffs, spectrum.sin_coeffs, spectrum.phi_ref, phi)
 
 
 def _coefficient(spectrum: FourierSpectrum, k: int) -> float:

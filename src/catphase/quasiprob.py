@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .states import QuasiBellState, normalization_constant
 
-__all__ = ["S_UPPER", "chi", "chi_complex_s", "w", "w_symmetrized"]
+__all__ = ["S_UPPER", "chi", "w", "w_symmetrized"]
 
 # Quasi-probability distributions exist for s < 1 strictly; this guard band
 # keeps 1/(1-s) from blowing up catastrophically.
@@ -81,16 +81,6 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     return complex(out) if scalar else out
 
 
-def chi_complex_s(state: QuasiBellState, xi, eta, s: complex):
-    """Test hook: the characteristic function continued to complex s."""
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError(f"ordering parameter must be finite, got {s!r}")
-    scalar = np.ndim(xi) == 0 and np.ndim(eta) == 0
-    out = _chi_any_s(state, xi, eta, s)
-    return complex(out) if scalar else out
-
-
 def w(state: QuasiBellState, gamma, delta, s: float):
     """s-ordered quasi-probability distribution W(gamma, delta; s), s < 1.
 
@@ -136,42 +126,6 @@ def w(state: QuasiBellState, gamma, delta, s: float):
         abs(mu) ** 2 * np.exp(e_gauss1) + abs(nu) ** 2 * np.exp(e_gauss2) + interference
     )
     return _as_scalar_or_array(out, scalar)
-
-
-def _w_complex_s(state: QuasiBellState, gamma, delta, s: complex):
-    """Test hook: W evaluated naively at complex s (no real pairing).
-
-    Exists only to assert the conjugation property W(s)* = W(s*); the public
-    :func:`w` is the real-s production path.
-    """
-    s = complex(s)
-    if s.real >= S_UPPER:
-        raise DomainError(f"quasi-probability requires Re(s) < {S_UPPER!r}, got {s!r}")
-    gamma = np.asarray(gamma, dtype=complex)
-    delta = np.asarray(delta, dtype=complex)
-    scalar = gamma.ndim == 0 and delta.ndim == 0
-
-    alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
-    one_minus = 1.0 - s
-    asq = state.amplitude_sq_sum
-    pref = 4.0 * normalization_constant(state) ** 2 / (math.pi**2 * one_minus**2)
-    common = np.exp(-2.0 * (asq + np.abs(gamma) ** 2 + np.abs(delta) ** 2) / one_minus)
-    lin_re = 2.0 * (
-        np.conj(alpha) * gamma + alpha * np.conj(gamma)
-        + np.conj(beta) * delta + beta * np.conj(delta)
-    ) / one_minus
-    lin_im = 2.0 * (
-        np.conj(alpha) * gamma - alpha * np.conj(gamma)
-        + np.conj(beta) * delta - beta * np.conj(delta)
-    ) / one_minus
-    boost = np.exp(2.0 * (1.0 + s) * asq / one_minus)
-    cross = state.weight_overlap
-    out = pref * common * (
-        abs(mu) ** 2 * np.exp(lin_re)
-        + abs(nu) ** 2 * np.exp(-lin_re)
-        + boost * (np.conj(cross) * np.exp(lin_im) + cross * np.exp(-lin_im))
-    )
-    return complex(out) if scalar else out
 
 
 def w_symmetrized(state: QuasiBellState, r_gamma, r_delta, phi_plus, phi_minus, s: float):

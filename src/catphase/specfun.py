@@ -18,6 +18,7 @@ agreement is a library-level invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -217,12 +218,28 @@ def _check_combo_args(n: int, x: float) -> None:
         raise DomainError(f"combination argument x must be >= 0, got {x!r}")
 
 
-def _check_branch(branch: str) -> bool:
+def _branch_sign(branch: str) -> int:
+    """+1 for the plus (phase-sum) branch, -1 for the minus (phase-difference) branch."""
     if branch == "plus":
-        return True
+        return 1
     if branch == "minus":
-        return False
+        return -1
     raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+
+
+@functools.lru_cache(maxsize=4)
+def _combo_pair(n: int, x: float) -> tuple[LogScaledValue, LogScaledValue]:
+    """Plus and minus Bessel-route combinations at (n, x), from one I_((n-1)/2) and one ratio.
+
+    Cached, so the plus and minus calls a coefficient makes at one (n, x) share one evaluation.
+    """
+    if x == 0.0:
+        return LogScaledValue.zero(), LogScaledValue.zero()
+    log_low = _log_ive(n - 1, x)
+    ratio = bessel_i_ratio(0.5 * (n - 1), x)
+    plus = LogScaledValue(1, 0.5 * math.log(x) + log_low + math.log1p(ratio))
+    minus = LogScaledValue(1, 0.5 * math.log(x) + 2.0 * x + log_low + math.log1p(-ratio))
+    return plus, minus
 
 
 def i_n_combo(n: int, x: float, branch: str) -> LogScaledValue:
@@ -236,17 +253,10 @@ def i_n_combo(n: int, x: float, branch: str) -> LogScaledValue:
     (relative error below about 1e-11 up to x = 350).  Both branches are
     non-negative; the value is exactly zero at x = 0.
     """
-    plus = _check_branch(branch)
+    sign = _branch_sign(branch)
     _check_combo_args(n, x)
-    if x == 0.0:
-        return LogScaledValue.zero()
-    log_low = _log_ive(n - 1, x)
-    ratio = bessel_i_ratio(0.5 * (n - 1), x)
-    if plus:
-        log_mag = 0.5 * math.log(x) + log_low + math.log1p(ratio)
-    else:
-        log_mag = 0.5 * math.log(x) + 2.0 * x + log_low + math.log1p(-ratio)
-    return LogScaledValue(1, log_mag)
+    plus, minus = _combo_pair(n, x)
+    return plus if sign > 0 else minus
 
 
 def _kummer_series_log(a: float, b: float, x: float) -> LogScaledValue:
@@ -304,7 +314,7 @@ def i_n_combo_kummer(n: int, x: float, branch: str) -> LogScaledValue:
     Evaluates sqrt(2/pi) Gamma(n/2+1)/Gamma(n+1) (2x)^(n/2) e^(-+2x)
     M(n/2+1, n+1, +-2x) with the gamma ratio taken through log-gamma.
     """
-    plus = _check_branch(branch)
+    sign = _branch_sign(branch)
     _check_combo_args(n, x)
     if x == 0.0:
         return LogScaledValue.zero()
@@ -314,6 +324,5 @@ def i_n_combo_kummer(n: int, x: float, branch: str) -> LogScaledValue:
         - math.lgamma(n + 1.0)
         + 0.5 * n * math.log(2.0 * x)
     )
-    sign = 1.0 if plus else -1.0
     m = kummer_m_log(0.5 * n + 1.0, n + 1.0, sign * 2.0 * x)
     return m.scaled(log_pref - sign * 2.0 * x)

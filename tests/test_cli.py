@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import catphase
 from catphase.cli import main
 
 
@@ -64,6 +68,15 @@ class TestCoeffsCommand:
         assert columns == ["k", "c_even", "c_odd", "d_odd"]
         assert header["mode"] == "1"
         assert all(len(r) == 4 for r in rows)
+
+    @pytest.mark.parametrize("selector", [("--branch", "minus"), ("--mode", "1")])
+    def test_single_term_cap_is_a_convergence_error(self, capsys, selector):
+        code, out = run_cli(capsys, "coeffs", *selector, "--n-min", "1", "--n-max", "1")
+        assert code == 4
+        error = json.loads(out)["error"]
+        assert error["type"] == "NoConvergenceError"
+        assert error["status"] == 4
+        assert "two-term tail test needs n_max >= 2" in error["message"]
 
     def test_branch_and_mode_conflict(self, capsys):
         code, out = run_cli(capsys, "coeffs", "--branch", "plus", "--mode", "1")
@@ -327,3 +340,16 @@ class TestOracleCompareCommand:
         assert payload["one_mode_vs_quadrature_max_abs_dev"] < 1e-6
         assert payload["normalization_max_abs_dev"] < 1e-6
         assert payload["max_abs_dev"] < 1e-6
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catphase.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, catphase.cli; print('scipy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,8 @@ from catphase import (
     quadrature_phase_dist,
     w_symmetrized,
 )
+
+from catphase.oracle import _displacement_matrix, _poisson_tail
 
 from conftest import preset_state
 
@@ -181,3 +184,44 @@ class TestFockChiOracle:
     def test_bad_cutoff(self):
         with pytest.raises(DomainError):
             fock_chi_oracle(preset_state("even_cat"), 0.1, 0.1, 0.0, n_cut=0)
+
+
+def _mp_displacement(xi: complex, n_cut: int) -> np.ndarray:
+    """D(xi) in the number basis from the explicit Laguerre sum, in mpmath.
+
+    Lower triangle from <m|D|n> = sqrt(n!/m!) xi^(m-n) e^(-|xi|^2/2)
+    L_n^(m-n)(|xi|^2), upper triangle from D(xi)^dagger = D(-xi).
+    """
+    z = mpmath.mpc(xi.real, xi.imag)
+    x = abs(z) ** 2
+    powers = [x**i / mpmath.factorial(i) for i in range(n_cut + 1)]
+    out = np.empty((n_cut + 1, n_cut + 1), dtype=complex)
+    for m in range(n_cut + 1):
+        for n in range(m + 1):
+            laguerre = mpmath.fsum(
+                (-1) ** i * math.comb(m, n - i) * powers[i] for i in range(n + 1)
+            )
+            mag = (
+                mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
+                * mpmath.exp(-x / 2)
+                * laguerre
+            )
+            out[m, n] = complex(mag * z ** (m - n))
+            out[n, m] = complex(mag * (-mpmath.conj(z)) ** (m - n))
+    return out
+
+
+class TestFockPieces:
+    @pytest.mark.parametrize("xi", [0.05j, 0.7 + 0.2j, -1.2 + 0.9j, 2.0j, 2.8])
+    def test_displacement_matrix_matches_mpmath(self, xi):
+        n_cut = 60
+        with mpmath.workdps(30):
+            ref = _mp_displacement(xi, n_cut)
+        assert np.max(np.abs(_displacement_matrix(xi, n_cut) - ref)) < 1e-13
+
+    def test_poisson_tail_matches_mpmath(self):
+        with mpmath.workdps(30):
+            for mean in (0.01, 0.5, 1.0, 3.0, 9.0, 100.0, 1e6):
+                for n_cut in (6, 20, 40, 60):
+                    ref = mpmath.gammainc(n_cut + 1, 0, mean, regularized=True)
+                    assert _poisson_tail(mean, n_cut) == pytest.approx(float(ref), rel=1e-12)

@@ -21,7 +21,7 @@ from catphase import (
     trig_moments,
     wrap_angle,
 )
-from catphase.phasedist import _clenshaw_cos
+from catphase.phasedist import _clenshaw
 
 from conftest import preset_state
 
@@ -108,6 +108,12 @@ class TestBuildSpectrum:
             build_spectrum(
                 preset_state("even_cat"), 0.0, "minus", TruncationPolicy(n_min=2, n_max=3)
             )
+        for n_max, message in ((1, "needs n_max >= 2"), (3, "tail still")):
+            policy = TruncationPolicy(n_min=1, n_max=n_max)
+            with pytest.raises(NoConvergenceError, match=message):
+                build_spectrum(preset_state("even_cat"), 0.0, "minus", policy)
+            with pytest.raises(NoConvergenceError, match=message):
+                one_mode_coefficients(preset_state("yurke_stoler_plus"), 0.0, 1, policy)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -156,7 +162,8 @@ class TestEvalPhaseDist:
                 for p in phis
             ]
         )
-        got = _clenshaw_cos(spectrum.coeffs, np.cos(phis))
+        b1, b2 = _clenshaw(spectrum.coeffs, np.cos(phis))
+        got = b1 * np.cos(phis) - b2
         assert np.max(np.abs(got - naive)) < 1e-12
 
         rng = np.random.default_rng(31)
@@ -165,7 +172,8 @@ class TestEvalPhaseDist:
         naive = np.array(
             [sum(c * math.cos((k + 1) * p) for k, c in enumerate(coeffs)) for p in phis]
         )
-        assert np.max(np.abs(_clenshaw_cos(coeffs, np.cos(phis)) - naive)) < 1e-12
+        b1, b2 = _clenshaw(coeffs, np.cos(phis))
+        assert np.max(np.abs(b1 * np.cos(phis) - b2 - naive)) < 1e-12
 
     def test_scalar_and_array_agree(self):
         spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")

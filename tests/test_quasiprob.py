@@ -3,10 +3,53 @@ import math
 import numpy as np
 import pytest
 
-from catphase import DomainError, QuasiBellState, chi, chi_complex_s, make_preset, w, w_symmetrized
-from catphase.quasiprob import _w_complex_s
+from catphase import (
+    DomainError,
+    QuasiBellState,
+    chi,
+    make_preset,
+    normalization_constant,
+    quasiprob,
+    w,
+    w_symmetrized,
+)
 
 from conftest import preset_state
+
+
+def chi_complex_s(state, xi, eta, s):
+    """The characteristic function continued to complex s (scalar points)."""
+    return complex(quasiprob._chi_any_s(state, xi, eta, complex(s)))
+
+
+def _w_complex_s(state, gamma, delta, s):
+    """W evaluated naively at complex s (no real pairing), at scalar points.
+
+    Exists only to assert the conjugation property W(s)* = W(s*); the public
+    :func:`w` is the real-s production path.
+    """
+    s = complex(s)
+    alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
+    one_minus = 1.0 - s
+    asq = state.amplitude_sq_sum
+    pref = 4.0 * normalization_constant(state) ** 2 / (math.pi**2 * one_minus**2)
+    common = np.exp(-2.0 * (asq + abs(gamma) ** 2 + abs(delta) ** 2) / one_minus)
+    lin_re = 2.0 * (
+        np.conj(alpha) * gamma + alpha * np.conj(gamma)
+        + np.conj(beta) * delta + beta * np.conj(delta)
+    ) / one_minus
+    lin_im = 2.0 * (
+        np.conj(alpha) * gamma - alpha * np.conj(gamma)
+        + np.conj(beta) * delta - beta * np.conj(delta)
+    ) / one_minus
+    boost = np.exp(2.0 * (1.0 + s) * asq / one_minus)
+    cross = state.weight_overlap
+    out = pref * common * (
+        abs(mu) ** 2 * np.exp(lin_re)
+        + abs(nu) ** 2 * np.exp(-lin_re)
+        + boost * (np.conj(cross) * np.exp(lin_im) + cross * np.exp(-lin_im))
+    )
+    return complex(out)
 
 
 def polar_grid(r_max=4.0, n_r=41, n_phi=8):

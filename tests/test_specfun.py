@@ -161,6 +161,9 @@ class TestCombination:
             i_n_combo(1, -1.0, "plus")
         with pytest.raises(DomainError):
             i_n_combo(1, 1.0, "both")
+        i_n_combo(1, 1.0, "plus")  # a cached (1, 1.0) must not let True through
+        with pytest.raises(DomainError):
+            i_n_combo(True, 1.0, "plus")
 
 
 class TestKummer:
