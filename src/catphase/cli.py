@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -54,6 +55,10 @@ _TWO_PI = 2.0 * math.pi
 _ALPHA_SQ_FLOOR = 1e-8
 
 _SLICE_AXES = ("gamma_re", "gamma_im", "delta_re", "delta_im")
+
+# argparse's own pattern (-1, -0.5) has no exponent, so it took a value such
+# as "-7.7e-05" for an option flag and refused the command.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 class ConfigError(ValueError):
@@ -108,6 +113,27 @@ def _setting(args, config: dict, name: str, default):
     return default
 
 
+def _number(args, config: dict, name: str, default, kind=float):
+    """Setting ``name`` (flag, config entry or default) as a ``kind``, float or int.
+
+    Raises ConfigError for any other JSON type, for a string that does not
+    parse, and for a non-integral or non-finite value of an int setting.  A
+    setting whose default is None stays None when it is absent or null.
+    """
+    value = _setting(args, config, name, default)
+    if value is None and default is None:
+        return None
+    kind_name = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{name} must be {kind_name}, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be {kind_name}, got {value!r}")
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name} must be {kind_name}, got {value!r}") from exc
+
+
 def _state_descriptor(args, config: dict) -> dict:
     if getattr(args, "state", None) is not None:
         try:
@@ -118,9 +144,10 @@ def _state_descriptor(args, config: dict) -> dict:
             raise ConfigError("--state must hold a JSON object")
         return descriptor
 
-    descriptor = dict(config.get("state", {}))
+    descriptor = config.get("state", {})
     if not isinstance(descriptor, dict):
         raise ConfigError("config 'state' must be a JSON object")
+    descriptor = dict(descriptor)
 
     if args.preset is not None:
         descriptor.pop("mu", None)
@@ -158,9 +185,9 @@ def _resolve_state(args, config: dict) -> tuple[QuasiBellState, dict]:
 def _truncation_policy(args, config: dict) -> TruncationPolicy:
     try:
         return TruncationPolicy(
-            eps_tail=float(_setting(args, config, "eps_tail", 1e-14)),
-            n_min=int(_setting(args, config, "n_min", 4)),
-            n_max=int(_setting(args, config, "n_max", 512)),
+            eps_tail=_number(args, config, "eps_tail", 1e-14),
+            n_min=_number(args, config, "n_min", 4, int),
+            n_max=_number(args, config, "n_max", 512, int),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -169,16 +196,16 @@ def _truncation_policy(args, config: dict) -> TruncationPolicy:
 def _quadrature_spec(args, config: dict) -> QuadratureSpec:
     try:
         return QuadratureSpec(
-            n_radial=int(_setting(args, config, "n_radial", 40)),
-            n_angular=int(_setting(args, config, "n_angular", 64)),
-            radial_cutoff_sigma=float(_setting(args, config, "radial_sigma", 8.0)),
+            n_radial=_number(args, config, "n_radial", 40, int),
+            n_angular=_number(args, config, "n_angular", 64, int),
+            radial_cutoff_sigma=_number(args, config, "radial_sigma", 8.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _phi_grid(args, config: dict) -> np.ndarray:
-    n_phi = int(_setting(args, config, "n_phi", 361))
+    n_phi = _number(args, config, "n_phi", 361, int)
     if n_phi < 2:
         raise ConfigError(f"n_phi must be >= 2, got {n_phi}")
     return np.linspace(-math.pi, math.pi, n_phi)
@@ -213,7 +240,7 @@ def _cmd_validate(args, config: dict) -> str:
     payload = {"diagnostics": diagnostics, "ok": not diagnostics}
     if not diagnostics:
         state = QuasiBellState(alpha, beta, mu, nu)
-        s = float(_setting(args, config, "s", 0.0))
+        s = _number(args, config, "s", 0.0)
         norm = normalization_constant(state)
         chi_origin = chi(state, 0.0, 0.0, s)
         payload["checks"] = {
@@ -227,7 +254,7 @@ def _cmd_validate(args, config: dict) -> str:
 
 def _cmd_coeffs(args, config: dict) -> str:
     state, descriptor = _resolve_state(args, config)
-    s = float(_setting(args, config, "s", 0.0))
+    s = _number(args, config, "s", 0.0)
     policy = _truncation_policy(args, config)
     header = _state_header(descriptor, state)
     header.update(command="coeffs", s=_fmt(s), eps_tail=_fmt(policy.eps_tail))
@@ -258,7 +285,7 @@ def _cmd_coeffs(args, config: dict) -> str:
 
 def _cmd_phase_dist(args, config: dict) -> str:
     state, descriptor = _resolve_state(args, config)
-    s = float(_setting(args, config, "s", 0.0))
+    s = _number(args, config, "s", 0.0)
     offsets = _phi_grid(args, config)
     spectrum = build_spectrum(state, s, args.branch, _truncation_policy(args, config))
     density = eval_phase_dist(spectrum, spectrum.phi_prime + offsets)
@@ -277,7 +304,7 @@ def _cmd_phase_dist(args, config: dict) -> str:
 
 def _cmd_one_mode(args, config: dict) -> str:
     state, descriptor = _resolve_state(args, config)
-    s = float(_setting(args, config, "s", 0.0))
+    s = _number(args, config, "s", 0.0)
     offsets = _phi_grid(args, config)
     spectrum = one_mode_coefficients(state, s, args.mode, _truncation_policy(args, config))
     density = eval_one_mode_dist(spectrum, spectrum.phi_ref + offsets)
@@ -333,7 +360,7 @@ def _cmd_figure(args, config: dict) -> str:
             header, ["phi_offset", "density_s_m1", "density_s_0", "density_s_0p4"], rows
         )
 
-    n_alpha = int(_setting(args, config, "n_alpha", 61))
+    n_alpha = _number(args, config, "n_alpha", 61, int)
     if n_alpha < 2:
         raise ConfigError(f"n_alpha must be >= 2, got {n_alpha}")
     alpha_sq_grid = np.linspace(0.0, 3.0, n_alpha)
@@ -358,11 +385,12 @@ def _cmd_figure(args, config: dict) -> str:
 
 def _cmd_moments(args, config: dict) -> str:
     state, descriptor = _resolve_state(args, config)
-    s = float(_setting(args, config, "s", 0.0))
-    n = int(_setting(args, config, "n", 1))
+    s = _number(args, config, "s", 0.0)
+    n = _number(args, config, "n", 1, int)
     spectrum = build_spectrum(state, s, args.branch, _truncation_policy(args, config))
-    phi0 = args.phi0 if args.phi0 is not None else config.get("phi0")
-    phi0 = spectrum.phi_prime if phi0 is None else float(phi0)
+    phi0 = _number(args, config, "phi0", None)
+    if phi0 is None:
+        phi0 = spectrum.phi_prime
     moments = trig_moments(spectrum, n)
     stats = phase_mean_var(spectrum, phi0)
     payload = {
@@ -385,29 +413,34 @@ def _cmd_moments(args, config: dict) -> str:
 
 def _cmd_wigner_slice(args, config: dict) -> str:
     state, descriptor = _resolve_state(args, config)
-    s = float(_setting(args, config, "s", 0.0))
+    s = _number(args, config, "s", 0.0)
     x_axis = _setting(args, config, "x_axis", "gamma_re")
     y_axis = _setting(args, config, "y_axis", "gamma_im")
     if x_axis not in _SLICE_AXES or y_axis not in _SLICE_AXES or x_axis == y_axis:
         raise ConfigError(f"slice axes must be two distinct names from {_SLICE_AXES}")
-    nx = int(_setting(args, config, "nx", 61))
-    ny = int(_setting(args, config, "ny", 61))
+    nx = _number(args, config, "nx", 61, int)
+    ny = _number(args, config, "ny", 61, int)
     if nx < 2 or ny < 2:
         raise ConfigError("slice grid sizes must be >= 2")
-    x_min = float(_setting(args, config, "x_min", -3.0))
-    x_max = float(_setting(args, config, "x_max", 3.0))
-    y_min = float(_setting(args, config, "y_min", -3.0))
-    y_max = float(_setting(args, config, "y_max", 3.0))
+    x_min = _number(args, config, "x_min", -3.0)
+    x_max = _number(args, config, "x_max", 3.0)
+    y_min = _number(args, config, "y_min", -3.0)
+    y_max = _number(args, config, "y_max", 3.0)
 
     fixed = {name: 0.0 for name in _SLICE_AXES}
-    for item in args.fix or config.get("fix", []):
-        if isinstance(item, str):
-            name, _, raw = item.partition("=")
-            if name not in _SLICE_AXES or not raw:
-                raise ConfigError(f"--fix needs NAME=VALUE with NAME in {_SLICE_AXES}")
-            fixed[name] = float(raw)
-        else:
+    items = args.fix or config.get("fix", [])
+    if not isinstance(items, list):
+        raise ConfigError("config 'fix' must be a list of 'name=value' strings")
+    for item in items:
+        if not isinstance(item, str):
             raise ConfigError("config 'fix' entries must be 'name=value' strings")
+        name, _, raw = item.partition("=")
+        if name not in _SLICE_AXES or not raw:
+            raise ConfigError(f"--fix needs NAME=VALUE with NAME in {_SLICE_AXES}")
+        try:
+            fixed[name] = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"--fix value for {name} must be a number, got {raw!r}") from exc
 
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
@@ -438,8 +471,10 @@ def _cmd_wigner_slice(args, config: dict) -> str:
 
 
 def _cmd_oracle_compare(args, config: dict) -> str:
-    seed = int(_setting(args, config, "seed", 2024))
-    n_points = int(_setting(args, config, "n_chi_points", 10))
+    seed = _number(args, config, "seed", 2024, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    n_points = _number(args, config, "n_chi_points", 10, int)
     spec = _quadrature_spec(args, config)
     policy = _truncation_policy(args, config)
     rng = np.random.default_rng(seed)
@@ -587,6 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radial-sigma", dest="radial_sigma", type=float)
     p.set_defaults(handler=_cmd_oracle_compare, native_format="json")
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -14,6 +14,18 @@ Two independent evaluation routes are provided for the combination
 one through scaled Bessel functions (:func:`i_n_combo`) and one through
 Kummer's confluent hypergeometric function (:func:`i_n_combo_kummer`); their
 agreement is a library-level invariant.
+
+The Bessel route serves every n <= top at one x from one cached table, top
+the smallest power of two >= max(n, 64): per order chain (integer and
+half-integer nu) one continued fraction at the top order, then the downward
+recurrences for r = I_(nu+1)/I_nu and u = 1 - r (Gautschi, SIAM Rev. 9
+(1967) 24; Gil, Segura & Temme, Numerical Methods for Special Functions,
+2007, ch. 4), with log I_0 and the elementary log I_(1/2) as the only series
+or closed form.  Against 40-digit mpmath, for n <= 512 and 1e-8 <= x <= 2000,
+the log magnitude is within 9.1e-13 on the plus branch and 5.9e-12 on the
+minus branch (at n = 1, x = 2000, where the seed's 1e-15 tolerance is
+amplified on the way down); the per-n route it replaced measured 9.1e-13 and
+5.5e-12.
 """
 
 from __future__ import annotations
@@ -40,6 +52,11 @@ _TAIL_RUN = 3
 _SERIES_CAP = 10000
 
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
+
+# i_n_combo tables cover n = 1..top, top a power of two >= _TABLE_MIN_TOP;
+# n past _N_CAP is refused, so one table holds at most 2 * _N_CAP floats.
+_TABLE_MIN_TOP = 64
+_N_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -227,19 +244,42 @@ def _branch_sign(branch: str) -> int:
     raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
 
 
-@functools.lru_cache(maxsize=4)
-def _combo_pair(n: int, x: float) -> tuple[LogScaledValue, LogScaledValue]:
-    """Plus and minus Bessel-route combinations at (n, x), from one I_((n-1)/2) and one ratio.
+@functools.lru_cache(maxsize=16)
+def _combo_table(x: float, top: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """log_mag of the plus and minus combinations at x > 0 for n = 1..top (index n - 1).
 
-    Cached, so the plus and minus calls a coefficient makes at one (n, x) share one evaluation.
+    Each order chain (nu integer, nu half-integer) is seeded with one continued
+    fraction r = I_(nu+1)/I_nu at its highest order and run down with
+    r_(nu-1) = 1/(2nu/x + r_nu) and u_(nu-1) = (2nu/x - u_nu)/(2nu/x + r_nu),
+    u = 1 - r, so the minus branch reads log u without cancellation.  log I_nu
+    is log I_0 or the elementary log I_(1/2) plus the running sum of log r.
+    The entries depend on (x, top) alone.
     """
-    if x == 0.0:
-        return LogScaledValue.zero(), LogScaledValue.zero()
-    log_low = _log_ive(n - 1, x)
-    ratio = bessel_i_ratio(0.5 * (n - 1), x)
-    plus = LogScaledValue(1, 0.5 * math.log(x) + log_low + math.log1p(ratio))
-    minus = LogScaledValue(1, 0.5 * math.log(x) + 2.0 * x + log_low + math.log1p(-ratio))
-    return plus, minus
+    half_log_x = 0.5 * math.log(x)
+    plus = [0.0] * top  # first r_nu, then log_mag of the plus branch, at index n - 1 = 2 nu
+    minus = [0.0] * top  # first u_nu, then log_mag of the minus branch
+    for low in (0, 1):
+        r = bessel_i_ratio(0.5 * (top - 2 + low), x)
+        u = 1.0 - r
+        for two_nu in range(top - 2 + low, -1, -2):
+            plus[two_nu], minus[two_nu] = r, u
+            a = two_nu / x
+            u = (a - u) / (a + r)
+            r = 1.0 / (a + r)
+        total, comp = _log_ive(low, x), 0.0  # Neumaier running sum of log r
+        for two_nu in range(low, top, 2):
+            r, u = plus[two_nu], minus[two_nu]
+            log_ive = total + comp
+            plus[two_nu] = half_log_x + log_ive + math.log1p(r)
+            minus[two_nu] = half_log_x + 2.0 * x + log_ive + math.log(u)
+            step = math.log(r)
+            t = total + step
+            if abs(total) >= abs(step):
+                comp += (total - t) + step
+            else:
+                comp += (step - t) + total
+            total = t
+    return tuple(plus), tuple(minus)
 
 
 def i_n_combo(n: int, x: float, branch: str) -> LogScaledValue:
@@ -248,15 +288,26 @@ def i_n_combo(n: int, x: float, branch: str) -> LogScaledValue:
     plus branch:  sqrt(x) e^(-x) (I_((n-1)/2)(x) + I_((n+1)/2)(x))
     minus branch: sqrt(x) e^(+x) (I_((n-1)/2)(x) - I_((n+1)/2)(x))
 
-    The minus branch computes the difference as I_((n-1)/2) * (1 - ratio)
-    with the continued-fraction ratio, which keeps the cancellation mild
-    (relative error below about 1e-11 up to x = 350).  Both branches are
-    non-negative; the value is exactly zero at x = 0.
+    Read from a cached table of every n up to the smallest power of two
+    >= max(n, 64) at this x (:func:`_combo_table`): one continued fraction
+    per order chain, a downward ratio recurrence, and log I_0 and the
+    elementary log I_(1/2).  The value depends on (n, x, branch) alone, never
+    on what was cached before.  The minus branch carries 1 - I_((n+1)/2) /
+    I_((n-1)/2) through its own recurrence, so it has no cancellation at large
+    x.  Against 40-digit mpmath the log magnitude is within 9.1e-13 (plus) and
+    5.9e-12 (minus) for n <= 512 and 1e-8 <= x <= 2000.  Both branches are
+    non-negative; the value is exactly zero at x = 0.  n above 2**16 raises
+    DomainError, which bounds the table size.
     """
     sign = _branch_sign(branch)
     _check_combo_args(n, x)
-    plus, minus = _combo_pair(n, x)
-    return plus if sign > 0 else minus
+    if n > _N_CAP:
+        raise DomainError(f"combination index n must be <= {_N_CAP}, got {n}")
+    if x == 0.0:
+        return LogScaledValue.zero()
+    top = _TABLE_MIN_TOP if n <= _TABLE_MIN_TOP else 1 << (n - 1).bit_length()
+    plus, minus = _combo_table(float(x), top)
+    return LogScaledValue(1, (plus if sign > 0 else minus)[n - 1])
 
 
 def _kummer_series_log(a: float, b: float, x: float) -> LogScaledValue:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catphase
 from catphase.cli import main
@@ -319,6 +323,161 @@ class TestConfigAndFormat:
             "0",
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            (["phase-dist"], {"state": "abc"}),
+            (["phase-dist"], {"state": [1, 2]}),
+            (["phase-dist"], {"state": 3}),
+            (["phase-dist"], {"s": "x"}),
+            (["phase-dist"], {"s": [0.1]}),
+            (["phase-dist"], {"s": None}),
+            (["phase-dist"], {"s": True}),
+            (["phase-dist"], {"n_phi": "many"}),
+            (["phase-dist"], {"n_phi": 3.5}),
+            (["phase-dist"], {"n_phi": {"n": 3}}),
+            (["phase-dist"], {"eps_tail": [1e-14]}),
+            (["phase-dist"], {"n_min": "four"}),
+            (["phase-dist"], {"n_max": 1e400}),
+            (["one-mode"], {"s": "x"}),
+            (["coeffs", "--branch", "plus"], {"n_max": "x"}),
+            (["validate"], {"s": "x"}),
+            (["moments"], {"n": "x"}),
+            (["moments"], {"n": 1.5}),
+            (["moments"], {"phi0": "x"}),
+            (["wigner-slice"], {"nx": "x"}),
+            (["wigner-slice"], {"x_min": "left"}),
+            (["wigner-slice"], {"fix": "gamma_re=1"}),
+            (["wigner-slice"], {"fix": [1.0]}),
+            (["wigner-slice"], {"fix": ["delta_re=abc"]}),
+            (["figure", "--id", "1a"], {"n_alpha": "x"}),
+            (["oracle-compare"], {"seed": "x"}),
+            (["oracle-compare"], {"seed": -1}),
+            (["oracle-compare"], {"n_radial": [40]}),
+        ],
+    )
+    def test_wrong_config_value_is_config_error(self, capsys, tmp_path, command, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out = run_cli(capsys, *command, "--config", str(path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["status"] == 2
+
+    def test_negative_values_in_exponent_notation(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "phase-dist",
+            "--mu", "-0.9997995352900749", "-7.719337989177595e-05",
+            "--nu", "0.011482977458773622", "0.01640196645569401",
+            "--alpha", "1.7785822603228478", "-1E-3",
+            "--s", "-4.775e-01",
+            "--n-phi", "3",
+        )
+        assert code == 0
+        header, _, _ = parse_csv(out)
+        assert header["mu_im"] == "-7.719337989177595e-05"
+        assert header["alpha_arg"] == "-0.001"
+        assert header["s"] == "-0.4775"
+
+    def test_wrong_fix_flag_is_config_error(self, capsys):
+        code, out = run_cli(capsys, "wigner-slice", "--nx", "2", "--ny", "2", "--fix", "delta_re=x")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ConfigError"
+
+    def test_numeric_strings_and_integral_floats_accepted(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"s": "0.4", "n_phi": 11.0}), encoding="utf-8")
+        code, out = run_cli(capsys, "phase-dist", "--config", str(path))
+        assert code == 0
+        header, _, rows = parse_csv(out)
+        assert header["s"] == "0.4"
+        assert len(rows) == 11
+
+
+# Commands with small grids, and whether they take the state flags.  The fuzz
+# test adds drawn flags and a drawn config file.
+_FUZZ_COMMANDS = [
+    (["validate"], True),
+    (["coeffs", "--branch", "plus"], True),
+    (["coeffs", "--branch", "minus"], True),
+    (["coeffs", "--mode", "2"], True),
+    (["coeffs"], True),
+    (["phase-dist", "--n-phi", "5"], True),
+    (["one-mode", "--mode", "2", "--n-phi", "5"], True),
+    (["moments", "--branch", "plus"], True),
+    (["wigner-slice", "--nx", "3", "--ny", "2"], True),
+    (["figure", "--id", "1c", "--n-phi", "3", "--n-alpha", "3"], False),
+    (["figure", "--id", "2b", "--n-phi", "3"], False),
+    (["oracle-compare", "--n-chi-points", "0", "--n-radial", "4", "--n-angular", "4"], False),
+]
+
+_COMMON_FLAGS = st.one_of(
+    st.tuples(st.just("--eps-tail"), st.floats(-1e-3, 1e-3).map(repr)),
+    st.tuples(st.sampled_from(["--n-min", "--n-max"]), st.integers(-2, 40).map(str)),
+    st.tuples(st.just("--format"), st.sampled_from(["csv", "json"])),
+)
+
+_STATE_FLAGS = st.one_of(
+    st.tuples(st.just("--s"), st.floats(-3, 3).map(repr)),
+    st.tuples(st.just("--preset"), st.sampled_from(["even_cat", "odd_cat", "yurke_stoler_minus"])),
+    st.tuples(
+        st.sampled_from(["--alpha", "--beta", "--mu", "--nu"]),
+        st.sampled_from(["0 0", "1e-3 0.5", "1 0", "0.6 0.8", "2.5 -1", "nan 0", "1e200 0"]),
+    ),
+    st.tuples(st.just("--state"), st.sampled_from(["{}", "[]", "{bad", '{"preset": 3}'])),
+    st.tuples(st.just("--renormalize"), st.just("")),
+)
+
+_FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),  # small, since grid sizes come from here too
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1.5, 1.5),
+    st.text(max_size=4),
+    st.sampled_from(["0.4", "1e-10", "even_cat", "gamma_re=0.5", "plus"]),
+    st.lists(st.sampled_from([1, "delta_im=1", "x"]), max_size=2),
+    st.dictionaries(st.sampled_from(["abs", "arg", "re", "im"]), st.floats(-2, 2), max_size=2),
+)
+
+_FUZZ_KEYS = st.sampled_from(
+    ["state", "s", "n_phi", "n_alpha", "n", "phi0", "eps_tail", "n_min", "n_max", "nx", "ny",
+     "x_min", "x_max", "x_axis", "fix", "format", "seed", "n_chi_points", "radial_sigma"]
+)
+
+
+def _fuzz_argv(command):
+    argv, takes_state = command
+    flag = st.one_of(_COMMON_FLAGS, _STATE_FLAGS) if takes_state else _COMMON_FLAGS
+    return st.tuples(st.just(argv), st.lists(flag, max_size=3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(_FUZZ_COMMANDS).flatmap(_fuzz_argv),
+    config=st.dictionaries(_FUZZ_KEYS, _FUZZ_VALUES, max_size=3),
+    bogus_flag=st.booleans(),
+)
+def test_cli_fuzz_exits_with_a_documented_status(tmp_path_factory, command, config, bogus_flag):
+    path = tmp_path_factory.mktemp("fuzz") / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv, flags = command
+    argv = argv + ["--config", str(path)] + (["--bogus-flag"] if bogus_flag else [])
+    for flag, value in flags:
+        argv += [flag, *value.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags with exit status 2
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, config, out.getvalue(), err.getvalue())
+    if code != 0 and out.getvalue():
+        assert json.loads(out.getvalue())["error"]["status"] == code
 
 
 class TestOracleCompareCommand:

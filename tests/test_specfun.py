@@ -1,16 +1,23 @@
+import cmath
 import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catphase import (
     DomainError,
     LogScaledValue,
+    QuasiBellState,
     bessel_i_ratio,
     bessel_i_scaled,
+    build_spectrum,
     i_n_combo,
     i_n_combo_kummer,
     kummer_m_log,
+    one_mode_coefficients,
+    specfun,
 )
 
 mpmath.mp.dps = 40
@@ -131,8 +138,8 @@ class TestCombination:
         assert math.exp(val.log_mag) == pytest.approx(1.7509800489172097, rel=1e-13)
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 40])
-    @pytest.mark.parametrize("x", [1e-6, 0.3, 5.0, 80.0, 350.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 40, 63, 64, 65, 128, 129, 300, 512])
+    @pytest.mark.parametrize("x", [1e-6, 0.3, 5.0, 80.0, 350.0, 900.0, 2000.0])
     def test_against_high_precision(self, branch, n, x):
         expected = mp_combo_log(n, x, branch)
         got = i_n_combo(n, x, branch)
@@ -164,6 +171,51 @@ class TestCombination:
         i_n_combo(1, 1.0, "plus")  # a cached (1, 1.0) must not let True through
         with pytest.raises(DomainError):
             i_n_combo(True, 1.0, "plus")
+        with pytest.raises(DomainError, match="<= 65536"):
+            i_n_combo(2**16 + 1, 1.0, "plus")
+
+    def test_largest_index(self):
+        for branch in ("plus", "minus"):
+            val = i_n_combo(2**16, 1.0, branch)
+            assert val.sign == 1 and math.isfinite(val.log_mag)
+
+
+def _bits(value: LogScaledValue) -> tuple:
+    return value.sign, value.log_mag.hex()
+
+
+class TestTablePurity:
+    """i_n_combo is a function of (n, x, branch) alone, whatever the table cache holds."""
+
+    # At large x a table's entries depend on its top order in the last bits.
+    @pytest.mark.parametrize("x", [1e-6, 0.3, 5.0, 80.0, 900.0, 2000.0])
+    def test_bits_independent_of_cache(self, x):
+        for n in (1, 2, 37, 63, 64, 65, 128, 129, 300):
+            for branch in ("plus", "minus"):
+                specfun._combo_table.cache_clear()
+                cold = _bits(i_n_combo(n, x, branch))
+                i_n_combo(300, x, "plus")
+                i_n_combo(300, x, "minus")
+                after_large = _bits(i_n_combo(n, x, branch))
+                for other in (0.5 * x, 2.0 * x, x + 1.0):
+                    i_n_combo(n, other, branch)
+                specfun._combo_table.cache_clear()
+                cleared = _bits(i_n_combo(n, x, branch))
+                assert cold == after_large == cleared, (n, x, branch)
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_spectrum_independent_of_call_order(self, branch):
+        # x_a = 96.8 and x_b = 45 at s = 0.95: the series runs to n = 316,
+        # across four table sizes, where the last bits depend on the table.
+        state = QuasiBellState(2.2, 1.5 * cmath.exp(0.3j), 0.6, 0.8)
+        specfun._combo_table.cache_clear()
+        first = build_spectrum(state, 0.95, branch)
+        assert first.n_used > 256
+        specfun._combo_table.cache_clear()
+        one_mode_coefficients(state, 0.95, 1)
+        one_mode_coefficients(state, 0.95, 2)
+        second = build_spectrum(state, 0.95, branch)
+        assert first.coeffs.tobytes() == second.coeffs.tobytes()
 
 
 class TestKummer:
@@ -209,6 +261,19 @@ class TestDualFormulaIdentity:
                 b = i_n_combo_kummer(n, x, branch)
                 assert a.sign == b.sign == 1
                 assert abs(a.log_mag - b.log_mag) < 1e-10, (n, x, branch)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 512),
+        log10_x=st.floats(-8.0, 3.0),
+        branch=st.sampled_from(["plus", "minus"]),
+    )
+    def test_bessel_equals_kummer_all_orders(self, n, log10_x, branch):
+        x = 10.0**log10_x
+        a = i_n_combo(n, x, branch)
+        b = i_n_combo_kummer(n, x, branch)
+        assert a.sign == b.sign == 1
+        assert abs(a.log_mag - b.log_mag) < 1e-10, (n, x, branch)
 
     def test_kummer_route_zero(self):
         assert i_n_combo_kummer(3, 0.0, "plus").sign == 0
