@@ -2,10 +2,13 @@
 
 The package never trusts a closed form alone: normalization integrates
 the full four-variable quasi-probability, the phase-distribution series
-are compared against direct quadrature marginals, and the
-characteristic function against a number-basis trace.  This script runs
-a compact version of that validation (the full matrix lives in the
-acceptance test suite).
+are compared against quadrature marginals, and the characteristic
+function against a number-basis trace.  The quadrature runs on a fixed
+40 radial x 64 angular node grid per mode; because each term of W is a
+product of one factor per mode, it is taken as one radial sum per mode
+and angle, which gives the four-variable node sum up to rounding.  This
+script runs a compact version of that validation (the full matrix lives
+in the acceptance test suite).
 """
 
 import math

@@ -2,10 +2,16 @@
 
 Two oracle families live here:
 
-* brute-force quadrature marginalization of the symmetrized quasi-probability
-  (Gauss-Legendre radially, uniform trapezoid angularly, which is spectrally
-  accurate for the periodic integrands), checking normalization and the
-  phase-distribution series, and
+* quadrature marginalization of the quasi-probability W (Gauss-Legendre
+  radially, uniform trapezoid angularly, which is spectrally accurate for the
+  periodic integrands), checking normalization and the phase-distribution
+  series.  W is a sum of terms that are each a product of one factor per
+  mode, so the four-variable node sum is computed separably: per angle, one
+  radial sum per mode, combined as W's terms are.  The nodes are those of the
+  direct four-variable sum (default 40 radial x 64 angular), and results
+  differ from it by rounding only.  W's OverflowError comes from W evaluated
+  at the innermost radial node pair, where the interference exponent peaks;
+  and
 * a truncated-Fock-basis trace of the displacement operator, checking the
   closed-form characteristic function.  The number-basis displacement
   matrix is built from log-factorials and the forward three-term recurrence
@@ -87,20 +93,84 @@ def _angular_rule(spec: QuadratureSpec):
     return nodes, _TWO_PI / spec.n_angular
 
 
-def _marginal(values, state: QuasiBellState, s: float, phi, spec: QuadratureSpec | None):
-    """Quadrature of r1 r2 values(r1, r2, phi, angle) over both radii and the free angle.
+def _checked_rules(
+    state: QuasiBellState, s: float, spec: QuadratureSpec | None, symmetrized: bool
+):
+    """Radial and angular rules, after the refusal check at the innermost node pair.
 
-    Axes are (phi, angle, r1, r2); ``phi`` may be a scalar or a 1-D array.
+    The interference exponent of W peaks at the smallest radii, so W (or W_sym)
+    at the innermost radial node pair raises quasiprob's OverflowError exactly
+    when W on the whole node grid would.
     """
     spec = spec or QuadratureSpec()
     r_nodes, r_weights = _radial_rule(state, s, spec)
-    a_nodes, a_weight = _angular_rule(spec)
-    fixed = np.atleast_1d(np.asarray(phi, dtype=float))[:, None, None, None]
-    r_1 = r_nodes[None, None, :, None]
-    r_2 = r_nodes[None, None, None, :]
-    integrand = r_1 * r_2 * values(r_1, r_2, fixed, a_nodes[None, :, None, None])
-    out = a_weight * np.einsum("pars,r,s->p", integrand, r_weights, r_weights)
-    return float(out[0]) if np.ndim(phi) == 0 else out
+    r_in = r_nodes[0]
+    if symmetrized:
+        w_symmetrized(state, r_in, r_in, 0.0, 0.0, s)
+    else:
+        w(state, r_in, r_in, s)
+    return (r_nodes, r_weights, *_angular_rule(spec))
+
+
+def _mode_factors(amp: complex, r, angles, s: float, log_gauss: float, log_interf: float):
+    """Factors of W for one mode at z = r e^(i angle), on angles.shape + r.shape.
+
+    Returns e^(log_gauss) times each Gaussian e^(-2|z -+ amp|^2/(1-s)), and
+    e^(log_interf) e^(2(s|amp|^2 - |z|^2)/(1-s)) e^(i theta_z) with
+    theta_z = 4 Im(amp* z)/(1-s).
+    """
+    one_minus = 1.0 - s
+    z = r * np.exp(1j * np.asarray(angles, dtype=float)[..., None])
+    gauss_minus = np.exp(log_gauss - 2.0 * np.abs(z - amp) ** 2 / one_minus)
+    gauss_plus = np.exp(log_gauss - 2.0 * np.abs(z + amp) ** 2 / one_minus)
+    modulus = np.exp(log_interf + 2.0 * (s * abs(amp) ** 2 - r**2) / one_minus)
+    theta = 4.0 * (np.conj(amp) * z).imag / one_minus
+    return gauss_minus, gauss_plus, modulus * np.exp(1j * theta)
+
+
+def _factors(state: QuasiBellState, s: float, r_nodes, gamma_angles, delta_angles):
+    """Per-mode factors (g, d) of W on the radial nodes, ascending from r_nodes[0].
+
+    W(gamma, delta) = _combine(state, g, d, False) pointwise.  The prefactor
+    4 N^2/(pi^2 (1-s)^2) is split evenly between the modes.  Each interference
+    factor is taken relative to its peak, at the innermost node, and the two
+    peaks are given back in equal halves, so no factor exceeds the square root
+    of W's largest interference term on the grid.  Unshifted, one mode's own
+    exponent can pass the float range where the pair's does not (a wide
+    radial cutoff moves the innermost node out).
+    """
+    log_pref = math.log(4.0 * normalization_constant(state) ** 2 / (math.pi * (1.0 - s)) ** 2)
+    peaks = [
+        2.0 * (s * abs(amp) ** 2 - r_nodes[0] ** 2) / (1.0 - s) for amp in (state.alpha, state.beta)
+    ]
+    half = 0.5 * (peaks[0] + peaks[1] + log_pref)
+    g = _mode_factors(state.alpha, r_nodes, gamma_angles, s, 0.5 * log_pref, half - peaks[0])
+    d = _mode_factors(state.beta, r_nodes, delta_angles, s, 0.5 * log_pref, half - peaks[1])
+    return g, d
+
+
+def _mode_sums(state: QuasiBellState, s: float, r_nodes, r_weights, gamma_angles, delta_angles):
+    """Gauss-Legendre sums of r times each per-mode factor over its radius."""
+    rw = r_nodes * r_weights
+    g, d = _factors(state, s, r_nodes, gamma_angles, delta_angles)
+    return tuple(np.sum(f * rw, axis=-1) for f in g), tuple(np.sum(f * rw, axis=-1) for f in d)
+
+
+def _combine(state: QuasiBellState, g, d, symmetrized: bool):
+    """W or W_sym from per-mode factors, or from per-mode sums of them.
+
+    W = |mu|^2 a_1 b_1 + |nu|^2 a_2 b_2 + 2 Re(mu* nu f_gamma f_delta) is
+    bilinear in the two modes' parts, so a node sum of W over both radii is
+    this combination of the two radial sums.  In
+    W_sym = (W(gamma, delta) + W(-gamma, -delta))/2 the Gaussians swap and each
+    f turns into its conjugate, so the Im(mu* nu) part cancels.
+    """
+    mu_sq, nu_sq = abs(state.mu) ** 2, abs(state.nu) ** 2
+    cross = np.conj(state.mu) * state.nu
+    if symmetrized:
+        gauss = 0.5 * (mu_sq + nu_sq) * (g[0] * d[0] + g[1] * d[1])
+        return gauss + 2.0 * cross.real * (g[2] * d[2]).real
+    return mu_sq * g[0] * d[0] + nu_sq * g[1] * d[1] + 2.0 * (cross * g[2] * d[2]).real
 
 
 def quadrature_phase_dist(
@@ -110,21 +180,24 @@ def quadrature_phase_dist(
     phi,
     spec: QuadratureSpec | None = None,
 ):
-    """Marginal phase-sum/difference density at phi, by direct quadrature.
+    """Marginal phase-sum/difference density at phi, by quadrature.
 
     Integrates |gamma||delta| W_sym over both radii and the complementary
     angle (phi_minus for the plus branch and vice versa), with the fixed
-    angle set to phi.  ``phi`` may be a scalar or a 1-D array.
+    angle set to phi.  Per angular node a_j, W_sym sits at
+    phi_gamma = (phi_plus - phi_minus)/2 and phi_delta = (phi_plus + phi_minus)/2,
+    and its radial double sum is a product of one radial sum per mode.
+    ``phi`` may be a scalar or a 1-D array.
     """
     plus = _branch_sign(branch) > 0
     s = _require_s_below_one(s)
-
-    def values(r_g, r_d, fixed, other):
-        if plus:
-            return w_symmetrized(state, r_g, r_d, fixed, other, s)
-        return w_symmetrized(state, r_g, r_d, other, fixed, s)
-
-    return _marginal(values, state, s, phi, spec)
+    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, True)
+    fixed = np.mod(np.atleast_1d(np.asarray(phi, dtype=float)), _TWO_PI)[:, None]
+    # (phi_plus, phi_minus) is (phi, a_j) on the plus branch and (a_j, phi) on the minus.
+    half_diff = 0.5 * (fixed - a_nodes) if plus else 0.5 * (a_nodes - fixed)
+    g, d = _mode_sums(state, s, r_nodes, r_weights, half_diff, 0.5 * (fixed + a_nodes))
+    out = a_weight * np.sum(_combine(state, g, d, True), axis=-1)
+    return float(out[0]) if np.ndim(phi) == 0 else out
 
 
 def quadrature_normalization(
@@ -132,22 +205,19 @@ def quadrature_normalization(
 ) -> float:
     """Full four-variable quadrature of |gamma||delta| W_sym; expected 1.
 
-    Evaluated in slabs over the gamma radius to bound memory.
+    On the (phi_plus, phi_minus) node grid, a_i = 2 pi i/n, the mode angles
+    (a_i -+ a_j)/2 = pi k/n take only 3n - 2 values, so each mode's radial
+    sums are taken once per value and looked up for every node pair.
     """
     s = _require_s_below_one(s)
-    spec = spec or QuadratureSpec()
-    r_nodes, r_weights = _radial_rule(state, s, spec)
-    a_nodes, a_weight = _angular_rule(spec)
-
-    r_d = r_nodes[:, None, None]
-    plus = a_nodes[None, :, None]
-    minus = a_nodes[None, None, :]
-    slabs = []
-    for r_g, w_g in zip(r_nodes, r_weights):
-        values = w_symmetrized(state, r_g, r_d, plus, minus, s)
-        inner = np.einsum("ras,r->", r_d * values, r_weights)
-        slabs.append(w_g * r_g * float(inner))
-    return a_weight**2 * math.fsum(slabs)
+    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, True)
+    n = a_nodes.size
+    half = math.pi * np.arange(1 - n, 2 * n - 1) / n
+    g, d = _mode_sums(state, s, r_nodes, r_weights, half, half)
+    i, j = np.ogrid[:n, :n]
+    g = tuple(x[i - j + n - 1] for x in g)
+    d = tuple(x[i + j + n - 1] for x in d)
+    return a_weight**2 * float(np.sum(_combine(state, g, d, True)))
 
 
 def quadrature_one_mode(
@@ -157,21 +227,25 @@ def quadrature_one_mode(
     phi,
     spec: QuadratureSpec | None = None,
 ):
-    """Marginal one-mode phase density at phi, by direct quadrature of W.
+    """Marginal one-mode phase density at phi, by quadrature of W.
 
     Integrates the raw (unsymmetrized) W over the full complex plane of the
-    other mode and over the mode's own radius, at fixed own angle phi.
+    other mode and over the mode's own radius, at fixed own angle phi.  The
+    other mode's sums over its plane do not depend on phi and are taken once.
     """
     if mode not in (1, 2):
         raise DomainError(f"mode must be 1 or 2, got {mode!r}")
     s = _require_s_below_one(s)
-
-    def values(r_own, r_other, own_angle, other_angle):
-        own = r_own * np.exp(1j * own_angle)
-        other = r_other * np.exp(1j * other_angle)
-        return w(state, own, other, s) if mode == 1 else w(state, other, own, s)
-
-    return _marginal(values, state, s, phi, spec)
+    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, False)
+    own = np.atleast_1d(np.asarray(phi, dtype=float))
+    angles = (own, a_nodes) if mode == 1 else (a_nodes, own)
+    g, d = _mode_sums(state, s, r_nodes, r_weights, *angles)
+    if mode == 1:
+        d = tuple(a_weight * np.sum(x) for x in d)
+    else:
+        g = tuple(a_weight * np.sum(x) for x in g)
+    out = _combine(state, g, d, False)
+    return float(out[0]) if np.ndim(phi) == 0 else out
 
 
 class FockChiResult(NamedTuple):

@@ -17,12 +17,20 @@ from catphase import (
     quadrature_normalization,
     quadrature_one_mode,
     quadrature_phase_dist,
+    w,
     w_symmetrized,
 )
 
-from catphase.oracle import _displacement_matrix, _poisson_tail
+from catphase.oracle import (
+    _angular_rule,
+    _combine,
+    _displacement_matrix,
+    _factors,
+    _poisson_tail,
+    _radial_rule,
+)
 
-from conftest import preset_state
+from conftest import PRESETS, preset_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,6 +114,14 @@ class TestQuadratureOneMode:
         assert np.max(np.abs(quad - analytic)) < 1e-6
         assert abs(quad[0] - quad[1]) > 1e-3
 
+    def test_vectorized_matches_scalar(self):
+        state = preset_state("yurke_stoler_minus")
+        phis = np.array([0.0, 0.7, 3.0])
+        for mode in (1, 2):
+            batch = quadrature_one_mode(state, 0.4, mode, phis)
+            for k, phi in enumerate(phis):
+                assert batch[k] == quadrature_one_mode(state, 0.4, mode, float(phi))
+
     def test_bad_mode(self):
         with pytest.raises(DomainError):
             quadrature_one_mode(preset_state("even_cat"), 0.0, 0, 0.0)
@@ -136,6 +152,159 @@ class TestQuadratureSpec:
             -1.0,
         )
         assert float(np.min(values)) >= -1e-12
+
+
+# The four presets plus a state whose Im(mu nu*) is not zero.
+SEPARABLE_STATES = [preset_state(kind) for kind in PRESETS] + [
+    QuasiBellState(0.9 + 0.4j, -0.7 + 1.1j, 0.6, 0.8 * np.exp(0.7j))
+]
+SEPARABLE_IDS = list(PRESETS) + ["complex_weights"]
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 0.4])
+@pytest.mark.parametrize("state", SEPARABLE_STATES, ids=SEPARABLE_IDS)
+class TestSeparableIntegrand:
+    """Per-mode factors rebuild W and W_sym at every node of the default grid.
+
+    One slab per radial node of gamma, with axes (angle of gamma or phi_plus,
+    radius of delta, angle of delta or phi_minus).
+    """
+
+    @staticmethod
+    def _grid(state, s):
+        spec = QuadratureSpec()
+        return _radial_rule(state, s, spec)[0], _angular_rule(spec)[0]
+
+    @staticmethod
+    def _assert_close(pairs):
+        peak = max(float(np.max(np.abs(ref))) for _, ref in pairs)
+        dev = max(float(np.max(np.abs(fast - ref))) for fast, ref in pairs)
+        assert dev <= 1e-13 * peak
+
+    def test_w(self, state, s):
+        # Both angles on the angular nodes: the one-mode grid of either mode.
+        r, a = self._grid(state, s)
+        g, d = _factors(state, s, r, a, a)
+        d = [x.T[None] for x in d]
+        delta = (r[:, None] * np.exp(1j * a))[None]
+        pairs = []
+        for k in range(r.size):
+            g_k = [x[:, k, None, None] for x in g]
+            gamma = r[k] * np.exp(1j * a)[:, None, None]
+            pairs.append((_combine(state, g_k, d, False), w(state, gamma, delta, s)))
+        self._assert_close(pairs)
+
+    def test_w_symmetrized(self, state, s):
+        # phi_plus and phi_minus on the angular nodes: the normalization grid,
+        # and the grid of either pair branch at phases on the nodes.
+        r, a = self._grid(state, s)
+        g, d = _factors(state, s, r, 0.5 * (a[:, None] - a), 0.5 * (a[:, None] + a))
+        d = [np.moveaxis(x, 2, 1) for x in d]
+        pairs = []
+        for k in range(r.size):
+            g_k = [x[:, None, :, k] for x in g]
+            ref = w_symmetrized(state, r[k], r[:, None], a[:, None, None], a, s)
+            pairs.append((_combine(state, g_k, d, True), ref))
+        self._assert_close(pairs)
+
+
+class TestAgainstBruteForce:
+    """The separable oracles against a direct four-variable node sum at 16 x 32."""
+
+    SPEC = QuadratureSpec(n_radial=16, n_angular=32)
+    PHIS = np.linspace(-1.0, 7.0, 16)
+
+    def _brute_force(self, state, s, values):
+        """Node sum of r1 r2 values(r1, r2, angle) over both radii and the angle.
+
+        values gets r1, r2 and the angle on axes 0, 1 and 3, and puts the
+        fixed angles on axis 2.
+        """
+        r, r_w = _radial_rule(state, s, self.SPEC)
+        a, a_w = _angular_rule(self.SPEC)
+        integrand = values(r[:, None, None, None], r[None, :, None, None], a)
+        return a_w * np.einsum("rspa,r,s->p", integrand, r * r_w, r * r_w)
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.4])
+    @pytest.mark.parametrize("state", SEPARABLE_STATES, ids=SEPARABLE_IDS)
+    def test_all_three_oracles(self, state, s):
+        phis = self.PHIS[:, None]
+        for branch in ("plus", "minus"):
+
+            def values(r1, r2, a, plus=branch == "plus"):
+                if plus:
+                    return w_symmetrized(state, r1, r2, phis, a, s)
+                return w_symmetrized(state, r1, r2, a, phis, s)
+
+            got = quadrature_phase_dist(state, s, branch, self.PHIS, self.SPEC)
+            assert np.max(np.abs(got - self._brute_force(state, s, values))) <= 1e-14
+
+        for mode in (1, 2):
+
+            def values(r1, r2, a, first=mode == 1):
+                own, other = r1 * np.exp(1j * phis), r2 * np.exp(1j * a)
+                return w(state, own, other, s) if first else w(state, other, own, s)
+
+            got = quadrature_one_mode(state, s, mode, self.PHIS, self.SPEC)
+            assert np.max(np.abs(got - self._brute_force(state, s, values))) <= 1e-14
+
+        nodes, a_w = _angular_rule(self.SPEC)
+        by_plus = self._brute_force(
+            state, s, lambda r1, r2, a: w_symmetrized(state, r1, r2, nodes[:, None], a, s)
+        )
+        got = quadrature_normalization(state, s, self.SPEC)
+        assert abs(got - a_w * float(np.sum(by_plus))) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "state, s, sigma",
+        [
+            (make_preset("even_cat", 1.0, 1.0), 699.0 / 703.0, 8.0),
+            (QuasiBellState(3.0, 0.0, 0.6, 0.8j), 0.97488, 8.0),
+            (QuasiBellState(0.0, 3.0, 0.6, 0.8j), 0.97488, 8.0),
+            # A wide cutoff moves the innermost node out, so one mode's own
+            # exponent passes e^709 while the pair's stays below 700.
+            (QuasiBellState(1.95, 0.0, 0.6, 0.8), 0.99, 1000.0),
+        ],
+    )
+    def test_finite_next_to_the_refusal(self, state, s, sigma):
+        # The interference exponent at the innermost node pair is just below
+        # 700: W is huge but finite there, and so are the separable sums.
+        spec = QuadratureSpec(n_radial=16, n_angular=32, radial_cutoff_sigma=sigma)
+        quad = [
+            quadrature_phase_dist(state, s, "plus", self.PHIS, spec),
+            quadrature_phase_dist(state, s, "minus", self.PHIS, spec),
+            quadrature_one_mode(state, s, 1, self.PHIS, spec),
+            quadrature_one_mode(state, s, 2, self.PHIS, spec),
+            quadrature_normalization(state, s, spec),
+        ]
+        assert all(np.all(np.isfinite(q)) for q in quad)
+
+
+class TestRefusalParity:
+    """Each quadrature oracle refuses where the four-variable W grid overflows."""
+
+    STATE = make_preset("even_cat", 3.0, 3.0)
+    MESSAGE = (
+        "interference exponent 2(s(|alpha|^2+|beta|^2) - r^2)/(1-s) = 3564 exceeds 700 "
+        "(s = 0.99, |alpha|^2+|beta|^2 = 18.0); the quasi-probability is out of float "
+        "range in this parameter region"
+    )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda st: quadrature_phase_dist(st, 0.99, "plus", 0.3),
+            lambda st: quadrature_phase_dist(st, 0.99, "minus", np.array([0.3, 1.0])),
+            lambda st: quadrature_one_mode(st, 0.99, 1, 0.3),
+            lambda st: quadrature_one_mode(st, 0.99, 2, 0.3),
+            lambda st: quadrature_normalization(st, 0.99),
+        ],
+        ids=["plus", "minus", "mode1", "mode2", "normalization"],
+    )
+    def test_same_overflow_message(self, call):
+        with pytest.raises(OverflowError) as info:
+            call(self.STATE)
+        assert str(info.value) == self.MESSAGE
 
 
 class TestFockChiOracle:

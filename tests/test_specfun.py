@@ -114,6 +114,17 @@ class TestBesselRatio:
             )
             assert bessel_i_ratio(order, x) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("order", [0, 0.5, 10, 255.5])
+    @pytest.mark.parametrize("x", [1e-310, 1e-299, 1e-290])
+    def test_tiny_x_matches_high_precision(self, order, x):
+        # Down to subnormal x, where b_1 = 2(order + 1)/x overflows.  abs=0
+        # because approx's default absolute 1e-12 would swallow these values.
+        expected = float(
+            mpmath.besseli(mpmath.mpf(2 * order + 2) / 2, mpmath.mpf(x))
+            / mpmath.besseli(mpmath.mpf(2 * order) / 2, mpmath.mpf(x))
+        )
+        assert bessel_i_ratio(order, x) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             bessel_i_ratio(0, 0.0)
