@@ -137,25 +137,28 @@ def wrap_angle(phi):
     return out if out.ndim else float(out)
 
 
-def _product(a: LogScaledValue, b: LogScaledValue) -> LogScaledValue:
-    if a.sign == 0 or b.sign == 0:
-        return LogScaledValue.zero()
-    return LogScaledValue(a.sign * b.sign, a.log_mag + b.log_mag)
+def _fused(sign_a, log_a, sign_b, log_b, log_scale: float, label: str, n: int) -> float:
+    """exp(log_scale) * (sign_a e^log_a + sign_b e^log_b), exponentiating only fused exponents.
 
-
-def _signed_exp_sum(terms: list[LogScaledValue], log_scale: float, context: str) -> float:
-    """exp(log_scale) * sum(terms), exponentiating only fused exponents."""
-    live = [t for t in terms if t.sign != 0]
-    if not live:
+    A term whose sign is 0 is absent.  The sum of two terms, each at most 1 in
+    magnitude after the peak is taken out, is one correctly rounded float
+    addition, the value ``math.fsum`` gives.  ``label.format(n=n)`` names the
+    coefficient in the OverflowError.
+    """
+    if sign_a == 0:
+        sign_a, log_a, sign_b = sign_b, log_b, 0
+    if sign_a == 0:
         return 0.0
-    peak = max(t.log_mag for t in live)
-    acc = math.fsum(t.sign * math.exp(t.log_mag - peak) for t in live)
+    peak = log_b if sign_b != 0 and log_b > log_a else log_a
+    acc = sign_a * math.exp(log_a - peak)
+    if sign_b != 0:
+        acc += sign_b * math.exp(log_b - peak)
     if acc == 0.0:
         return 0.0
     total_log = peak + log_scale + math.log(abs(acc))
     if total_log > _LOG_MAX:
         raise OverflowError(
-            f"{context}: fused exponent {total_log:.6g} exceeds the float range; "
+            f"{label.format(n=n)}: fused exponent {total_log:.6g} exceeds the float range; "
             "the coefficient is astronomically large this close to s = 1"
         )
     return math.copysign(math.exp(total_log), acc)
@@ -166,16 +169,25 @@ def _pair_terms(state: QuasiBellState, s: float, branch: str):
     sign = _branch_sign(branch)
     x_a = abs(state.alpha) ** 2 / (1.0 - s)
     x_b = abs(state.beta) ** 2 / (1.0 - s)
-    asq = state.amplitude_sq_sum
-    overlap = state.weight_overlap.real
+    shift = -2.0 * state.amplitude_sq_sum
+    w_sign, log_w = LogScaledValue.from_value(2.0 * state.weight_overlap.real)
     log_scale = 2.0 * math.log(normalization_constant(state)) + math.log(0.5 * math.pi)
+    label = f"c_{{n}}^({branch}) at s={s!r}"
 
     def terms(n: int) -> tuple[float, float]:
-        gauss = _product(i_n_combo(n, x_a, "plus"), i_n_combo(n, x_b, "plus"))
-        interf = LogScaledValue.from_value((sign**n) * 2.0 * overlap)
-        interf = _product(interf, i_n_combo(n, x_a, "minus"))
-        interf = _product(interf, i_n_combo(n, x_b, "minus")).scaled(-2.0 * asq)
-        c_n = _signed_exp_sum([gauss, interf], log_scale, f"c_{n}^({branch}) at s={s!r}")
+        sign_pa, log_pa = i_n_combo(n, x_a, "plus")
+        sign_pb, log_pb = i_n_combo(n, x_b, "plus")
+        sign_ma, log_ma = i_n_combo(n, x_a, "minus")
+        sign_mb, log_mb = i_n_combo(n, x_b, "minus")
+        c_n = _fused(
+            sign_pa * sign_pb,
+            log_pa + log_pb,
+            sign**n * w_sign * sign_ma * sign_mb,
+            log_w + log_ma + log_mb + shift,
+            log_scale,
+            label,
+            n,
+        )
         return c_n, 0.0
 
     return terms
@@ -252,10 +264,16 @@ def _clenshaw(coeffs, cos_delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (b1, b2) with sum_n coeffs[n-1] cos(n delta) = b1 cos(delta) - b2
     and sum_n coeffs[n-1] sin(n delta) = b1 sin(delta).
     """
+    two_cos = 2.0 * cos_delta
     b1 = np.zeros_like(cos_delta)
     b2 = np.zeros_like(cos_delta)
-    for a in coeffs[::-1]:
-        b1, b2 = a + 2.0 * cos_delta * b1 - b2, b1
+    # t = a + 2 cos(delta) b1 - b2 in place, with the same roundings:
+    # multiplying by 2.0 is exact, and a + t = t + a.
+    for a in coeffs[::-1].tolist():
+        t = two_cos * b1
+        t += a
+        t -= b2
+        b1, b2 = t, b1
     return b1, b2
 
 
@@ -303,28 +321,24 @@ def one_mode_coefficients(
 
     amp = state.alpha if mode == 1 else state.beta
     x_m = abs(amp) ** 2 / (1.0 - s)
-    asq = state.amplitude_sq_sum
+    shift = -2.0 * state.amplitude_sq_sum
     log_scale = 2.0 * math.log(normalization_constant(state)) + 0.5 * math.log(0.5 * math.pi)
     cross = state.weight_overlap
-    imbalance = abs(state.mu) ** 2 - abs(state.nu) ** 2
+    re_sign, log_re = LogScaledValue.from_value(2.0 * cross.real)
+    im_sign, log_im = LogScaledValue.from_value(2.0 * cross.imag)
+    imb_sign, log_imb = LogScaledValue.from_value(abs(state.mu) ** 2 - abs(state.nu) ** 2)
+    c_label = f"one-mode c_{{n}} at s={s!r}"
+    d_label = f"one-mode d_{{n}} at s={s!r}"
 
     def terms(n: int) -> tuple[float, float]:
-        plus_part, minus_part = i_n_combo(n, x_m, "plus"), i_n_combo(n, x_m, "minus")
+        sign_p, log_p = i_n_combo(n, x_m, "plus")
+        sign_m, log_m = i_n_combo(n, x_m, "minus")
         if n % 2 == 0:
-            interf = LogScaledValue.from_value(2.0 * cross.real)
-            interf = _product(interf, minus_part).scaled(-2.0 * asq)
-            c_n = _signed_exp_sum(
-                [plus_part, interf], log_scale, f"one-mode c_{n} at s={s!r}"
-            )
-            return c_n, 0.0
-        c_n = _signed_exp_sum(
-            [_product(LogScaledValue.from_value(imbalance), plus_part)],
-            log_scale,
-            f"one-mode c_{n} at s={s!r}",
-        )
-        d_term = LogScaledValue.from_value(2.0 * cross.imag)
-        d_term = _product(d_term, minus_part).scaled(-2.0 * asq)
-        return c_n, _signed_exp_sum([d_term], log_scale, f"one-mode d_{n} at s={s!r}")
+            interf_log = log_re + log_m + shift
+            return _fused(sign_p, log_p, re_sign * sign_m, interf_log, log_scale, c_label, n), 0.0
+        c_n = _fused(imb_sign * sign_p, log_imb + log_p, 0, 0.0, log_scale, c_label, n)
+        d_n = _fused(im_sign * sign_m, log_im + log_m + shift, 0, 0.0, log_scale, d_label, n)
+        return c_n, d_n
 
     rows, _ = _truncate(terms, policy)
     return OneModeSpectrum(

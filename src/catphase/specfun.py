@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NoConvergenceError
 
@@ -59,12 +59,12 @@ _TABLE_MIN_TOP = 64
 _N_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class LogScaledValue:
+class LogScaledValue(NamedTuple):
     """A real number carried as (sign, log of absolute value).
 
     ``sign`` is -1, 0 or +1; ``log_mag`` is the natural log of the absolute
-    value and is ``-inf`` (and ignored) when ``sign == 0``.
+    value and is ``-inf`` (and ignored) when ``sign == 0``.  A plain tuple, so
+    callers can unpack it as ``sign, log_mag = value``.
     """
 
     sign: int

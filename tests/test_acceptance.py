@@ -247,7 +247,7 @@ def test_criterion_8_moments():
     uniform_ok = (
         moments.var_cos == pytest.approx(0.5, abs=1e-15)
         and moments.var_sin == pytest.approx(0.5, abs=1e-15)
-        and stats.variance == pytest.approx(math.pi**2 / 3.0, rel=1e-15)
+        and stats.variance == pytest.approx(math.pi**2 / 3.0, rel=1e-15, abs=0.0)
     )
     details.append(f"uniform variances 1/2 and pi^2/3: {uniform_ok}")
 

@@ -61,7 +61,7 @@ class TestCoeffsCommand:
         assert columns == ["n", "c_n"]
         assert header["branch"] == "minus"
         assert [r[0] for r in rows] == [str(n) for n in range(1, len(rows) + 1)]
-        assert float(rows[0][1]) == pytest.approx(0.5974967165579235, rel=1e-15)
+        assert float(rows[0][1]) == pytest.approx(0.5974967165579235, rel=1e-15, abs=0.0)
 
     def test_one_mode_csv(self, capsys):
         code, out = run_cli(
@@ -240,7 +240,7 @@ class TestWignerSliceCommand:
         assert columns == ["gamma_re", "gamma_im", "w"]
         assert len(rows) == 9
         center = [r for r in rows if r[0] == "0.0" and r[1] == "0.0"][0]
-        assert float(center[2]) == pytest.approx(-4.0 / math.pi**2, rel=1e-12)
+        assert float(center[2]) == pytest.approx(-4.0 / math.pi**2, rel=1e-12, abs=0.0)
 
     def test_fix_option(self, capsys):
         code, out = run_cli(

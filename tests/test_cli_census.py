@@ -1,0 +1,39 @@
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+from catphase import cli
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_census.py"
+_SPEC = importlib.util.spec_from_file_location("cli_census", _PATH)
+cli_census = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_census)
+
+
+def test_configs_are_fixed_and_distinct():
+    keys = [" ".join(argv) for argv in cli_census.configs()]
+    assert len(keys) == 947
+    assert len(set(keys)) == 947
+    assert keys == [" ".join(argv) for argv in cli_census.configs()]
+
+
+def test_run_records_exit_code_and_stdout_hash(capsys):
+    argv = ["coeffs", "--branch", "minus", "--preset", "odd_cat", "--s", "0.4"]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert cli_census.run(argv) == (0, hashlib.sha256(stdout.encode()).hexdigest())
+    assert cli_census.run(["coeffs", "--branch", "minus", "--n-min", "1", "--n-max", "1"])[0] == 4
+    assert cli_census.run(["coeffs", "--no-such-flag"])[0] == 2
+
+
+def test_compare_lists_changed_and_missing_configs(tmp_path):
+    before = {"a": [0, "x"], "b": [0, "y"], "c": [4, "z"]}
+    after = {"a": [0, "x"], "b": [0, "w"], "d": [0, "v"]}
+    assert cli_census.compare(before, after) == ["b", "c", "d"]
+    assert cli_census.compare(before, dict(before)) == []
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps(before))
+    second.write_text(json.dumps(after))
+    assert cli_census.main(["--compare", str(first), str(first)]) == 0
+    assert cli_census.main(["--compare", str(first), str(second)]) == 1

@@ -137,12 +137,12 @@ class TestQuadratureSpec:
             QuadratureSpec(radial_cutoff_sigma=0.0)
 
     def test_integrand_non_negative_for_antinormal(self, any_preset):
-        # Spot check W_sym >= 0 on the default quadrature nodes at s = -1.
+        # W_sym >= 0 at s = -1 on the nodes the oracle integrates: the
+        # Gauss-Legendre radii of _radial_rule and the uniform angles of _angular_rule.
         state = preset_state(any_preset)
         spec = QuadratureSpec()
-        radius = 1.0 + spec.radial_cutoff_sigma
-        r = np.linspace(0.0, radius, spec.n_radial)
-        ang = np.linspace(0.0, TWO_PI, spec.n_angular, endpoint=False)
+        r, _ = _radial_rule(state, -1.0, spec)
+        ang, _ = _angular_rule(spec)
         values = w_symmetrized(
             state,
             r[:, None, None, None],
@@ -393,4 +393,5 @@ class TestFockPieces:
             for mean in (0.01, 0.5, 1.0, 3.0, 9.0, 100.0, 1e6):
                 for n_cut in (6, 20, 40, 60):
                     ref = mpmath.gammainc(n_cut + 1, 0, mean, regularized=True)
-                    assert _poisson_tail(mean, n_cut) == pytest.approx(float(ref), rel=1e-12)
+                    expected = pytest.approx(float(ref), rel=1e-12, abs=0.0)
+                    assert _poisson_tail(mean, n_cut) == expected

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from catphase import (
     DomainError,
+    LogScaledValue,
     NoConvergenceError,
     QuasiBellState,
     TruncationPolicy,
@@ -14,14 +17,16 @@ from catphase import (
     eval_one_mode_dist,
     eval_phase_dist,
     fourier_coefficient,
+    i_n_combo,
     make_preset,
+    normalization_constant,
     one_mode_coefficients,
     phase_mean_var,
     quadrature_phase_dist,
     trig_moments,
     wrap_angle,
 )
-from catphase.phasedist import _clenshaw
+from catphase.phasedist import _clenshaw, _fused, _truncate
 
 from conftest import preset_state
 
@@ -175,6 +180,26 @@ class TestEvalPhaseDist:
         b1, b2 = _clenshaw(coeffs, np.cos(phis))
         assert np.max(np.abs(b1 * np.cos(phis) - b2 - naive)) < 1e-12
 
+    def test_clenshaw_bit_equal_to_plain_recurrence(self):
+        def plain(coeffs, cos_delta):
+            b1 = np.zeros_like(cos_delta)
+            b2 = np.zeros_like(cos_delta)
+            for a in coeffs[::-1]:
+                b1, b2 = a + 2.0 * cos_delta * b1 - b2, b1
+            return b1, b2
+
+        rng = np.random.default_rng(37)
+        long_series = build_spectrum(QuasiBellState(1.5, 1.2, 0.6, 0.8), 0.95, "plus").coeffs
+        assert long_series.size > 100
+        synthetic = rng.uniform(-1.0, 1.0, 300) * 0.97 ** np.arange(300)
+        for coeffs, cos_delta in [
+            (long_series, np.cos(rng.uniform(-4.0, 4.0, 360))),
+            (synthetic, np.cos(rng.uniform(-20.0, 20.0, 64))),
+            (synthetic, np.cos(np.float64(0.7))),
+        ]:
+            for got, want in zip(_clenshaw(coeffs, cos_delta), plain(coeffs, cos_delta)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_scalar_and_array_agree(self):
         spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")
         phis = np.array([0.0, 0.5, 2.0])
@@ -259,7 +284,7 @@ class TestOneMode:
         delta = 0.8
         left = eval_one_mode_dist(spectrum, spectrum.phi_ref - delta)
         right = eval_one_mode_dist(spectrum, spectrum.phi_ref + delta)
-        assert left == pytest.approx(right, rel=1e-13)
+        assert left == pytest.approx(right, rel=1e-13, abs=0.0)
 
     def test_single_coherent_state_structure(self):
         # mu = 1, nu = 0: no interference, no imbalance suppression.
@@ -349,7 +374,7 @@ class TestTrigMoments:
         assert 2 * n > spectrum.n_used
         moments = trig_moments(spectrum, n)
         direct = fourier_coefficient(spectrum.state, spectrum.s, 2 * n, "minus")
-        assert moments.var_sin == pytest.approx(0.5 * (1.0 - direct), rel=1e-14)
+        assert moments.var_sin == pytest.approx(0.5 * (1.0 - direct), rel=1e-14, abs=0.0)
 
     def test_moments_match_quadrature(self):
         # <cos(phi - phi')> against the quadrature marginal.
@@ -372,7 +397,7 @@ class TestPhaseMeanVar:
         spectrum = build_spectrum(state, 0.0, "minus")
         stats = phase_mean_var(spectrum, 1.0)
         assert stats.mean == pytest.approx(1.0)
-        assert stats.variance == pytest.approx(math.pi**2 / 3.0, rel=1e-15)
+        assert stats.variance == pytest.approx(math.pi**2 / 3.0, rel=1e-15, abs=0.0)
 
     def test_peaked_distribution_beats_uniform(self):
         spectrum = build_spectrum(preset_state("even_cat"), -1.0, "minus")
@@ -409,3 +434,152 @@ class TestWrapAngle:
     def test_pi_maps_to_pi(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+
+
+# The coefficient fusion through LogScaledValue objects and math.fsum, as the
+# library did it before it fused in plain floats; the float route must give the
+# same bits and raise the same errors.
+def _old_product(a, b):
+    if a.sign == 0 or b.sign == 0:
+        return LogScaledValue.zero()
+    return LogScaledValue(a.sign * b.sign, a.log_mag + b.log_mag)
+
+
+def _old_signed_exp_sum(terms, log_scale, context):
+    live = [t for t in terms if t.sign != 0]
+    if not live:
+        return 0.0
+    peak = max(t.log_mag for t in live)
+    acc = math.fsum(t.sign * math.exp(t.log_mag - peak) for t in live)
+    if acc == 0.0:
+        return 0.0
+    total_log = peak + log_scale + math.log(abs(acc))
+    if total_log > 709.0:
+        raise OverflowError(
+            f"{context}: fused exponent {total_log:.6g} exceeds the float range; "
+            "the coefficient is astronomically large this close to s = 1"
+        )
+    return math.copysign(math.exp(total_log), acc)
+
+
+def _old_pair_terms(state, s, branch):
+    sign = 1 if branch == "plus" else -1
+    x_a = abs(state.alpha) ** 2 / (1.0 - s)
+    x_b = abs(state.beta) ** 2 / (1.0 - s)
+    asq = state.amplitude_sq_sum
+    overlap = state.weight_overlap.real
+    log_scale = 2.0 * math.log(normalization_constant(state)) + math.log(0.5 * math.pi)
+
+    def terms(n):
+        gauss = _old_product(i_n_combo(n, x_a, "plus"), i_n_combo(n, x_b, "plus"))
+        interf = LogScaledValue.from_value((sign**n) * 2.0 * overlap)
+        interf = _old_product(interf, i_n_combo(n, x_a, "minus"))
+        interf = _old_product(interf, i_n_combo(n, x_b, "minus")).scaled(-2.0 * asq)
+        c_n = _old_signed_exp_sum([gauss, interf], log_scale, f"c_{n}^({branch}) at s={s!r}")
+        return c_n, 0.0
+
+    return terms
+
+
+def _old_one_mode_terms(state, s, mode):
+    amp = state.alpha if mode == 1 else state.beta
+    x_m = abs(amp) ** 2 / (1.0 - s)
+    asq = state.amplitude_sq_sum
+    log_scale = 2.0 * math.log(normalization_constant(state)) + 0.5 * math.log(0.5 * math.pi)
+    cross = state.weight_overlap
+    imbalance = abs(state.mu) ** 2 - abs(state.nu) ** 2
+
+    def terms(n):
+        plus_part, minus_part = i_n_combo(n, x_m, "plus"), i_n_combo(n, x_m, "minus")
+        context = f"one-mode c_{n} at s={s!r}"
+        if n % 2 == 0:
+            interf = LogScaledValue.from_value(2.0 * cross.real)
+            interf = _old_product(interf, minus_part).scaled(-2.0 * asq)
+            return _old_signed_exp_sum([plus_part, interf], log_scale, context), 0.0
+        c_n = _old_signed_exp_sum(
+            [_old_product(LogScaledValue.from_value(imbalance), plus_part)], log_scale, context
+        )
+        d_term = LogScaledValue.from_value(2.0 * cross.imag)
+        d_term = _old_product(d_term, minus_part).scaled(-2.0 * asq)
+        return c_n, _old_signed_exp_sum([d_term], log_scale, f"one-mode d_{n} at s={s!r}")
+
+    return terms
+
+
+def _outcome(compute):
+    """('ok', bytes of the result) or (error type, message)."""
+    try:
+        return "ok", np.asarray(compute(), dtype=float).tobytes()
+    except (OverflowError, NoConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_AMPLITUDES = st.one_of(
+    st.just(0j),
+    st.builds(cmath.rect, st.floats(0.05, 7.0), st.floats(-math.pi, math.pi)),
+)
+# Zero, negative and complex weights: zero Re(mu nu*), Im(mu nu*) or |mu|^2 - |nu|^2
+# leave a term out of the fused sum.
+_WEIGHTS = st.one_of(
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, 1j), (0.6, -0.8)]),
+    st.tuples(
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    ),
+)
+_ORDERINGS = st.one_of(st.floats(-1.0, 0.9), st.floats(0.9, 0.9995), st.just(-1.0))
+
+
+class TestFusionMatchesLogScaledRoute:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        sign_a=st.sampled_from([-1, 0, 1]),
+        sign_b=st.sampled_from([-1, 0, 1]),
+        log_a=st.floats(-1000.0, 1000.0),
+        log_b=st.floats(-1000.0, 1000.0),
+        offset=st.one_of(
+            st.floats(-1e-12, 1e-12), st.floats(-40.0, 40.0), st.floats(-2000.0, 2000.0)
+        ),
+        n=st.integers(1, 512),
+    )
+    def test_fused_bits_and_errors(self, sign_a, sign_b, log_a, log_b, offset, n):
+        # log_scale puts the fused exponent within offset of the 709 limit
+        # when one term dominates.
+        log_scale = 709.0 - max(log_a, log_b) + offset
+        label = "one-mode c_{n} at s=0.999"
+        new = _outcome(lambda: _fused(sign_a, log_a, sign_b, log_b, log_scale, label, n))
+        old = _outcome(
+            lambda: _old_signed_exp_sum(
+                [LogScaledValue(sign_a, log_a), LogScaledValue(sign_b, log_b)],
+                log_scale,
+                label.format(n=n),
+            )
+        )
+        assert new == old
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        alpha=_AMPLITUDES,
+        beta=_AMPLITUDES,
+        weights=_WEIGHTS,
+        s=_ORDERINGS,
+        n_max=st.sampled_from([2, 16, 160]),
+    )
+    def test_spectra_bits_and_errors(self, alpha, beta, weights, s, n_max):
+        try:
+            state = QuasiBellState(alpha, beta, *weights, renormalize=True)
+            normalization_constant(state)
+        except (ValueError, ArithmeticError):
+            return  # no normalizable state
+        policy = TruncationPolicy(n_min=2, n_max=n_max)
+        for branch in ("plus", "minus"):
+            new = _outcome(lambda: build_spectrum(state, s, branch, policy).coeffs)
+            old = _outcome(lambda: _truncate(_old_pair_terms(state, s, branch), policy)[0][:, 0])
+            assert new == old, branch
+        for mode in (1, 2):
+            def new_rows():
+                spectrum = one_mode_coefficients(state, s, mode, policy)
+                return np.column_stack([spectrum.cos_coeffs, spectrum.sin_coeffs])
+
+            old = _outcome(lambda: _truncate(_old_one_mode_terms(state, s, mode), policy)[0])
+            assert _outcome(new_rows) == old, mode

@@ -124,11 +124,11 @@ class TestChiComplexS:
 class TestW:
     def test_coherent_peak(self):
         state = QuasiBellState(1.0, 0.5, 1.0, 0.0)
-        assert w(state, 1.0, 0.5, 0.0) == pytest.approx(4.0 / math.pi**2, rel=1e-14)
+        assert w(state, 1.0, 0.5, 0.0) == pytest.approx(4.0 / math.pi**2, rel=1e-14, abs=0.0)
 
     def test_vacuum_antinormal_origin(self):
         state = make_preset("even_cat", 0.0, 0.0)
-        assert w(state, 0.0, 0.0, -1.0) == pytest.approx(1.0 / math.pi**2, rel=1e-14)
+        assert w(state, 0.0, 0.0, -1.0) == pytest.approx(1.0 / math.pi**2, rel=1e-14, abs=0.0)
 
     def test_odd_cat_negative_between_lobes(self):
         # At the midpoint between the two Gaussian lobes the interference
@@ -136,10 +136,10 @@ class TestW:
         for amp in (0.6, 1.0, 1.7):
             state = preset_state("odd_cat", amp)
             value = w(state, 0.0, 0.0, 0.0)
-            assert value == pytest.approx(-4.0 / math.pi**2, rel=1e-12)
+            assert value == pytest.approx(-4.0 / math.pi**2, rel=1e-12, abs=0.0)
             direct = _w_complex_s(state, 0.0, 0.0, 0.0 + 0.0j)
             assert abs(direct.imag) < 1e-18
-            assert value == pytest.approx(direct.real, rel=1e-12)
+            assert value == pytest.approx(direct.real, rel=1e-12, abs=0.0)
 
     def test_matches_complex_evaluation(self, any_preset):
         state = preset_state(any_preset)
@@ -199,12 +199,13 @@ class TestWSymmetrized:
             phi_g = 0.5 * (p - m)
             phi_d = 0.5 * (p + m)
             direct = w(state, r_g * np.exp(1j * phi_g), r_d * np.exp(1j * phi_d), 0.0)
-            assert w_symmetrized(state, r_g, r_d, p, m, 0.0) == pytest.approx(direct, rel=1e-13)
+            expected = pytest.approx(direct, rel=1e-13, abs=0.0)
+            assert w_symmetrized(state, r_g, r_d, p, m, 0.0) == expected
 
     def test_origin_reduces_to_w(self, any_preset):
         state = preset_state(any_preset)
         assert w_symmetrized(state, 0.0, 0.0, 1.0, 2.0, -0.5) == pytest.approx(
-            w(state, 0.0, 0.0, -0.5), rel=1e-14
+            w(state, 0.0, 0.0, -0.5), rel=1e-14, abs=0.0
         )
 
     def test_yurke_stoler_two_point_average(self):
@@ -214,7 +215,8 @@ class TestWSymmetrized:
         g = r * np.exp(1j * phi_g)
         d = r * np.exp(1j * phi_d)
         expected = 0.5 * (w(state, g, d, s) + w(state, -g, -d, s))
-        assert w_symmetrized(state, r, r, 0.0, 0.0, s) == pytest.approx(expected, rel=1e-14)
+        value = w_symmetrized(state, r, r, 0.0, 0.0, s)
+        assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_two_pi_periodic_in_both_angles(self, any_preset):
         state = preset_state(any_preset)

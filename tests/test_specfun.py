@@ -46,9 +46,9 @@ class TestBesselScaled:
 
     def test_frozen_values(self):
         # 40-digit oracle values.
-        assert bessel_i_scaled(1, 1.0) == pytest.approx(0.2079104153497084, rel=1e-14)
-        assert bessel_i_scaled(0.5, 1.0) == pytest.approx(0.3449513138882446, rel=1e-14)
-        assert bessel_i_scaled(0, 1.0) == pytest.approx(0.4657596075936404, rel=1e-14)
+        assert bessel_i_scaled(1, 1.0) == pytest.approx(0.2079104153497084, rel=1e-14, abs=0.0)
+        assert bessel_i_scaled(0.5, 1.0) == pytest.approx(0.3449513138882446, rel=1e-14, abs=0.0)
+        assert bessel_i_scaled(0, 1.0) == pytest.approx(0.4657596075936404, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("order", [0, 0.5, 1, 1.5, 2, 2.5, 5, 7.5, 12, 20.5])
     @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 1.0, 10.0, 100.0, 350.0, 500.0, 700.0])
@@ -58,7 +58,7 @@ class TestBesselScaled:
         if expected < 1e-290:
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
         else:
-            assert got == pytest.approx(expected, rel=1e-13)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("x", [1e-8, 1e-2, 0.5, 2.0, 10.0, 100.0, 500.0])
     def test_half_integer_closed_forms(self, x):
@@ -70,15 +70,15 @@ class TestBesselScaled:
             * (mpmath.cosh(x) - mpmath.sinh(x) / x)
             * mpmath.exp(-x)
         )
-        assert bessel_i_scaled(0.5, x) == pytest.approx(i_half, rel=1e-13)
-        assert bessel_i_scaled(1.5, x) == pytest.approx(i_three_half, rel=1e-13)
+        assert bessel_i_scaled(0.5, x) == pytest.approx(i_half, rel=1e-13, abs=0.0)
+        assert bessel_i_scaled(1.5, x) == pytest.approx(i_three_half, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3.5])
     @pytest.mark.parametrize("x", [39.5, 40.0, 40.5])
     def test_series_asymptotic_crossover(self, order, x):
         # Both evaluation paths meet near x = 40; no seam is visible.
         expected = mp_ive(order, x)
-        assert bessel_i_scaled(order, x) == pytest.approx(expected, rel=1e-13)
+        assert bessel_i_scaled(order, x) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -92,12 +92,12 @@ class TestBesselScaled:
 class TestBesselRatio:
     def test_small_x_leading_order(self):
         # I_1/I_0 ~ x/2 as x -> 0.
-        assert bessel_i_ratio(0, 1e-8) == pytest.approx(5e-9, rel=1e-8)
+        assert bessel_i_ratio(0, 1e-8) == pytest.approx(5e-9, rel=1e-8, abs=0.0)
 
     def test_frozen_values(self):
-        assert bessel_i_ratio(0, 1.0) == pytest.approx(0.4463899658965345, rel=1e-14)
+        assert bessel_i_ratio(0, 1.0) == pytest.approx(0.4463899658965345, rel=1e-14, abs=0.0)
         # (cosh 2 - sinh 2 / 2) / sinh 2
-        assert bessel_i_ratio(0.5, 2.0) == pytest.approx(0.5373147207275481, rel=1e-14)
+        assert bessel_i_ratio(0.5, 2.0) == pytest.approx(0.5373147207275481, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("order", [0, 0.5, 1, 3.5, 10])
     def test_bounded_and_increasing(self, order):
@@ -112,7 +112,7 @@ class TestBesselRatio:
                 mpmath.besseli(mpmath.mpf(2 * order + 2) / 2, x)
                 / mpmath.besseli(mpmath.mpf(2 * order) / 2, x)
             )
-            assert bessel_i_ratio(order, x) == pytest.approx(expected, rel=1e-14)
+            assert bessel_i_ratio(order, x) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("order", [0, 0.5, 10, 255.5])
     @pytest.mark.parametrize("x", [1e-310, 1e-299, 1e-290])
@@ -143,10 +143,10 @@ class TestCombination:
         # e^-1 (I_0(1) + I_1(1))
         val = i_n_combo(1, 1.0, "plus")
         assert val.sign == 1
-        assert math.exp(val.log_mag) == pytest.approx(0.6736700229433489, rel=1e-13)
+        assert math.exp(val.log_mag) == pytest.approx(0.6736700229433489, rel=1e-13, abs=0.0)
         # sqrt(2/pi) (e^2 - 3) / 2
         val = i_n_combo(2, 1.0, "minus")
-        assert math.exp(val.log_mag) == pytest.approx(1.7509800489172097, rel=1e-13)
+        assert math.exp(val.log_mag) == pytest.approx(1.7509800489172097, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 40, 63, 64, 65, 128, 129, 300, 512])
@@ -244,7 +244,7 @@ class TestKummer:
     def test_frozen_value(self):
         # M(3/2, 2, 2), the n = 1, x = 1 case of the combination identity.
         assert kummer_m_log(1.5, 2.0, 2.0).value() == pytest.approx(
-            4.977785591696303, rel=1e-13
+            4.977785591696303, rel=1e-13, abs=0.0
         )
 
     @pytest.mark.parametrize(
@@ -300,12 +300,44 @@ class TestLogScaledValue:
     def test_round_trip(self):
         # exp(log x) round-trips to ~|log x| ulps.
         for x in (3.5, -1e-200, 2e250, -7.25):
-            assert LogScaledValue.from_value(x).value() == pytest.approx(x, rel=1e-12)
+            assert LogScaledValue.from_value(x).value() == pytest.approx(x, rel=1e-12, abs=0.0)
 
     def test_scaled(self):
         v = LogScaledValue.from_value(2.0).scaled(math.log(3.0))
-        assert v.value() == pytest.approx(6.0, rel=1e-14)
+        assert v.value() == pytest.approx(6.0, rel=1e-14, abs=0.0)
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
             LogScaledValue(1, 800.0).value()
+
+    def test_is_an_immutable_tuple(self):
+        value = LogScaledValue(-1, 2.5)
+        sign, log_mag = value
+        assert (sign, log_mag) == (-1, 2.5)
+        assert isinstance(value, tuple) and tuple(value) == (-1, 2.5)
+        with pytest.raises(AttributeError):
+            value.sign = 1
+        with pytest.raises(AttributeError):
+            value.log_mag = 0.0
+        assert (value.sign, value.log_mag) == (-1, 2.5)
+
+    def test_equality(self):
+        assert LogScaledValue(-1, 2.5) == LogScaledValue(-1, 2.5)
+        assert hash(LogScaledValue(-1, 2.5)) == hash(LogScaledValue(-1, 2.5))
+        assert LogScaledValue(-1, 2.5) != LogScaledValue(1, 2.5)
+        assert LogScaledValue(-1, 2.5) != LogScaledValue(-1, 2.0)
+        assert LogScaledValue.zero() == LogScaledValue.from_value(0.0) == (0, -math.inf)
+
+    def test_methods(self):
+        assert LogScaledValue.from_value(-4.0) == LogScaledValue(-1, math.log(4.0))
+        assert LogScaledValue.from_value(0.5) == LogScaledValue(1, math.log(0.5))
+        assert LogScaledValue(-1, math.log(4.0)).value() == -4.0
+        assert LogScaledValue(1, 1.5).scaled(2.0) == LogScaledValue(1, 3.5)
+        assert LogScaledValue.zero().scaled(5.0) == LogScaledValue.zero()
+        assert LogScaledValue.zero().value() == 0.0
+
+    def test_returned_by_both_routes(self):
+        for route in (i_n_combo, i_n_combo_kummer):
+            assert isinstance(route(3, 1.5, "minus"), LogScaledValue)
+            sign, log_mag = route(3, 0.0, "plus")
+            assert (sign, log_mag) == (0, -math.inf)

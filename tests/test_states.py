@@ -20,7 +20,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 class TestNormalizationConstant:
     def test_even_cat_vacuum_is_inverse_sqrt2(self):
         state = make_preset("even_cat", 0.0, 0.0)
-        assert normalization_constant(state) == pytest.approx(2.0**-0.5, rel=1e-15)
+        assert normalization_constant(state) == pytest.approx(2.0**-0.5, rel=1e-15, abs=0.0)
 
     def test_imaginary_weight_overlap_gives_unity(self):
         # Re(mu nu*) = 0 kills the exponential term entirely.
@@ -44,13 +44,13 @@ class TestNormalizationConstant:
         for theta in (0.1, 1.0, 2.5, -0.7, math.pi):
             rot = cmath.exp(1j * theta)
             state = QuasiBellState(0.7, 0.2j, INV_SQRT2 * rot, INV_SQRT2 * rot)
-            assert normalization_constant(state) == pytest.approx(base, rel=1e-14)
+            assert normalization_constant(state) == pytest.approx(base, rel=1e-14, abs=0.0)
 
     def test_amplitude_phase_invariance(self):
         base = normalization_constant(make_preset("even_cat", 0.9, 1.3))
         for t1, t2 in [(0.4, -1.1), (2.0, 0.3), (-3.0, 3.0)]:
             state = make_preset("even_cat", 0.9 * cmath.exp(1j * t1), 1.3 * cmath.exp(1j * t2))
-            assert normalization_constant(state) == pytest.approx(base, rel=1e-14)
+            assert normalization_constant(state) == pytest.approx(base, rel=1e-14, abs=0.0)
 
     def test_large_amplitude_suppression(self, any_preset):
         state = make_preset(any_preset, math.sqrt(10.0), math.sqrt(10.0))
