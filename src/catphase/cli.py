@@ -48,8 +48,6 @@ from .states import (
     validate_params,
 )
 
-_TWO_PI = 2.0 * math.pi
-
 # Nominal |alpha|^2 = 0 on a figure sweep is replaced by this floor when the
 # state would otherwise be non-normalizable (odd cat).
 _ALPHA_SQ_FLOOR = 1e-8
@@ -60,9 +58,48 @@ _SLICE_AXES = ("gamma_re", "gamma_im", "delta_re", "delta_im")
 # as "-7.7e-05" for an option flag and refused the command.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
+# Every numeric setting: name -> (kind, default).  The name is both the
+# config key and, with dashes, the flag; a default of None stays None.
+_NUMBERS = {
+    "s": (float, 0.0),
+    "eps_tail": (float, 1e-14),
+    "n_min": (int, 4),
+    "n_max": (int, 512),
+    "n_phi": (int, 361),
+    "n_alpha": (int, 61),
+    "n": (int, 1),
+    "phi0": (float, None),
+    "nx": (int, 61),
+    "ny": (int, 61),
+    "x_min": (float, -3.0),
+    "x_max": (float, 3.0),
+    "y_min": (float, -3.0),
+    "y_max": (float, 3.0),
+    "seed": (int, 2024),
+    "n_chi_points": (int, 10),
+    "n_radial": (int, 40),
+    "n_angular": (int, 64),
+    "radial_sigma": (float, 8.0),
+}
+
+# The settings each checked parameter object is built from, in field order.
+_POLICY = (TruncationPolicy, "eps_tail", "n_min", "n_max")
+_QUADRATURE = (QuadratureSpec, "n_radial", "n_angular", "radial_sigma")
+
 
 class ConfigError(ValueError):
     """Bad command-line/config input (exit status 2)."""
+
+
+# Exit status of each error a command reports, tried in this order.
+_EXIT_STATUS = {
+    ConfigError: 2,
+    NullStateError: 2,
+    DomainError: 3,
+    OverflowError: 3,
+    NoConvergenceError: 4,
+    CutoffTooSmallError: 4,
+}
 
 
 def _fmt(value) -> str:
@@ -82,21 +119,15 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bytes that are not UTF-8, bad JSON and integers
+        # past Python's digit limit; RecursionError, nesting too deep to parse.
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -113,13 +144,14 @@ def _setting(args, config: dict, name: str, default):
     return default
 
 
-def _number(args, config: dict, name: str, default, kind=float):
-    """Setting ``name`` (flag, config entry or default) as a ``kind``, float or int.
+def _number(args, config: dict, name: str):
+    """Numeric setting ``name`` (flag, config entry or default) as its ``_NUMBERS`` kind.
 
     Raises ConfigError for any other JSON type, for a string that does not
     parse, and for a non-integral or non-finite value of an int setting.  A
     setting whose default is None stays None when it is absent or null.
     """
+    kind, default = _NUMBERS[name]
     value = _setting(args, config, name, default)
     if value is None and default is None:
         return None
@@ -134,11 +166,31 @@ def _number(args, config: dict, name: str, default, kind=float):
         raise ConfigError(f"{name} must be {kind_name}, got {value!r}") from exc
 
 
+def _checked(args, config: dict, cls, *names: str):
+    """``cls`` built from the numeric settings ``names``; its ValueError is a ConfigError."""
+    values = [_number(args, config, name) for name in names]
+    try:
+        return cls(*values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _grid_size(args, config: dict, name: str) -> int:
+    size = _number(args, config, name)
+    if size < 2:
+        raise ConfigError(f"{name} must be >= 2, got {size}")
+    return size
+
+
+def _phi_grid(args, config: dict) -> np.ndarray:
+    return np.linspace(-math.pi, math.pi, _grid_size(args, config, "n_phi"))
+
+
 def _state_descriptor(args, config: dict) -> dict:
     if getattr(args, "state", None) is not None:
         try:
             descriptor = json.loads(args.state)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as for a config file
             raise ConfigError(f"--state is not valid JSON: {exc}") from exc
         if not isinstance(descriptor, dict):
             raise ConfigError("--state must hold a JSON object")
@@ -173,45 +225,13 @@ def _state_descriptor(args, config: dict) -> dict:
     return descriptor
 
 
-def _resolve_state(args, config: dict) -> tuple[QuasiBellState, dict]:
+def _resolve(args, config: dict) -> tuple[QuasiBellState, float, dict]:
+    """The state, the ordering parameter s, and the header fields naming the state."""
     descriptor = _state_descriptor(args, config)
     try:
         state = state_from_descriptor(descriptor)
-    except (ValueError, NullStateError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid state: {exc}") from exc
-    return state, descriptor
-
-
-def _truncation_policy(args, config: dict) -> TruncationPolicy:
-    try:
-        return TruncationPolicy(
-            eps_tail=_number(args, config, "eps_tail", 1e-14),
-            n_min=_number(args, config, "n_min", 4, int),
-            n_max=_number(args, config, "n_max", 512, int),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _quadrature_spec(args, config: dict) -> QuadratureSpec:
-    try:
-        return QuadratureSpec(
-            n_radial=_number(args, config, "n_radial", 40, int),
-            n_angular=_number(args, config, "n_angular", 64, int),
-            radial_cutoff_sigma=_number(args, config, "radial_sigma", 8.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _phi_grid(args, config: dict) -> np.ndarray:
-    n_phi = _number(args, config, "n_phi", 361, int)
-    if n_phi < 2:
-        raise ConfigError(f"n_phi must be >= 2, got {n_phi}")
-    return np.linspace(-math.pi, math.pi, n_phi)
-
-
-def _state_header(descriptor: dict, state: QuasiBellState) -> dict:
     header = {
         "alpha_abs": _fmt(abs(state.alpha)),
         "alpha_arg": _fmt(math.atan2(state.alpha.imag, state.alpha.real)),
@@ -227,7 +247,25 @@ def _state_header(descriptor: dict, state: QuasiBellState) -> dict:
             nu_re=_fmt(state.nu.real),
             nu_im=_fmt(state.nu.imag),
         )
-    return header
+    return state, _number(args, config, "s"), header
+
+
+def _spectrum(args, state: QuasiBellState, s: float, policy: TruncationPolicy):
+    """The pair spectrum of --branch or the one-mode spectrum of --mode.
+
+    Returns the spectrum, its reference phase, the function that evaluates
+    its density, and its header fields.
+    """
+    branch, mode = getattr(args, "branch", None), getattr(args, "mode", None)
+    if (branch is None) == (mode is None):
+        raise ConfigError(f"{args.command} needs exactly one of --branch or --mode")
+    if branch is not None:
+        spectrum = build_spectrum(state, s, branch, policy)
+        fields = {"branch": branch, "phi_prime": _fmt(spectrum.phi_prime)}
+        return spectrum, spectrum.phi_prime, eval_phase_dist, fields
+    spectrum = one_mode_coefficients(state, s, mode, policy)
+    fields = {"mode": str(mode), "phi_ref": _fmt(spectrum.phi_ref)}
+    return spectrum, spectrum.phi_ref, eval_one_mode_dist, fields
 
 
 def _cmd_validate(args, config: dict) -> str:
@@ -240,7 +278,7 @@ def _cmd_validate(args, config: dict) -> str:
     payload = {"diagnostics": diagnostics, "ok": not diagnostics}
     if not diagnostics:
         state = QuasiBellState(alpha, beta, mu, nu)
-        s = _number(args, config, "s", 0.0)
+        s = _number(args, config, "s")
         norm = normalization_constant(state)
         chi_origin = chi(state, 0.0, 0.0, s)
         payload["checks"] = {
@@ -253,72 +291,37 @@ def _cmd_validate(args, config: dict) -> str:
 
 
 def _cmd_coeffs(args, config: dict) -> str:
-    state, descriptor = _resolve_state(args, config)
-    s = _number(args, config, "s", 0.0)
-    policy = _truncation_policy(args, config)
-    header = _state_header(descriptor, state)
-    header.update(command="coeffs", s=_fmt(s), eps_tail=_fmt(policy.eps_tail))
-
-    if (args.branch is None) == (args.mode is None):
-        raise ConfigError("coeffs needs exactly one of --branch or --mode")
+    state, s, header = _resolve(args, config)
+    policy = _checked(args, config, *_POLICY)
+    spectrum, _, _, fields = _spectrum(args, state, s, policy)
+    header.update(fields, command="coeffs", s=_fmt(s), eps_tail=_fmt(policy.eps_tail))
     if args.branch is not None:
-        spectrum = build_spectrum(state, s, args.branch, policy)
-        header.update(branch=args.branch, phi_prime=_fmt(spectrum.phi_prime))
         rows = [(str(n + 1), spectrum.coeffs[n]) for n in range(spectrum.n_used)]
         return _csv_text(header, ["n", "c_n"], rows)
 
-    spectrum = one_mode_coefficients(state, s, args.mode, policy)
-    header.update(mode=str(args.mode), phi_ref=_fmt(spectrum.phi_ref))
-    rows = []
-    for k in range(1, (spectrum.n_used + 1) // 2 + 1):
-        even_idx, odd_idx = 2 * k, 2 * k - 1
-        rows.append(
-            (
-                str(k),
-                _fmt(spectrum.cos_coeffs[even_idx - 1]) if even_idx <= spectrum.n_used else "",
-                spectrum.cos_coeffs[odd_idx - 1],
-                spectrum.sin_coeffs[odd_idx - 1],
-            )
-        )
+    n_used, cos, sin = spectrum.n_used, spectrum.cos_coeffs, spectrum.sin_coeffs
+    rows = [
+        (str(k), _fmt(cos[2 * k - 1]) if 2 * k <= n_used else "", cos[2 * k - 2], sin[2 * k - 2])
+        for k in range(1, (n_used + 1) // 2 + 1)
+    ]
     return _csv_text(header, ["k", "c_even", "c_odd", "d_odd"], rows)
 
 
-def _cmd_phase_dist(args, config: dict) -> str:
-    state, descriptor = _resolve_state(args, config)
-    s = _number(args, config, "s", 0.0)
+def _cmd_density(args, config: dict) -> str:
+    """Phase-sum/difference (phase-dist) or one-mode density over the phi grid."""
+    state, s, header = _resolve(args, config)
     offsets = _phi_grid(args, config)
-    spectrum = build_spectrum(state, s, args.branch, _truncation_policy(args, config))
-    density = eval_phase_dist(spectrum, spectrum.phi_prime + offsets)
-    header = _state_header(descriptor, state)
+    policy = _checked(args, config, *_POLICY)
+    spectrum, reference, evaluate, fields = _spectrum(args, state, s, policy)
+    density = evaluate(spectrum, reference + offsets)
     header.update(
-        command="phase-dist",
-        branch=args.branch,
+        fields,
+        command=args.command,
         s=_fmt(s),
         n_phi=str(offsets.size),
-        phi_prime=_fmt(spectrum.phi_prime),
         n_used=str(spectrum.n_used),
     )
-    rows = zip(offsets, density)
-    return _csv_text(header, ["phi_offset", "density"], rows)
-
-
-def _cmd_one_mode(args, config: dict) -> str:
-    state, descriptor = _resolve_state(args, config)
-    s = _number(args, config, "s", 0.0)
-    offsets = _phi_grid(args, config)
-    spectrum = one_mode_coefficients(state, s, args.mode, _truncation_policy(args, config))
-    density = eval_one_mode_dist(spectrum, spectrum.phi_ref + offsets)
-    header = _state_header(descriptor, state)
-    header.update(
-        command="one-mode",
-        mode=str(args.mode),
-        s=_fmt(s),
-        n_phi=str(offsets.size),
-        phi_ref=_fmt(spectrum.phi_ref),
-        n_used=str(spectrum.n_used),
-    )
-    rows = zip(offsets, density)
-    return _csv_text(header, ["phi_offset", "density"], rows)
+    return _csv_text(header, ["phi_offset", "density"], zip(offsets, density))
 
 
 _FIGURE_PANELS = {
@@ -339,7 +342,7 @@ _CURVE_S_VALUES = (-1.0, 0.0, 0.4)
 def _cmd_figure(args, config: dict) -> str:
     branch, preset, kind = _FIGURE_PANELS[args.id]
     offsets = _phi_grid(args, config)
-    policy = _truncation_policy(args, config)
+    policy = _checked(args, config, *_POLICY)
     header = {
         "command": "figure",
         "panel": args.id,
@@ -360,9 +363,7 @@ def _cmd_figure(args, config: dict) -> str:
             header, ["phi_offset", "density_s_m1", "density_s_0", "density_s_0p4"], rows
         )
 
-    n_alpha = _number(args, config, "n_alpha", 61, int)
-    if n_alpha < 2:
-        raise ConfigError(f"n_alpha must be >= 2, got {n_alpha}")
+    n_alpha = _grid_size(args, config, "n_alpha")
     alpha_sq_grid = np.linspace(0.0, 3.0, n_alpha)
     header.update(
         s=_fmt(0.0),
@@ -373,10 +374,7 @@ def _cmd_figure(args, config: dict) -> str:
     rows = []
     for alpha_sq in alpha_sq_grid:
         amp = math.sqrt(max(alpha_sq, _ALPHA_SQ_FLOOR))
-        try:
-            state = QuasiBellState(amp, amp, *PRESET_WEIGHTS[preset])
-        except NullStateError:  # pragma: no cover - floor keeps this unreachable
-            continue
+        state = QuasiBellState(amp, amp, *PRESET_WEIGHTS[preset])
         spectrum = build_spectrum(state, 0.0, branch, policy)
         density = eval_phase_dist(spectrum, spectrum.phi_prime + offsets)
         rows.extend((alpha_sq, off, den) for off, den in zip(offsets, density))
@@ -384,11 +382,10 @@ def _cmd_figure(args, config: dict) -> str:
 
 
 def _cmd_moments(args, config: dict) -> str:
-    state, descriptor = _resolve_state(args, config)
-    s = _number(args, config, "s", 0.0)
-    n = _number(args, config, "n", 1, int)
-    spectrum = build_spectrum(state, s, args.branch, _truncation_policy(args, config))
-    phi0 = _number(args, config, "phi0", None)
+    state, s, header = _resolve(args, config)
+    n = _number(args, config, "n")
+    spectrum = build_spectrum(state, s, args.branch, _checked(args, config, *_POLICY))
+    phi0 = _number(args, config, "phi0")
     if phi0 is None:
         phi0 = spectrum.phi_prime
     moments = trig_moments(spectrum, n)
@@ -404,7 +401,7 @@ def _cmd_moments(args, config: dict) -> str:
         "phi0": phi0,
         "phi_prime": spectrum.phi_prime,
         "s": s,
-        "state": {k: v for k, v in _state_header(descriptor, state).items()},
+        "state": header,
         "var_cos": moments.var_cos,
         "var_sin": moments.var_sin,
     }
@@ -412,20 +409,17 @@ def _cmd_moments(args, config: dict) -> str:
 
 
 def _cmd_wigner_slice(args, config: dict) -> str:
-    state, descriptor = _resolve_state(args, config)
-    s = _number(args, config, "s", 0.0)
+    state, s, header = _resolve(args, config)
     x_axis = _setting(args, config, "x_axis", "gamma_re")
     y_axis = _setting(args, config, "y_axis", "gamma_im")
     if x_axis not in _SLICE_AXES or y_axis not in _SLICE_AXES or x_axis == y_axis:
         raise ConfigError(f"slice axes must be two distinct names from {_SLICE_AXES}")
-    nx = _number(args, config, "nx", 61, int)
-    ny = _number(args, config, "ny", 61, int)
+    nx, ny = (_number(args, config, name) for name in ("nx", "ny"))
     if nx < 2 or ny < 2:
         raise ConfigError("slice grid sizes must be >= 2")
-    x_min = _number(args, config, "x_min", -3.0)
-    x_max = _number(args, config, "x_max", 3.0)
-    y_min = _number(args, config, "y_min", -3.0)
-    y_max = _number(args, config, "y_max", 3.0)
+    x_min, x_max, y_min, y_max = (
+        _number(args, config, name) for name in ("x_min", "x_max", "y_min", "y_max")
+    )
 
     fixed = {name: 0.0 for name in _SLICE_AXES}
     items = args.fix or config.get("fix", [])
@@ -452,7 +446,6 @@ def _cmd_wigner_slice(args, config: dict) -> str:
     delta = coords["delta_re"] + 1j * coords["delta_im"]
     values = w(state, gamma, delta, s)
 
-    header = _state_header(descriptor, state)
     header.update(
         command="wigner-slice",
         s=_fmt(s),
@@ -462,26 +455,20 @@ def _cmd_wigner_slice(args, config: dict) -> str:
         ny=str(ny),
     )
     header.update({f"fixed_{k}": _fmt(v) for k, v in fixed.items() if k not in (x_axis, y_axis)})
-    rows = (
-        (xs[i], ys[j], values[i, j])
-        for i in range(nx)
-        for j in range(ny)
-    )
+    rows = ((xs[i], ys[j], values[i, j]) for i in range(nx) for j in range(ny))
     return _csv_text(header, [x_axis, y_axis, "w"], rows)
 
 
 def _cmd_oracle_compare(args, config: dict) -> str:
-    seed = _number(args, config, "seed", 2024, int)
+    seed = _number(args, config, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    n_points = _number(args, config, "n_chi_points", 10, int)
-    spec = _quadrature_spec(args, config)
-    policy = _truncation_policy(args, config)
+    n_points = _number(args, config, "n_chi_points")
+    spec = _checked(args, config, *_QUADRATURE)
+    policy = _checked(args, config, *_POLICY)
     rng = np.random.default_rng(seed)
 
-    chi_dev = 0.0
-    phase_dev = 0.0
-    one_mode_dev = 0.0
+    chi_dev = phase_dev = one_mode_dev = 0.0
     for preset in sorted(PRESET_WEIGHTS):
         state = QuasiBellState(1.0, 1.0, *PRESET_WEIGHTS[preset])
         for s in (-1.0, 0.0, 0.4):
@@ -526,29 +513,42 @@ def _cmd_oracle_compare(args, config: dict) -> str:
     return _json_text(payload)
 
 
-def _add_state_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("state")
-    group.add_argument("--state", help="full JSON state descriptor (overrides other state flags)")
-    group.add_argument("--preset", choices=sorted(PRESET_WEIGHTS))
-    group.add_argument("--mu", type=float, nargs=2, metavar=("RE", "IM"))
-    group.add_argument("--nu", type=float, nargs=2, metavar=("RE", "IM"))
-    group.add_argument("--alpha", type=float, nargs=2, metavar=("ABS", "ARG"))
-    group.add_argument("--beta", type=float, nargs=2, metavar=("ABS", "ARG"))
-    group.add_argument("--renormalize", action="store_true")
-    group.add_argument("--s", type=float, help="ordering parameter (default 0)")
+_BRANCH = {"choices": ("plus", "minus")}
+_MODE = {"type": int, "choices": (1, 2)}
+_MINUS_BRANCH = ("--branch", {**_BRANCH, "default": "minus"})
+_AXIS = {"choices": _SLICE_AXES}
+
+# Every command: name -> (help, handler, native format, takes the state flags,
+# extra flags).  An extra flag is a _NUMBERS name or (flag, add_argument keywords).
+_COMMANDS = {
+    "validate": ("state diagnostics plus invariant spot-checks (JSON)",
+                 _cmd_validate, "json", True, ()),
+    "coeffs": ("Fourier coefficients (CSV)",
+               _cmd_coeffs, "csv", True, (("--branch", _BRANCH), ("--mode", _MODE))),
+    "phase-dist": ("phase-sum/difference density over a phi grid (CSV)",
+                   _cmd_density, "csv", True, (_MINUS_BRANCH, "n_phi")),
+    "one-mode": ("one-mode phase density over a phi grid (CSV)",
+                 _cmd_density, "csv", True, (("--mode", {**_MODE, "default": 1}), "n_phi")),
+    "figure": ("data behind one display panel (CSV)",
+               _cmd_figure, "csv", False,
+               (("--id", {"required": True, "choices": sorted(_FIGURE_PANELS)}),
+                "n_phi", "n_alpha")),
+    "moments": ("trigonometric and windowed phase moments (JSON)",
+                _cmd_moments, "json", True, (_MINUS_BRANCH, "n", "phi0")),
+    "wigner-slice": ("W over a 2D slice of (gamma, delta) (CSV)",
+                     _cmd_wigner_slice, "csv", True,
+                     (("--x-axis", _AXIS), ("--y-axis", _AXIS), "x_min", "x_max", "y_min", "y_max",
+                      "nx", "ny", ("--fix", {"action": "append", "metavar": "NAME=VALUE"}))),
+    "oracle-compare": ("analytic-vs-oracle deviation report (JSON)",
+                       _cmd_oracle_compare, "json", False,
+                       ("seed", "n_chi_points", "n_radial", "n_angular", "radial_sigma")),
+}
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; inline flags override it")
-    parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        help="expected output format; errors if it differs from the command's native format",
-    )
-    parser.add_argument("--eps-tail", dest="eps_tail", type=float)
-    parser.add_argument("--n-min", dest="n_min", type=int)
-    parser.add_argument("--n-max", dest="n_max", type=int)
+def _add_number(parser, name: str, help: str | None = None) -> None:
+    """The flag of numeric setting ``name``: ``--name-with-dashes`` of its kind."""
+    flag = "--" + name.replace("_", "-")
+    parser.add_argument(flag, dest=name, type=_NUMBERS[name][0], help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,103 +557,59 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase distributions of entangled two-mode coherent states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="state diagnostics plus invariant spot-checks (JSON)")
-    _add_common_options(p)
-    _add_state_options(p)
-    p.set_defaults(handler=_cmd_validate, native_format="json")
-
-    p = sub.add_parser("coeffs", help="Fourier coefficients (CSV)")
-    _add_common_options(p)
-    _add_state_options(p)
-    p.add_argument("--branch", choices=("plus", "minus"))
-    p.add_argument("--mode", type=int, choices=(1, 2))
-    p.set_defaults(handler=_cmd_coeffs, native_format="csv")
-
-    p = sub.add_parser("phase-dist", help="phase-sum/difference density over a phi grid (CSV)")
-    _add_common_options(p)
-    _add_state_options(p)
-    p.add_argument("--branch", choices=("plus", "minus"), default="minus")
-    p.add_argument("--n-phi", dest="n_phi", type=int)
-    p.set_defaults(handler=_cmd_phase_dist, native_format="csv")
-
-    p = sub.add_parser("one-mode", help="one-mode phase density over a phi grid (CSV)")
-    _add_common_options(p)
-    _add_state_options(p)
-    p.add_argument("--mode", type=int, choices=(1, 2), default=1)
-    p.add_argument("--n-phi", dest="n_phi", type=int)
-    p.set_defaults(handler=_cmd_one_mode, native_format="csv")
-
-    p = sub.add_parser("figure", help="data behind one display panel (CSV)")
-    _add_common_options(p)
-    p.add_argument("--id", required=True, choices=sorted(_FIGURE_PANELS))
-    p.add_argument("--n-phi", dest="n_phi", type=int)
-    p.add_argument("--n-alpha", dest="n_alpha", type=int)
-    p.set_defaults(handler=_cmd_figure, native_format="csv")
-
-    p = sub.add_parser("moments", help="trigonometric and windowed phase moments (JSON)")
-    _add_common_options(p)
-    _add_state_options(p)
-    p.add_argument("--branch", choices=("plus", "minus"), default="minus")
-    p.add_argument("--n", type=int)
-    p.add_argument("--phi0", type=float)
-    p.set_defaults(handler=_cmd_moments, native_format="json")
-
-    p = sub.add_parser("wigner-slice", help="W over a 2D slice of (gamma, delta) (CSV)")
-    _add_common_options(p)
-    _add_state_options(p)
-    p.add_argument("--x-axis", dest="x_axis", choices=_SLICE_AXES)
-    p.add_argument("--y-axis", dest="y_axis", choices=_SLICE_AXES)
-    p.add_argument("--x-min", dest="x_min", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--y-min", dest="y_min", type=float)
-    p.add_argument("--y-max", dest="y_max", type=float)
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--fix", action="append", metavar="NAME=VALUE")
-    p.set_defaults(handler=_cmd_wigner_slice, native_format="csv")
-
-    p = sub.add_parser("oracle-compare", help="analytic-vs-oracle deviation report (JSON)")
-    _add_common_options(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-chi-points", dest="n_chi_points", type=int)
-    p.add_argument("--n-radial", dest="n_radial", type=int)
-    p.add_argument("--n-angular", dest="n_angular", type=int)
-    p.add_argument("--radial-sigma", dest="radial_sigma", type=float)
-    p.set_defaults(handler=_cmd_oracle_compare, native_format="json")
-
-    for p in sub.choices.values():
+    for command, (help_text, _, _, takes_state, extras) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p._negative_number_matcher = _NEGATIVE_NUMBER
+        p.add_argument("--config", help="JSON config file; inline flags override it")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument(
+            "--format",
+            choices=("csv", "json"),
+            help="expected output format; errors if it differs from the command's native format",
+        )
+        for name in ("eps_tail", "n_min", "n_max"):
+            _add_number(p, name)
+        if takes_state:
+            group = p.add_argument_group("state")
+            group.add_argument(
+                "--state", help="full JSON state descriptor (overrides other state flags)"
+            )
+            group.add_argument("--preset", choices=sorted(PRESET_WEIGHTS))
+            for flag in ("--mu", "--nu", "--alpha", "--beta"):
+                metavar = ("RE", "IM") if flag in ("--mu", "--nu") else ("ABS", "ARG")
+                group.add_argument(flag, type=float, nargs=2, metavar=metavar)
+            group.add_argument("--renormalize", action="store_true")
+            _add_number(group, "s", "ordering parameter (default 0)")
+        for extra in extras:
+            if isinstance(extra, str):
+                _add_number(p, extra)
+            else:
+                p.add_argument(extra[0], **extra[1])
     return parser
 
 
-def _error_payload(status: int, exc: Exception) -> str:
-    return _json_text(
-        {"error": {"message": str(exc), "status": status, "type": type(exc).__name__}}
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handler, native_format, _, _ = _COMMANDS[args.command]
     try:
         config = _load_config(args.config)
         requested = _setting(args, config, "format", None)
-        if requested is not None and requested != args.native_format:
-            raise ConfigError(
-                f"command {args.command!r} emits {args.native_format}, not {requested}"
-            )
-        text = args.handler(args, config)
-    except (ConfigError, NullStateError) as exc:
-        sys.stdout.write(_error_payload(2, exc))
-        return 2
-    except (DomainError, OverflowError) as exc:
-        sys.stdout.write(_error_payload(3, exc))
-        return 3
-    except (NoConvergenceError, CutoffTooSmallError) as exc:
-        sys.stdout.write(_error_payload(4, exc))
-        return 4
-    _emit(text, args.out)
+        if requested is not None and requested != native_format:
+            raise ConfigError(f"command {args.command!r} emits {native_format}, not {requested}")
+        text = handler(args, config)
+        if args.out in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output {args.out!r}: {exc}") from exc
+    except tuple(_EXIT_STATUS) as exc:
+        status = next(code for kind, code in _EXIT_STATUS.items() if isinstance(exc, kind))
+        error = {"message": str(exc), "status": status, "type": type(exc).__name__}
+        sys.stdout.write(_json_text({"error": error}))
+        return status
     return 0
 
 

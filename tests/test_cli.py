@@ -300,6 +300,40 @@ class TestConfigAndFormat:
         code, out = run_cli(capsys, "phase-dist", "--config", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b'\xff\xfe{"s": 0.1}', b'{"s": ' + b"1" * 5000 + b"}", b"[" * 100_000],
+        ids=["not-utf8", "integer-past-digit-limit", "nested-too-deep"],
+    )
+    def test_unreadable_config_is_config_error(self, capsys, tmp_path, raw):
+        path = tmp_path / "run.json"
+        path.write_bytes(raw)
+        code, out = run_cli(capsys, "phase-dist", "--config", str(path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"cannot read config {str(path)!r}: ")
+
+    @pytest.mark.parametrize(
+        "state", ['{"s": ' + "1" * 5000 + "}", "[" * 100_000], ids=["long-integer", "too-deep"]
+    )
+    def test_unparsable_state_flag_is_config_error(self, capsys, state):
+        code, out = run_cli(capsys, "coeffs", "--branch", "plus", "--state", state)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("--state is not valid JSON: ")
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, target):
+        path = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+        code, out = run_cli(capsys, "coeffs", "--branch", "plus", "--out", str(path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert (error["type"], error["status"]) == ("ConfigError", 2)
+        assert error["message"].startswith(f"cannot write output {str(path)!r}: ")
+        assert not (tmp_path / "missing").exists()
+
     def test_format_mismatch(self, capsys):
         code, out = run_cli(capsys, "moments", "--format", "csv")
         assert code == 2
@@ -478,6 +512,53 @@ def test_cli_fuzz_exits_with_a_documented_status(tmp_path_factory, command, conf
     assert code in (0, 2, 3, 4), (argv, config, out.getvalue(), err.getvalue())
     if code != 0 and out.getvalue():
         assert json.loads(out.getvalue())["error"]["status"] == code
+
+
+# Config file bytes the fuzz tests draw besides a well-formed object: bytes
+# that are not UTF-8, an object cut short, and a JSON array.
+_CONFIG_BYTES = st.one_of(
+    st.dictionaries(_FUZZ_KEYS, _FUZZ_VALUES, max_size=3).map(lambda c: json.dumps(c).encode()),
+    st.binary(max_size=6).map(lambda tail: b"\xff" + tail),
+    st.dictionaries(_FUZZ_KEYS, _FUZZ_VALUES, max_size=3)
+    .map(lambda c: json.dumps(c).encode())
+    .flatmap(lambda text: st.integers(0, len(text) - 1).map(lambda k: text[:k])),
+    st.lists(_FUZZ_VALUES, max_size=3).map(lambda items: json.dumps(items).encode()),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(_FUZZ_COMMANDS).flatmap(_fuzz_argv),
+    raw=_CONFIG_BYTES,
+    target=st.sampled_from(["stdout", "file", "missing-directory", "directory"]),
+)
+def test_cli_fuzz_config_bytes_and_out_exit_with_a_documented_status(
+    tmp_path_factory, command, raw, target
+):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = tmp / "run.json"
+    config.write_bytes(raw)
+    out_path = {
+        "stdout": "-",
+        "file": str(tmp / "out.txt"),
+        "missing-directory": str(tmp / "missing" / "out.txt"),
+        "directory": str(tmp),
+    }[target]
+    argv, flags = command
+    argv = argv + ["--config", str(config), "--out", out_path]
+    for flag, value in flags:
+        argv += [flag, *value.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags with exit status 2
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, raw, out.getvalue(), err.getvalue())
+    if code != 0 and out.getvalue():
+        assert json.loads(out.getvalue())["error"]["status"] == code
+    if code == 0 and target == "file":
+        assert out.getvalue() == "" and (tmp / "out.txt").read_text(encoding="utf-8")
 
 
 class TestOracleCompareCommand:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 from catphase import cli
@@ -13,8 +14,8 @@ _SPEC.loader.exec_module(cli_census)
 
 def test_configs_are_fixed_and_distinct():
     keys = [" ".join(argv) for argv in cli_census.configs()]
-    assert len(keys) == 947
-    assert len(set(keys)) == 947
+    assert len(keys) == 1045
+    assert len(set(keys)) == 1045
     assert keys == [" ".join(argv) for argv in cli_census.configs()]
 
 
@@ -37,3 +38,23 @@ def test_compare_lists_changed_and_missing_configs(tmp_path):
     second.write_text(json.dumps(after))
     assert cli_census.main(["--compare", str(first), str(first)]) == 0
     assert cli_census.main(["--compare", str(first), str(second)]) == 1
+
+
+def test_run_pins_help_width_and_restores_columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = cli_census.run(["wigner-slice", "--help"])
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = cli_census.run(["wigner-slice", "--help"])
+    assert wide == narrow
+    assert wide[0] == 0
+    assert os.environ["COLUMNS"] == "40"
+
+
+def test_run_counts_an_escaping_exception_as_exit_code_1(monkeypatch):
+    def crash(argv):
+        print("partial")
+        raise FileNotFoundError(argv[0])
+
+    monkeypatch.setattr(cli, "main", crash)
+    digest = hashlib.sha256(b"partial\n").hexdigest()
+    assert cli_census.run(["coeffs"]) == (1, digest)

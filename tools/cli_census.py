@@ -1,4 +1,4 @@
-"""CLI stdout census: the exit code and a hash of stdout for 947 fixed configs.
+"""CLI stdout census: the exit code and a hash of stdout for fixed configs.
 
 Runs ``catphase.cli.main`` in-process over a fixed list of command lines and
 writes ``{argv: [exit code, sha256 of stdout]}`` as JSON.  Two censuses taken
@@ -13,7 +13,15 @@ The configs:
   x 3 amplitude pairs x s in {-1, 0, 0.4, 0.9, 0.97}: 900;
 - the 8 figure panels;
 - 24 n_min/n_max edge configs (4 commands x 6 caps, odd cat, s = 0);
-- 15 overflow/no-convergence region configs (5 regions x 3 commands).
+- 15 overflow/no-convergence region configs (5 regions x 3 commands);
+- then the flag surface: every flag of every command at least once, the
+  configuration errors those flags can raise, argparse refusals,
+  unreadable ``--config`` and unwritable ``--out`` paths, and ``--help`` for
+  the top level and every command (``oracle-compare`` at small node counts).
+
+The first 947 configs keep their order, so an older census still compares
+on them.  ``run`` pins ``COLUMNS=80``, because argparse wraps help text to
+the terminal width.
 
 Usage, from the repository root:
 
@@ -31,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 
 PRESETS = ("even_cat", "odd_cat", "yurke_stoler_minus", "yurke_stoler_plus")
@@ -78,6 +87,128 @@ REGION_COMMANDS = (
     ("moments", "--branch", "minus"),
 )
 
+HELP_COMMANDS = (
+    (),
+    ("validate",),
+    ("coeffs",),
+    ("phase-dist",),
+    ("one-mode",),
+    ("figure",),
+    ("moments",),
+    ("wigner-slice",),
+    ("oracle-compare",),
+)
+STATE_JSON = (
+    '{"preset": "odd_cat", "alpha": {"abs": 0.7, "arg": 0.2}, "beta": {"abs": 1.1, "arg": -0.3}}',
+    '{"mu": {"re": 0.6, "im": 0.0}, "nu": {"re": 0.0, "im": 1.6}, "renormalize": true,'
+    ' "alpha": {"abs": 1.0, "arg": 0.0}, "beta": {"abs": 0.5, "arg": 1.0}}',
+    '{"mu": {"re": 0.6, "im": 0.0}, "nu": {"re": 0.0, "im": 1.6}}',
+    '{"preset": "no_such_preset"}',
+    '{"alpha": {"abs": -1.0, "arg": 0.0}}',
+    "{bad",
+    "[1, 2]",
+)
+# Flags on the commands that take them, valid values and the errors they can
+# raise, each after a cheap command line.
+FLAG_CONFIGS = (
+    ("phase-dist", "--n-phi", "5", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
+    ("phase-dist", "--n-phi", "5", "--mu", "1", "0", "--nu", "1", "0"),
+    ("phase-dist", "--n-phi", "5", "--mu", "0.6", "0.0"),
+    ("phase-dist", "--n-phi", "5", "--nu", "0.6", "0.0"),
+    ("phase-dist", "--n-phi", "5", "--preset", "odd_cat", "--mu", "0.6", "0", "--nu", "0", "0.8"),
+    ("phase-dist", "--n-phi", "5", "--preset", "odd_cat", "--alpha", "0", "0", "--beta", "0", "0"),
+    ("phase-dist", "--n-phi", "5", "--s", "1.0"),
+    ("phase-dist", "--n-phi", "5", "--s", "-4.775e-01", "--alpha", "1.2", "-1E-3"),
+    ("phase-dist", "--n-phi", "2"),
+    ("phase-dist", "--n-phi", "1"),
+    ("phase-dist", "--n-phi", "5", "--eps-tail", "1e-8"),
+    ("phase-dist", "--n-phi", "5", "--eps-tail", "0"),
+    ("phase-dist", "--n-phi", "5", "--eps-tail", "-1e-3"),
+    ("phase-dist", "--n-phi", "5", "--n-min", "0"),
+    ("phase-dist", "--n-phi", "5", "--n-min", "9", "--n-max", "8"),
+    ("one-mode", "--n-phi", "7", "--mode", "2", "--eps-tail", "1e-6"),
+    ("one-mode", "--n-phi", "1"),
+    ("coeffs",),
+    ("coeffs", "--branch", "plus", "--mode", "2"),
+    ("coeffs", "--branch", "plus", "--eps-tail", "1e-4", "--n-min", "2"),
+    ("figure", "--id", "1a", "--n-phi", "5", "--n-alpha", "3"),
+    ("figure", "--id", "2c", "--n-phi", "3", "--n-alpha", "2", "--eps-tail", "1e-6"),
+    ("figure", "--id", "1a", "--n-alpha", "1"),
+    ("figure", "--id", "2d", "--n-phi", "1"),
+    ("figure", "--id", "2d", "--n-phi", "4", "--n-max", "3"),
+    ("moments", "--n", "2", "--phi0", "0.3"),
+    ("moments", "--branch", "plus", "--n", "3", "--phi0", "-1e-2", "--s", "-1"),
+    ("moments", "--n", "0"),
+    ("moments", "--n", "-2"),
+    ("validate", "--s", "0.3", "--eps-tail", "0"),
+    ("validate", "--mu", "1", "0", "--nu", "1", "0", "--alpha", "1", "0"),
+    ("validate", "--mu", "0.6", "0.0"),
+    ("wigner-slice", "--nx", "3", "--ny", "4", "--x-axis", "delta_re", "--y-axis", "gamma_im",
+     "--x-min", "-1", "--x-max", "2", "--y-min", "-0.5", "--y-max", "0.5",
+     "--fix", "delta_im=0.25", "--fix", "gamma_re=-1"),
+    ("wigner-slice", "--nx", "2", "--ny", "2", "--x-axis", "delta_im", "--y-axis", "delta_re"),
+    ("wigner-slice", "--nx", "2", "--ny", "2", "--fix", "gamma_re=3"),
+    ("wigner-slice", "--nx", "1", "--ny", "2"),
+    ("wigner-slice", "--nx", "2", "--ny", "0"),
+    ("wigner-slice", "--x-axis", "gamma_im"),
+    ("wigner-slice", "--nx", "2", "--ny", "2", "--fix", "delta_re"),
+    ("wigner-slice", "--nx", "2", "--ny", "2", "--fix", "delta_re=x"),
+    ("wigner-slice", "--nx", "2", "--ny", "2", "--fix", "nope=1"),
+    ("oracle-compare", "--n-chi-points", "1", "--n-radial", "16", "--n-angular", "32"),
+    ("oracle-compare", "--n-chi-points", "0", "--n-radial", "16", "--n-angular", "32",
+     "--radial-sigma", "6", "--seed", "7", "--eps-tail", "1e-10", "--n-min", "3", "--n-max", "64"),
+    ("oracle-compare", "--seed", "-1"),
+    ("oracle-compare", "--n-radial", "4"),
+    ("oracle-compare", "--n-angular", "8"),
+    ("oracle-compare", "--radial-sigma", "0"),
+    ("oracle-compare", "--n-chi-points", "0", "--n-radial", "16", "--n-angular", "32",
+     "--n-max", "0"),
+    # argparse refusals: nothing on stdout, exit 2
+    ("phase-dist", "--preset", "no_such_preset"),
+    ("phase-dist", "--branch", "sideways"),
+    ("one-mode", "--mode", "3"),
+    ("figure",),
+    ("figure", "--id", "3a"),
+    ("moments", "--s", "abc"),
+    ("moments", "--n", "1.5"),
+    ("wigner-slice", "--x-axis", "theta"),
+    ("oracle-compare", "--preset", "even_cat"),
+    ("phase-dist", "--alpha", "1"),
+    ("no-such-command",),
+    (),
+)
+NATIVE_FORMATS = (
+    ("validate", "json"),
+    ("coeffs", "csv", "--branch", "plus"),
+    ("phase-dist", "csv", "--n-phi", "3"),
+    ("one-mode", "csv", "--n-phi", "3"),
+    ("figure", "csv", "--id", "1b", "--n-phi", "3"),
+    ("moments", "json"),
+    ("wigner-slice", "csv", "--nx", "2", "--ny", "2"),
+    ("oracle-compare", "json", "--n-chi-points", "0", "--n-radial", "16", "--n-angular", "32"),
+)
+# Config paths that cannot be read, and output targets: stdout and two paths
+# that cannot be written.  No path here depends on the working directory.
+BAD_CONFIGS = ("/nonexistent/catphase-census.json", "/dev/null", "/")
+OUT_PATHS = ("-", "/nonexistent/catphase-census.csv", "/")
+
+
+def _flag_surface() -> list[list[str]]:
+    """Every flag at least once, with the errors it can raise, and ``--help``."""
+    out = [[*command, "--help"] for command in HELP_COMMANDS]
+    for state in STATE_JSON:
+        out.append(["coeffs", "--branch", "minus", "--state", state])
+    out.extend(list(argv) for argv in FLAG_CONFIGS)
+    for command, native, *rest in NATIVE_FORMATS:
+        other = "csv" if native == "json" else "json"
+        out.append([command, *rest, "--format", native])
+        out.append([command, *rest, "--format", other])
+    for path in BAD_CONFIGS:
+        out.append(["moments", "--config", path])
+    for path in OUT_PATHS:
+        out.append(["coeffs", "--mode", "1", "--out", path])
+    return out
+
 
 def configs() -> list[list[str]]:
     """The census command lines, in a fixed order."""
@@ -98,19 +229,34 @@ def configs() -> list[list[str]]:
         for preset, amp, s in REGIONS:
             amps = ("--alpha", amp, "0.0", "--beta", amp, "0.0")
             out.append([*command, "--preset", preset, *amps, "--s", s])
+    out.extend(_flag_surface())
     return out
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and sha256 of stdout of one in-process ``catphase.cli.main`` call."""
+    """Exit code and sha256 of stdout of one in-process ``catphase.cli.main`` call.
+
+    An exception that escapes ``main`` counts as exit code 1, as it would
+    for ``python -m catphase.cli``.
+    """
     from catphase import cli
 
     buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse refusals
-            code = exc.code if isinstance(exc.code, int) else 1
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refusals and --help
+                code = exc.code if isinstance(exc.code, int) else 1
+            except Exception:  # an uncaught error is a result too: exit code 1
+                code = 1
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return code, hashlib.sha256(buffer.getvalue().encode()).hexdigest()
 
 
