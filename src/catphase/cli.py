@@ -58,32 +58,35 @@ _SLICE_AXES = ("gamma_re", "gamma_im", "delta_re", "delta_im")
 # as "-7.7e-05" for an option flag and refused the command.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
-# Every numeric setting: name -> (kind, default).  The name is both the
-# config key and, with dashes, the flag; a default of None stays None.
+# Every numeric setting: name -> (kind, default, least value or None).  The
+# name is both the config key and, with dashes, the flag, except that the
+# slice axes are set only by --fix NAME=VALUE; a default of None stays None.
 _NUMBERS = {
-    "s": (float, 0.0),
-    "eps_tail": (float, 1e-14),
-    "n_min": (int, 4),
-    "n_max": (int, 512),
-    "n_phi": (int, 361),
-    "n_alpha": (int, 61),
-    "n": (int, 1),
-    "phi0": (float, None),
-    "nx": (int, 61),
-    "ny": (int, 61),
-    "x_min": (float, -3.0),
-    "x_max": (float, 3.0),
-    "y_min": (float, -3.0),
-    "y_max": (float, 3.0),
-    "seed": (int, 2024),
-    "n_chi_points": (int, 10),
-    "n_radial": (int, 40),
-    "n_angular": (int, 64),
-    "radial_sigma": (float, 8.0),
+    "s": (float, 0.0, None),
+    "eps_tail": (float, 1e-14, None),
+    "n_min": (int, 4, None),
+    "n_max": (int, 512, None),
+    "n_phi": (int, 361, 2),
+    "n_alpha": (int, 61, 2),
+    "n": (int, 1, 1),
+    "phi0": (float, None, None),
+    "nx": (int, 61, 2),
+    "ny": (int, 61, 2),
+    "x_min": (float, -3.0, None),
+    "x_max": (float, 3.0, None),
+    "y_min": (float, -3.0, None),
+    "y_max": (float, 3.0, None),
+    "seed": (int, 2024, 0),
+    "n_chi_points": (int, 10, 0),
+    "n_radial": (int, 40, None),
+    "n_angular": (int, 64, None),
+    "radial_sigma": (float, 8.0, None),
+    **{axis: (float, 0.0, None) for axis in _SLICE_AXES},
 }
 
 # The settings each checked parameter object is built from, in field order.
-_POLICY = (TruncationPolicy, "eps_tail", "n_min", "n_max")
+_TRUNCATION = ("eps_tail", "n_min", "n_max")
+_POLICY = (TruncationPolicy, *_TRUNCATION)
 _QUADRATURE = (QuadratureSpec, "n_radial", "n_angular", "radial_sigma")
 
 
@@ -144,26 +147,33 @@ def _setting(args, config: dict, name: str, default):
     return default
 
 
-def _number(args, config: dict, name: str):
+def _number(args, config: dict, name: str, label: str | None = None):
     """Numeric setting ``name`` (flag, config entry or default) as its ``_NUMBERS`` kind.
 
-    Raises ConfigError for any other JSON type, for a string that does not
-    parse, and for a non-integral or non-finite value of an int setting.  A
-    setting whose default is None stays None when it is absent or null.
+    Raises ConfigError, naming the setting ``label`` (default ``name``), for
+    any other JSON type, a string that does not parse, a non-integral int, a
+    non-finite float and a value below the setting's least value.  A setting
+    whose default is None stays None when it is absent or null.
     """
-    kind, default = _NUMBERS[name]
+    kind, default, least = _NUMBERS[name]
     value = _setting(args, config, name, default)
     if value is None and default is None:
         return None
+    label = label or name
     kind_name = "an integer" if kind is int else "a number"
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{name} must be {kind_name}, got {value!r}")
+        raise ConfigError(f"{label} must be {kind_name}, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be {kind_name}, got {value!r}")
+        raise ConfigError(f"{label} must be {kind_name}, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError as exc:
-        raise ConfigError(f"{name} must be {kind_name}, got {value!r}") from exc
+        raise ConfigError(f"{label} must be {kind_name}, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{label} must be finite, got {number!r}")
+    if least is not None and number < least:
+        raise ConfigError(f"{label} must be >= {least}, got {number}")
+    return number
 
 
 def _checked(args, config: dict, cls, *names: str):
@@ -175,15 +185,8 @@ def _checked(args, config: dict, cls, *names: str):
         raise ConfigError(str(exc)) from exc
 
 
-def _grid_size(args, config: dict, name: str) -> int:
-    size = _number(args, config, name)
-    if size < 2:
-        raise ConfigError(f"{name} must be >= 2, got {size}")
-    return size
-
-
 def _phi_grid(args, config: dict) -> np.ndarray:
-    return np.linspace(-math.pi, math.pi, _grid_size(args, config, "n_phi"))
+    return np.linspace(-math.pi, math.pi, _number(args, config, "n_phi"))
 
 
 def _state_descriptor(args, config: dict) -> dict:
@@ -271,13 +274,13 @@ def _spectrum(args, state: QuasiBellState, s: float, policy: TruncationPolicy):
 def _cmd_validate(args, config: dict) -> str:
     descriptor = _state_descriptor(args, config)
     try:
-        alpha, beta, mu, nu = params_from_descriptor(descriptor)
+        params = params_from_descriptor(descriptor)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    diagnostics = validate_params(alpha, beta, mu, nu)
+        raise ConfigError(f"invalid state: {exc}") from exc
+    diagnostics = validate_params(*params)
     payload = {"diagnostics": diagnostics, "ok": not diagnostics}
     if not diagnostics:
-        state = QuasiBellState(alpha, beta, mu, nu)
+        state = QuasiBellState(*params)
         s = _number(args, config, "s")
         norm = normalization_constant(state)
         chi_origin = chi(state, 0.0, 0.0, s)
@@ -285,7 +288,7 @@ def _cmd_validate(args, config: dict) -> str:
             "chi_origin_residual": abs(chi_origin - 1.0),
             "normalization_constant": norm,
             "s": s,
-            "weight_norm_residual": abs(abs(mu) ** 2 + abs(nu) ** 2 - 1.0),
+            "weight_norm_residual": abs(abs(state.mu) ** 2 + abs(state.nu) ** 2 - 1.0),
         }
     return _json_text(payload)
 
@@ -363,7 +366,7 @@ def _cmd_figure(args, config: dict) -> str:
             header, ["phi_offset", "density_s_m1", "density_s_0", "density_s_0p4"], rows
         )
 
-    n_alpha = _grid_size(args, config, "n_alpha")
+    n_alpha = _number(args, config, "n_alpha")
     alpha_sq_grid = np.linspace(0.0, 3.0, n_alpha)
     header.update(
         s=_fmt(0.0),
@@ -415,8 +418,6 @@ def _cmd_wigner_slice(args, config: dict) -> str:
     if x_axis not in _SLICE_AXES or y_axis not in _SLICE_AXES or x_axis == y_axis:
         raise ConfigError(f"slice axes must be two distinct names from {_SLICE_AXES}")
     nx, ny = (_number(args, config, name) for name in ("nx", "ny"))
-    if nx < 2 or ny < 2:
-        raise ConfigError("slice grid sizes must be >= 2")
     x_min, x_max, y_min, y_max = (
         _number(args, config, name) for name in ("x_min", "x_max", "y_min", "y_max")
     )
@@ -431,10 +432,7 @@ def _cmd_wigner_slice(args, config: dict) -> str:
         name, _, raw = item.partition("=")
         if name not in _SLICE_AXES or not raw:
             raise ConfigError(f"--fix needs NAME=VALUE with NAME in {_SLICE_AXES}")
-        try:
-            fixed[name] = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"--fix value for {name} must be a number, got {raw!r}") from exc
+        fixed[name] = _number(args, {name: raw}, name, f"--fix value for {name}")
 
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
@@ -461,8 +459,6 @@ def _cmd_wigner_slice(args, config: dict) -> str:
 
 def _cmd_oracle_compare(args, config: dict) -> str:
     seed = _number(args, config, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     n_points = _number(args, config, "n_chi_points")
     spec = _checked(args, config, *_QUADRATURE)
     policy = _checked(args, config, *_POLICY)
@@ -524,24 +520,27 @@ _COMMANDS = {
     "validate": ("state diagnostics plus invariant spot-checks (JSON)",
                  _cmd_validate, "json", True, ()),
     "coeffs": ("Fourier coefficients (CSV)",
-               _cmd_coeffs, "csv", True, (("--branch", _BRANCH), ("--mode", _MODE))),
+               _cmd_coeffs, "csv", True,
+               (("--branch", _BRANCH), ("--mode", _MODE), *_TRUNCATION)),
     "phase-dist": ("phase-sum/difference density over a phi grid (CSV)",
-                   _cmd_density, "csv", True, (_MINUS_BRANCH, "n_phi")),
+                   _cmd_density, "csv", True, (_MINUS_BRANCH, "n_phi", *_TRUNCATION)),
     "one-mode": ("one-mode phase density over a phi grid (CSV)",
-                 _cmd_density, "csv", True, (("--mode", {**_MODE, "default": 1}), "n_phi")),
+                 _cmd_density, "csv", True,
+                 (("--mode", {**_MODE, "default": 1}), "n_phi", *_TRUNCATION)),
     "figure": ("data behind one display panel (CSV)",
                _cmd_figure, "csv", False,
                (("--id", {"required": True, "choices": sorted(_FIGURE_PANELS)}),
-                "n_phi", "n_alpha")),
+                "n_phi", "n_alpha", *_TRUNCATION)),
     "moments": ("trigonometric and windowed phase moments (JSON)",
-                _cmd_moments, "json", True, (_MINUS_BRANCH, "n", "phi0")),
+                _cmd_moments, "json", True, (_MINUS_BRANCH, "n", "phi0", *_TRUNCATION)),
     "wigner-slice": ("W over a 2D slice of (gamma, delta) (CSV)",
                      _cmd_wigner_slice, "csv", True,
                      (("--x-axis", _AXIS), ("--y-axis", _AXIS), "x_min", "x_max", "y_min", "y_max",
                       "nx", "ny", ("--fix", {"action": "append", "metavar": "NAME=VALUE"}))),
     "oracle-compare": ("analytic-vs-oracle deviation report (JSON)",
                        _cmd_oracle_compare, "json", False,
-                       ("seed", "n_chi_points", "n_radial", "n_angular", "radial_sigma")),
+                       ("seed", "n_chi_points", "n_radial", "n_angular", "radial_sigma",
+                        *_TRUNCATION)),
 }
 
 
@@ -567,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("csv", "json"),
             help="expected output format; errors if it differs from the command's native format",
         )
-        for name in ("eps_tail", "n_min", "n_max"):
-            _add_number(p, name)
         if takes_state:
             group = p.add_argument_group("state")
             group.add_argument(

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CutoffTooSmallError, DomainError
-from .quasiprob import _require_s_below_one, w, w_symmetrized
+from .quasiprob import _require_real_s, _require_s_below_one, w, w_symmetrized
 from .specfun import _branch_sign
 from .states import QuasiBellState, normalization_constant
 
@@ -72,10 +72,11 @@ class QuadratureSpec:
             raise ValueError(f"n_radial must be >= 16, got {self.n_radial!r}")
         if self.n_angular < 32:
             raise ValueError(f"n_angular must be >= 32, got {self.n_angular!r}")
-        if not (self.radial_cutoff_sigma > 0.0):
-            raise ValueError(
-                f"radial_cutoff_sigma must be positive, got {self.radial_cutoff_sigma!r}"
-            )
+        sigma = self.radial_cutoff_sigma
+        if not sigma > 0.0:
+            raise ValueError(f"radial_cutoff_sigma must be positive, got {sigma!r}")
+        if not math.isfinite(sigma):
+            raise ValueError(f"radial_cutoff_sigma must be finite, got {sigma!r}")
 
 
 def _radial_rule(state: QuasiBellState, s: float, spec: QuadratureSpec):
@@ -332,9 +333,7 @@ def fock_chi_oracle(
     """
     if not isinstance(n_cut, int) or isinstance(n_cut, bool) or n_cut < 1:
         raise DomainError(f"n_cut must be an integer >= 1, got {n_cut!r}")
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError(f"ordering parameter must be finite, got {s!r}")
+    s = _require_real_s(s)
     xi = complex(xi)
     eta = complex(eta)
 

@@ -60,6 +60,22 @@ PRESET_WEIGHTS = {
 }
 
 
+def _unit_weights(mu: complex, nu: complex) -> tuple[complex, complex]:
+    """(mu, nu) rescaled onto |mu|^2 + |nu|^2 = 1."""
+    norm = math.hypot(abs(mu), abs(nu))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ValueError("cannot renormalize weights with zero or non-finite norm")
+    return mu / norm, nu / norm
+
+
+def _preset_weights(kind: str) -> tuple[complex, complex]:
+    try:
+        return PRESET_WEIGHTS[kind]
+    except KeyError:
+        valid = ", ".join(sorted(PRESET_WEIGHTS))
+        raise ValueError(f"unknown preset {kind!r}; expected one of: {valid}") from None
+
+
 def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
@@ -137,11 +153,9 @@ class QuasiBellState:
         object.__setattr__(self, "mu", complex(self.mu))
         object.__setattr__(self, "nu", complex(self.nu))
         if renormalize:
-            norm = math.hypot(abs(self.mu), abs(self.nu))
-            if norm == 0.0 or not math.isfinite(norm):
-                raise ValueError("cannot renormalize weights with zero or non-finite norm")
-            object.__setattr__(self, "mu", self.mu / norm)
-            object.__setattr__(self, "nu", self.nu / norm)
+            mu, nu = _unit_weights(self.mu, self.nu)
+            object.__setattr__(self, "mu", mu)
+            object.__setattr__(self, "nu", nu)
         problems = validate_params(self.alpha, self.beta, self.mu, self.nu)
         if problems:
             if any("non-normalizable" in p for p in problems):
@@ -161,13 +175,7 @@ class QuasiBellState:
 
 def normalization_constant(state: QuasiBellState) -> float:
     """Normalization constant N = {1 + 2 Re(mu nu*) exp[-2(|alpha|^2+|beta|^2)]}^(-1/2)."""
-    radicand, interference = _radicand(state.alpha, state.beta, state.mu, state.nu)
-    if _radicand_is_null(radicand, interference):
-        raise NullStateError(
-            f"state norm radicand {radicand!r} is null to working precision; "
-            "the superposition is the zero vector"
-        )
-    return radicand ** -0.5
+    return _radicand(state.alpha, state.beta, state.mu, state.nu)[0] ** -0.5
 
 
 def make_preset(kind: str, alpha: complex, beta: complex) -> QuasiBellState:
@@ -177,12 +185,7 @@ def make_preset(kind: str, alpha: complex, beta: complex) -> QuasiBellState:
     ``yurke_stoler_minus``, i.e. weights (1, 1)/sqrt2, (1, -1)/sqrt2,
     (1, i)/sqrt2 and (1, -i)/sqrt2 respectively.
     """
-    try:
-        mu, nu = PRESET_WEIGHTS[kind]
-    except KeyError:
-        valid = ", ".join(sorted(PRESET_WEIGHTS))
-        raise ValueError(f"unknown preset {kind!r}; expected one of: {valid}") from None
-    return QuasiBellState(alpha=alpha, beta=beta, mu=mu, nu=nu)
+    return QuasiBellState(alpha, beta, *_preset_weights(kind))
 
 
 def validate(state: QuasiBellState) -> list[str]:
@@ -207,7 +210,11 @@ def _complex_from_cartesian(entry: dict, key: str) -> complex:
 
 
 def params_from_descriptor(descriptor: dict) -> tuple[complex, complex, complex, complex]:
-    """Resolve a JSON descriptor to raw (alpha, beta, mu, nu) without validating."""
+    """Resolve a JSON descriptor to (alpha, beta, mu, nu) without validating.
+
+    The weights are rescaled to unit norm if the descriptor has a true
+    ``"renormalize"`` entry.
+    """
     if not isinstance(descriptor, dict):
         raise ValueError("state descriptor must be a JSON object")
     if "alpha" not in descriptor or "beta" not in descriptor:
@@ -218,16 +225,14 @@ def params_from_descriptor(descriptor: dict) -> tuple[complex, complex, complex,
     if "preset" in descriptor:
         if "mu" in descriptor or "nu" in descriptor:
             raise ValueError("give either 'preset' or explicit 'mu'/'nu', not both")
-        kind = str(descriptor["preset"])
-        if kind not in PRESET_WEIGHTS:
-            valid = ", ".join(sorted(PRESET_WEIGHTS))
-            raise ValueError(f"unknown preset {kind!r}; expected one of: {valid}")
-        mu, nu = PRESET_WEIGHTS[kind]
+        mu, nu = _preset_weights(str(descriptor["preset"]))
     else:
         if "mu" not in descriptor or "nu" not in descriptor:
             raise ValueError("state descriptor needs 'preset' or both 'mu' and 'nu'")
         mu = _complex_from_cartesian(descriptor["mu"], "mu")
         nu = _complex_from_cartesian(descriptor["nu"], "nu")
+    if descriptor.get("renormalize"):
+        mu, nu = _unit_weights(mu, nu)
     return alpha, beta, mu, nu
 
 
@@ -237,16 +242,9 @@ def state_from_descriptor(descriptor: dict) -> QuasiBellState:
     The descriptor carries either ``{"preset": "<tag>"}`` or explicit weights
     ``{"mu": {"re":..,"im":..}, "nu": {...}}``, plus polar amplitudes
     ``{"alpha": {"abs":..,"arg":..}, "beta": {...}}`` (angles in radians).
-    An optional ``"renormalize": true`` rescales explicit weights.
+    An optional ``"renormalize": true`` rescales the weights to unit norm.
     """
-    alpha, beta, mu, nu = params_from_descriptor(descriptor)
-    return QuasiBellState(
-        alpha=alpha,
-        beta=beta,
-        mu=mu,
-        nu=nu,
-        renormalize=bool(descriptor.get("renormalize", False)),
-    )
+    return QuasiBellState(*params_from_descriptor(descriptor))
 
 
 def state_to_descriptor(state: QuasiBellState) -> dict:

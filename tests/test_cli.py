@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catphase
+from catphase import cli
 from catphase.cli import main
 
 
@@ -51,6 +52,21 @@ class TestValidateCommand:
         payload = json.loads(out)
         assert payload["ok"] is False
         assert any("|mu|" in d for d in payload["diagnostics"])
+
+    def test_renormalize_applies_as_for_other_commands(self, capsys):
+        flags = ["--mu", "1", "0", "--nu", "1", "0", "--renormalize"]
+        code, out = run_cli(capsys, "validate", *flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] is True
+        assert payload["checks"]["weight_norm_residual"] < 1e-15
+        assert run_cli(capsys, "coeffs", "--branch", "plus", *flags)[0] == 0
+
+    def test_renormalize_of_zero_weights_is_invalid_state(self, capsys):
+        flags = ["--mu", "0", "0", "--nu", "0", "0", "--renormalize"]
+        code, out = run_cli(capsys, "validate", *flags)
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("invalid state: cannot renormalize")
 
 
 class TestCoeffsCommand:
@@ -390,6 +406,12 @@ class TestConfigAndFormat:
             (["oracle-compare"], {"seed": "x"}),
             (["oracle-compare"], {"seed": -1}),
             (["oracle-compare"], {"n_radial": [40]}),
+            (["phase-dist"], {"s": math.nan}),
+            (["moments"], {"n": 0}),
+            (["oracle-compare"], {"n_chi_points": -1}),
+            (["wigner-slice"], {"x_min": math.nan}),
+            (["wigner-slice"], {"fix": ["delta_re=nan"]}),
+            (["wigner-slice"], {"fix": ["nope=1"]}),
         ],
     )
     def test_wrong_config_value_is_config_error(self, capsys, tmp_path, command, config):
@@ -400,6 +422,54 @@ class TestConfigAndFormat:
         error = json.loads(out)["error"]
         assert error["type"] == "ConfigError"
         assert error["status"] == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["moments", "--n", "0"], "n must be >= 1, got 0"),
+            (["wigner-slice", "--nx", "1", "--ny", "2"], "nx must be >= 2, got 1"),
+            (["oracle-compare", "--n-chi-points", "-1"], "n_chi_points must be >= 0, got -1"),
+            (["phase-dist", "--s", "nan"], "s must be finite, got nan"),
+            (["oracle-compare", "--radial-sigma", "inf"], "radial_sigma must be finite, got inf"),
+            (
+                ["wigner-slice", "--nx", "2", "--ny", "2", "--fix", "delta_re=nan"],
+                "--fix value for delta_re must be finite, got nan",
+            ),
+        ],
+    )
+    def test_setting_below_least_value_or_not_finite(self, capsys, argv, message):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == message
+
+    @pytest.mark.parametrize("command", [["validate"], ["coeffs", "--branch", "plus"]])
+    @pytest.mark.parametrize(
+        "state,message",
+        [
+            ("[1, 2]", "--state must hold a JSON object"),
+            (
+                '{"preset": "nope", "alpha": {"abs": 1, "arg": 0}, "beta": {"abs": 1, "arg": 0}}',
+                "invalid state: unknown preset 'nope'",
+            ),
+        ],
+    )
+    def test_bad_state_flag_reads_alike_on_every_command(self, capsys, command, state, message):
+        code, out = run_cli(capsys, *command, "--state", state)
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith(message)
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_truncation_flags_only_where_a_spectrum_is_built(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        builds_spectrum = command not in ("validate", "wigner-slice")
+        help_text = capsys.readouterr().out
+        for flag in ("--eps-tail", "--n-min", "--n-max"):
+            assert (flag in help_text) == builds_spectrum
+        if not builds_spectrum:
+            with pytest.raises(SystemExit) as refused:
+                main([command, "--eps-tail", "0"])
+            assert refused.value.code == 2
 
     def test_negative_values_in_exponent_notation(self, capsys):
         code, out = run_cli(

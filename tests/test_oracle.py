@@ -136,6 +136,12 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(radial_cutoff_sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_radial_cutoff_must_be_finite(self, sigma):
+        # An infinite cutoff made every quadrature node sum nan.
+        with pytest.raises(ValueError, match="radial_cutoff_sigma"):
+            QuadratureSpec(radial_cutoff_sigma=sigma)
+
     def test_integrand_non_negative_for_antinormal(self, any_preset):
         # W_sym >= 0 at s = -1 on the nodes the oracle integrates: the
         # Gauss-Legendre radii of _radial_rule and the uniform angles of _angular_rule.

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from catphase import (
     trig_moments,
     wrap_angle,
 )
+from catphase.cli import main
 from catphase.phasedist import _clenshaw, _fused, _truncate
 
 from conftest import preset_state
@@ -421,6 +424,62 @@ class TestPhaseMeanVar:
         spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")
         stats = phase_mean_var(spectrum, spectrum.phi_prime + 0.5)
         assert stats.mean != pytest.approx(spectrum.phi_prime + 0.5)
+
+
+def _refusal(error, coefficient):
+    return error, f"^{re.escape(coefficient)} at s="
+
+
+_NO_CONVERGENCE = (NoConvergenceError, "at n_max=512$")
+
+# Each edge of the domain, (preset, |alpha| = |beta|, s), and the outcome of the
+# plus and minus pair spectra and the mode-1 spectrum there: the terms used, or
+# the error and a pattern of its message.
+DOMAIN_EDGES = [
+    ("odd_cat", 1.0, 0.99, (466, 466, 482)),
+    ("odd_cat", 1.0, 0.999, (
+        _refusal(OverflowError, "c_1^(plus)"),
+        _refusal(OverflowError, "c_1^(minus)"),
+        _refusal(OverflowError, "one-mode c_2"),
+    )),
+    ("even_cat", 4.0, 0.9, (_NO_CONVERGENCE,) * 3),
+    ("even_cat", 6.0, 0.9, (
+        _refusal(OverflowError, "c_1^(plus)"),
+        _refusal(OverflowError, "c_1^(minus)"),
+        _NO_CONVERGENCE,
+    )),
+    ("odd_cat", 20.0, 0.0, (229, 229, 324)),
+]
+
+
+class TestDomainEdges:
+    @pytest.mark.parametrize("preset,amp,s,outcomes", DOMAIN_EDGES)
+    def test_outcome(self, preset, amp, s, outcomes):
+        state = make_preset(preset, amp, amp)
+        builds = (
+            lambda: build_spectrum(state, s, "plus"),
+            lambda: build_spectrum(state, s, "minus"),
+            lambda: one_mode_coefficients(state, s, 1),
+        )
+        for build, outcome in zip(builds, outcomes):
+            if isinstance(outcome, int):
+                assert build().n_used == outcome
+            else:
+                error, pattern = outcome
+                with pytest.raises(error, match=pattern):
+                    build()
+
+    @pytest.mark.parametrize(
+        "preset,amp,s,status,error",
+        [
+            ("odd_cat", "1.0", "0.999", 3, "OverflowError"),
+            ("even_cat", "4.0", "0.9", 4, "NoConvergenceError"),
+        ],
+    )
+    def test_cli_exit_status(self, capsys, preset, amp, s, status, error):
+        argv = ["coeffs", "--branch", "plus", "--preset", preset, "--s", s]
+        assert main(argv + ["--alpha", amp, "0", "--beta", amp, "0"]) == status
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == error
 
 
 class TestWrapAngle:

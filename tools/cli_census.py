@@ -17,11 +17,13 @@ The configs:
 - then the flag surface: every flag of every command at least once, the
   configuration errors those flags can raise, argparse refusals,
   unreadable ``--config`` and unwritable ``--out`` paths, and ``--help`` for
-  the top level and every command (``oracle-compare`` at small node counts).
+  the top level and every command (``oracle-compare`` at small node counts);
+- 5 later configs: ``validate --renormalize`` and settings below their least
+  value or not finite.
 
-The first 947 configs keep their order, so an older census still compares
-on them.  ``run`` pins ``COLUMNS=80``, because argparse wraps help text to
-the terminal width.
+The first 947 configs, and then the first 1,045, keep their order, so an
+older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
+argparse wraps help text to the terminal width.
 
 Usage, from the repository root:
 
@@ -177,6 +179,15 @@ FLAG_CONFIGS = (
     ("no-such-command",),
     (),
 )
+# Configs added after the first 1,045: the renormalize flag on validate, and
+# settings below their least value or not finite.
+LATER_CONFIGS = (
+    ("validate", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
+    ("validate", "--mu", "0", "0", "--nu", "0", "0", "--renormalize"),
+    ("oracle-compare", "--n-chi-points", "-1", "--n-radial", "16", "--n-angular", "32"),
+    ("wigner-slice", "--nx", "2", "--ny", "2", "--x-min", "nan"),
+    ("wigner-slice", "--nx", "2", "--ny", "2", "--fix", "delta_re=nan"),
+)
 NATIVE_FORMATS = (
     ("validate", "json"),
     ("coeffs", "csv", "--branch", "plus"),
@@ -230,6 +241,7 @@ def configs() -> list[list[str]]:
             amps = ("--alpha", amp, "0.0", "--beta", amp, "0.0")
             out.append([*command, "--preset", preset, *amps, "--s", s])
     out.extend(_flag_surface())
+    out.extend(list(argv) for argv in LATER_CONFIGS)
     return out
 
 
