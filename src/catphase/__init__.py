@@ -54,7 +54,6 @@ from .states import (
     normalization_constant,
     state_from_descriptor,
     state_to_descriptor,
-    validate,
     validate_params,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "normalization_constant",
     "state_from_descriptor",
     "state_to_descriptor",
-    "validate",
     "validate_params",
     "__version__",
 ]

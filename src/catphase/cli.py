@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .quasiprob import chi, w
 from .states import (
     PRESET_WEIGHTS,
     QuasiBellState,
+    make_preset,
     normalization_constant,
     params_from_descriptor,
     state_from_descriptor,
@@ -302,11 +304,8 @@ def _cmd_coeffs(args, config: dict) -> str:
         rows = [(str(n + 1), spectrum.coeffs[n]) for n in range(spectrum.n_used)]
         return _csv_text(header, ["n", "c_n"], rows)
 
-    n_used, cos, sin = spectrum.n_used, spectrum.cos_coeffs, spectrum.sin_coeffs
-    rows = [
-        (str(k), _fmt(cos[2 * k - 1]) if 2 * k <= n_used else "", cos[2 * k - 2], sin[2 * k - 2])
-        for k in range(1, (n_used + 1) // 2 + 1)
-    ]
+    columns = zip_longest(spectrum.c_even, spectrum.c_odd, spectrum.d_odd, fillvalue="")
+    rows = ((str(k), *row) for k, row in enumerate(columns, start=1))
     return _csv_text(header, ["k", "c_even", "c_odd", "d_odd"], rows)
 
 
@@ -355,7 +354,7 @@ def _cmd_figure(args, config: dict) -> str:
     }
 
     if kind == "curves":
-        state = QuasiBellState(1.0, 1.0, *PRESET_WEIGHTS[preset])
+        state = make_preset(preset, 1.0, 1.0)
         header.update(alpha_abs=_fmt(1.0), beta_abs=_fmt(1.0), s_values="[-1.0,0.0,0.4]")
         series = []
         for s in _CURVE_S_VALUES:
@@ -377,7 +376,7 @@ def _cmd_figure(args, config: dict) -> str:
     rows = []
     for alpha_sq in alpha_sq_grid:
         amp = math.sqrt(max(alpha_sq, _ALPHA_SQ_FLOOR))
-        state = QuasiBellState(amp, amp, *PRESET_WEIGHTS[preset])
+        state = make_preset(preset, amp, amp)
         spectrum = build_spectrum(state, 0.0, branch, policy)
         density = eval_phase_dist(spectrum, spectrum.phi_prime + offsets)
         rows.extend((alpha_sq, off, den) for off, den in zip(offsets, density))
@@ -466,7 +465,7 @@ def _cmd_oracle_compare(args, config: dict) -> str:
 
     chi_dev = phase_dev = one_mode_dev = 0.0
     for preset in sorted(PRESET_WEIGHTS):
-        state = QuasiBellState(1.0, 1.0, *PRESET_WEIGHTS[preset])
+        state = make_preset(preset, 1.0, 1.0)
         for s in (-1.0, 0.0, 0.4):
             for _ in range(n_points):
                 xi = complex(*rng.uniform(-1.4, 1.4, 2))
@@ -488,7 +487,7 @@ def _cmd_oracle_compare(args, config: dict) -> str:
 
     norm_dev = 0.0
     for preset in ("even_cat", "odd_cat"):
-        state = QuasiBellState(1.0, 1.0, *PRESET_WEIGHTS[preset])
+        state = make_preset(preset, 1.0, 1.0)
         for s in (-1.0, 0.4):
             norm_dev = max(norm_dev, abs(quadrature_normalization(state, s, spec) - 1.0))
 

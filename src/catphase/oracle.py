@@ -35,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import CutoffTooSmallError, DomainError
 from .quasiprob import _require_real_s, _require_s_below_one, w, w_symmetrized
 from .specfun import _branch_sign
-from .states import QuasiBellState, normalization_constant
+from .states import QuasiBellState, _require_mode, normalization_constant
 
 __all__ = [
     "QuadratureSpec",
@@ -188,12 +188,12 @@ def quadrature_phase_dist(
     angle set to phi.  Per angular node a_j, W_sym sits at
     phi_gamma = (phi_plus - phi_minus)/2 and phi_delta = (phi_plus + phi_minus)/2,
     and its radial double sum is a product of one radial sum per mode.
-    ``phi`` may be a scalar or a 1-D array.
+    ``phi`` may be a scalar or an array of any shape.
     """
     plus = _branch_sign(branch) > 0
     s = _require_s_below_one(s)
     r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, True)
-    fixed = np.mod(np.atleast_1d(np.asarray(phi, dtype=float)), _TWO_PI)[:, None]
+    fixed = np.mod(np.atleast_1d(np.asarray(phi, dtype=float)), _TWO_PI)[..., None]
     # (phi_plus, phi_minus) is (phi, a_j) on the plus branch and (a_j, phi) on the minus.
     half_diff = 0.5 * (fixed - a_nodes) if plus else 0.5 * (a_nodes - fixed)
     g, d = _mode_sums(state, s, r_nodes, r_weights, half_diff, 0.5 * (fixed + a_nodes))
@@ -234,8 +234,7 @@ def quadrature_one_mode(
     other mode and over the mode's own radius, at fixed own angle phi.  The
     other mode's sums over its plane do not depend on phi and are taken once.
     """
-    if mode not in (1, 2):
-        raise DomainError(f"mode must be 1 or 2, got {mode!r}")
+    mode = _require_mode(mode)
     s = _require_s_below_one(s)
     r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, False)
     own = np.atleast_1d(np.asarray(phi, dtype=float))

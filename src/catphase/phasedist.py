@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, NoConvergenceError
 from .quasiprob import _require_s_below_one
 from .specfun import LogScaledValue, _branch_sign, i_n_combo
-from .states import QuasiBellState, normalization_constant
+from .states import QuasiBellState, _require_mode, normalization_constant
 
 __all__ = [
     "TruncationPolicy",
@@ -316,8 +316,7 @@ def one_mode_coefficients(
     max(|c_n|, |d_n|).
     """
     s = _require_s_below_one(s)
-    if mode not in (1, 2):
-        raise DomainError(f"mode must be 1 or 2, got {mode!r}")
+    mode = _require_mode(mode)
 
     amp = state.alpha if mode == 1 else state.beta
     x_m = abs(amp) ** 2 / (1.0 - s)

@@ -42,10 +42,6 @@ def _require_s_below_one(s: float) -> float:
     return s
 
 
-def _as_scalar_or_array(value, scalar: bool):
-    return float(value) if scalar else value
-
-
 def _chi_any_s(state: QuasiBellState, xi, eta, s):
     xi = np.asarray(xi, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
@@ -125,7 +121,7 @@ def w(state: QuasiBellState, gamma, delta, s: float):
     out = pref * (
         abs(mu) ** 2 * np.exp(e_gauss1) + abs(nu) ** 2 * np.exp(e_gauss2) + interference
     )
-    return _as_scalar_or_array(out, scalar)
+    return float(out) if scalar else out
 
 
 def w_symmetrized(state: QuasiBellState, r_gamma, r_delta, phi_plus, phi_minus, s: float):
@@ -152,4 +148,4 @@ def w_symmetrized(state: QuasiBellState, r_gamma, r_delta, phi_plus, phi_minus, 
     gamma = r_gamma * np.exp(1j * phi_gamma)
     delta = r_delta * np.exp(1j * phi_delta)
     out = 0.5 * (w(state, gamma, delta, s) + w(state, -gamma, -delta, s))
-    return _as_scalar_or_array(out, scalar)
+    return float(out) if scalar else out

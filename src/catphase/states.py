@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import InitVar, dataclass
 
-from .errors import NullStateError
+from .errors import DomainError, NullStateError
 
 __all__ = [
     "QuasiBellState",
@@ -24,7 +25,6 @@ __all__ = [
     "make_preset",
     "normalization_constant",
     "validate_params",
-    "validate",
     "params_from_descriptor",
     "state_from_descriptor",
     "state_to_descriptor",
@@ -188,9 +188,11 @@ def make_preset(kind: str, alpha: complex, beta: complex) -> QuasiBellState:
     return QuasiBellState(alpha, beta, *_preset_weights(kind))
 
 
-def validate(state: QuasiBellState) -> list[str]:
-    """Re-measure the invariants of an existing state (normally empty)."""
-    return validate_params(state.alpha, state.beta, state.mu, state.nu)
+def _require_mode(mode) -> int:
+    """Mode number ``mode`` as the int 1 or 2; a bool, float or string is refused."""
+    if isinstance(mode, numbers.Integral) and not isinstance(mode, bool) and mode in (1, 2):
+        return int(mode)
+    raise DomainError(f"mode must be 1 or 2, got {mode!r}")
 
 
 def _complex_from_polar(entry: dict, key: str) -> complex:

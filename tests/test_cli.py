@@ -89,6 +89,21 @@ class TestCoeffsCommand:
         assert header["mode"] == "1"
         assert all(len(r) == 4 for r in rows)
 
+    def test_one_mode_rows_interleave_with_odd_n_used(self, capsys):
+        flags = ("--preset", "yurke_stoler_plus", "--alpha", "2.2", "0", "--s", "0.4")
+        code, out = run_cli(capsys, "coeffs", "--mode", "1", *flags)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        spectrum = catphase.one_mode_coefficients(
+            catphase.make_preset("yurke_stoler_plus", 2.2, 1.0), 0.4, 1
+        )
+        assert spectrum.n_used % 2 == 1
+        assert rows[-1][1] == ""
+        cos = [float(c) for r in rows for c in (r[2], r[1]) if c]
+        assert cos == spectrum.cos_coeffs.tolist()
+        assert [float(r[3]) for r in rows] == spectrum.d_odd.tolist()
+        assert [r[0] for r in rows] == [str(k) for k in range(1, len(rows) + 1)]
+
     @pytest.mark.parametrize("selector", [("--branch", "minus"), ("--mode", "1")])
     def test_single_term_cap_is_a_convergence_error(self, capsys, selector):
         code, out = run_cli(capsys, "coeffs", *selector, "--n-min", "1", "--n-max", "1")

@@ -57,6 +57,14 @@ class TestQuadraturePhaseDist:
         for k, phi in enumerate(phis):
             assert batch[k] == quadrature_phase_dist(state, 0.0, "plus", float(phi))
 
+    def test_any_shape_matches_flat(self):
+        state = preset_state("odd_cat")
+        phis = np.array([0.0, 0.7, 3.0, -1.2, 2.2, 5.9])
+        grid = quadrature_phase_dist(state, 0.4, "minus", phis.reshape(2, 3))
+        assert grid.shape == (2, 3)
+        flat = quadrature_phase_dist(state, 0.4, "minus", phis)
+        assert np.array_equal(grid.ravel(), flat)
+
     def test_s_guard(self):
         with pytest.raises(DomainError):
             quadrature_phase_dist(preset_state("even_cat"), 0.999999999, "minus", 0.0)
@@ -123,8 +131,9 @@ class TestQuadratureOneMode:
                 assert batch[k] == quadrature_one_mode(state, 0.4, mode, float(phi))
 
     def test_bad_mode(self):
-        with pytest.raises(DomainError):
-            quadrature_one_mode(preset_state("even_cat"), 0.0, 0, 0.0)
+        for mode in (0, True, 1.0, "1"):
+            with pytest.raises(DomainError, match="mode must be 1 or 2"):
+                quadrature_one_mode(preset_state("even_cat"), 0.0, mode, 0.0)
 
 
 class TestQuadratureSpec:

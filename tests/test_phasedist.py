@@ -347,8 +347,13 @@ class TestOneMode:
         assert integral == pytest.approx(1.0, abs=1e-10)
 
     def test_bad_mode(self):
-        with pytest.raises(DomainError):
-            one_mode_coefficients(preset_state("even_cat"), 0.0, 3)
+        for mode in (3, True, 1.0, "1"):
+            with pytest.raises(DomainError, match="mode must be 1 or 2"):
+                one_mode_coefficients(preset_state("even_cat"), 0.0, mode)
+
+    def test_numpy_integer_mode_is_stored_as_int(self):
+        spectrum = one_mode_coefficients(preset_state("even_cat"), 0.0, np.int64(2))
+        assert type(spectrum.mode) is int and spectrum.mode == 2
 
 
 class TestTrigMoments:

@@ -10,7 +10,6 @@ from catphase import (
     normalization_constant,
     state_from_descriptor,
     state_to_descriptor,
-    validate,
     validate_params,
 )
 
@@ -104,7 +103,7 @@ class TestConstruction:
 class TestValidate:
     def test_valid_state_is_clean(self, any_preset):
         state = make_preset(any_preset, 0.8, 0.5j)
-        assert validate(state) == []
+        assert validate_params(state.alpha, state.beta, state.mu, state.nu) == []
 
     def test_weight_norm_diagnostic(self):
         msgs = validate_params(1.0, 1.0, 1.0, 1.0)
