@@ -32,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CutoffTooSmallError, DomainError
+from .errors import CutoffTooSmallError
 from .quasiprob import _require_real_s, _require_s_below_one, w, w_symmetrized
-from .specfun import _branch_sign
+from .specfun import _branch_sign, _positive_int
 from .states import QuasiBellState, _require_mode, normalization_constant
 
 __all__ = [
@@ -330,8 +330,7 @@ def fock_chi_oracle(
     for comfortable margins) is returned alongside and must stay below
     ``FOCK_BOUND_TOL``.
     """
-    if not isinstance(n_cut, int) or isinstance(n_cut, bool) or n_cut < 1:
-        raise DomainError(f"n_cut must be an integer >= 1, got {n_cut!r}")
+    n_cut = _positive_int(n_cut, "n_cut")
     s = _require_real_s(s)
     xi = complex(xi)
     eta = complex(eta)

@@ -7,12 +7,16 @@ cosine series
 
 with coefficients built from the scaled Bessel combinations of
 :mod:`catphase.specfun`; the one-mode distributions add odd-index sine
-terms.  Both kinds share one path: a per-spectrum ``terms(n) ->
-(c_n, d_n)`` (d_n = 0 for the pair branches) feeds one truncation loop,
-which stops once two consecutive terms drop below ``eps_tail`` (the decay is
-super-geometric, so a two-term test is safe against even/odd alternation),
-and one Clenshaw evaluator sums either series.  Spectra carry their
-construction context so moments can recompute coefficients on demand.
+terms.  Both kinds share one path.  One row reader per Bessel argument x
+reads the combinations table segment by table segment: the first n of each
+cached table comes through the scalar :func:`~catphase.specfun.i_n_combo`
+(which checks it and picks the table), the rest straight from that table.
+A per-spectrum ``terms(n) -> (c_n, d_n)`` (d_n = 0 for the pair branches)
+fuses one row of each reader and feeds one truncation loop, which stops once
+two consecutive terms drop below ``eps_tail`` (the decay is super-geometric,
+so a two-term test is safe against even/odd alternation), and one Clenshaw
+evaluator sums either series.  Spectra carry their construction context so
+moments can recompute coefficients on demand.
 """
 
 from __future__ import annotations
@@ -20,13 +24,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NoConvergenceError
 from .quasiprob import _require_s_below_one
-from .specfun import LogScaledValue, _branch_sign, i_n_combo
+from .specfun import (
+    LogScaledValue,
+    _branch_sign,
+    _combo_table,
+    _positive_int,
+    _table_top,
+    i_n_combo,
+)
 from .states import QuasiBellState, _require_mode, normalization_constant
 
 __all__ = [
@@ -164,8 +176,32 @@ def _fused(sign_a, log_a, sign_b, log_b, log_scale: float, label: str, n: int) -
     return math.copysign(math.exp(total_log), acc)
 
 
-def _pair_terms(state: QuasiBellState, s: float, branch: str):
-    """terms(n) -> (c_n, 0.0) of the phase-sum (plus) or phase-difference (minus) series."""
+def _combo_rows(x: float, n: int):
+    """Rows (sign_plus, log_plus, sign_minus, log_minus) of the combinations at x, for n, n + 1, ...
+
+    Each row comes from the table that i_n_combo reads for its n, so it has
+    i_n_combo's bits.  i_n_combo serves the first n of every table, which
+    applies its checks (x >= 0, n <= 2**16) and gives the zeros at x = 0; the
+    rest of that table is read straight from the cache.
+    """
+    while True:
+        first = (*i_n_combo(n, x, "plus"), *i_n_combo(n, x, "minus"))
+        yield first
+        top = _table_top(n)
+        if x == 0.0:
+            yield from repeat(first, top - n)
+        else:
+            plus, minus = _combo_table(x, top)
+            yield from zip(repeat(1), plus[n:], repeat(1), minus[n:])
+        n = top + 1
+
+
+def _pair_terms(state: QuasiBellState, s: float, branch: str, n: int = 1):
+    """terms(n) -> (c_n, 0.0) of the phase-sum (plus) or phase-difference (minus) series.
+
+    terms is called for n, n + 1, ... in turn: each call fuses the next row of
+    the readers at x_a and x_b.
+    """
     sign = _branch_sign(branch)
     x_a = abs(state.alpha) ** 2 / (1.0 - s)
     x_b = abs(state.beta) ** 2 / (1.0 - s)
@@ -173,12 +209,10 @@ def _pair_terms(state: QuasiBellState, s: float, branch: str):
     w_sign, log_w = LogScaledValue.from_value(2.0 * state.weight_overlap.real)
     log_scale = 2.0 * math.log(normalization_constant(state)) + math.log(0.5 * math.pi)
     label = f"c_{{n}}^({branch}) at s={s!r}"
+    rows = zip(_combo_rows(x_a, n), _combo_rows(x_b, n))
 
     def terms(n: int) -> tuple[float, float]:
-        sign_pa, log_pa = i_n_combo(n, x_a, "plus")
-        sign_pb, log_pb = i_n_combo(n, x_b, "plus")
-        sign_ma, log_ma = i_n_combo(n, x_a, "minus")
-        sign_mb, log_mb = i_n_combo(n, x_b, "minus")
+        (sign_pa, log_pa, sign_ma, log_ma), (sign_pb, log_pb, sign_mb, log_mb) = next(rows)
         c_n = _fused(
             sign_pa * sign_pb,
             log_pa + log_pb,
@@ -227,9 +261,8 @@ def fourier_coefficient(state: QuasiBellState, s: float, n: int, branch: str) ->
     """
     _branch_sign(branch)
     s = _require_s_below_one(s)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"coefficient index n must be an integer >= 1, got {n!r}")
-    return _pair_terms(state, s, branch)(n)[0]
+    n = _positive_int(n, "coefficient index n")
+    return _pair_terms(state, s, branch, n)(n)[0]
 
 
 def build_spectrum(
@@ -328,10 +361,10 @@ def one_mode_coefficients(
     imb_sign, log_imb = LogScaledValue.from_value(abs(state.mu) ** 2 - abs(state.nu) ** 2)
     c_label = f"one-mode c_{{n}} at s={s!r}"
     d_label = f"one-mode d_{{n}} at s={s!r}"
+    rows = _combo_rows(x_m, 1)
 
     def terms(n: int) -> tuple[float, float]:
-        sign_p, log_p = i_n_combo(n, x_m, "plus")
-        sign_m, log_m = i_n_combo(n, x_m, "minus")
+        sign_p, log_p, sign_m, log_m = next(rows)
         if n % 2 == 0:
             interf_log = log_re + log_m + shift
             return _fused(sign_p, log_p, re_sign * sign_m, interf_log, log_scale, c_label, n), 0.0
@@ -368,8 +401,7 @@ def trig_moments(spectrum: FourierSpectrum, n: int) -> TrigMoments:
     <cos n(phi-phi')> = c_n and <sin n(phi-phi')> = 0; the variances need
     c_2n, which is recomputed on demand if it falls past the truncation.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"moment order must be an integer >= 1, got {n!r}")
+    n = _positive_int(n, "moment order")
     c_n = _coefficient(spectrum, n)
     c_2n = _coefficient(spectrum, 2 * n)
     return TrigMoments(

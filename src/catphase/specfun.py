@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergenceError
@@ -227,11 +228,25 @@ def bessel_i_scaled(order: float, x: float) -> float:
     return math.exp(log_val)
 
 
-def _check_combo_args(n: int, x: float) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"combination index n must be an integer >= 1, got {n!r}")
+def _positive_int(value, what: str) -> int:
+    """``value`` as a Python int >= 1: any integer type but bool, else DomainError."""
+    if not isinstance(value, bool):
+        try:
+            index = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if index >= 1:
+                return index
+    raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
+
+
+def _check_combo_args(n: int, x: float) -> int:
+    """The index n as a Python int, once n >= 1 and x >= 0 are checked."""
+    n = _positive_int(n, "combination index n")
     if x < 0.0 or not math.isfinite(x):
         raise DomainError(f"combination argument x must be >= 0, got {x!r}")
+    return n
 
 
 def _branch_sign(branch: str) -> int:
@@ -241,6 +256,11 @@ def _branch_sign(branch: str) -> int:
     if branch == "minus":
         return -1
     raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
+
+
+def _table_top(n: int) -> int:
+    """Rows of the table that serves index n: 64 for n <= 64, else the next power of two."""
+    return _TABLE_MIN_TOP if n <= _TABLE_MIN_TOP else 1 << (n - 1).bit_length()
 
 
 @functools.lru_cache(maxsize=16)
@@ -296,16 +316,21 @@ def i_n_combo(n: int, x: float, branch: str) -> LogScaledValue:
     x.  Against 40-digit mpmath the log magnitude is within 9.1e-13 (plus) and
     5.9e-12 (minus) for n <= 512 and 1e-8 <= x <= 2000.  Both branches are
     non-negative; the value is exactly zero at x = 0.  n above 2**16 raises
-    DomainError, which bounds the table size.
+    DomainError, which bounds the table size.  ``n`` may be any integer type
+    but bool.
+
+    This is the scalar API.  The spectra of :mod:`catphase.phasedist` call it
+    once per table segment, for the first n the segment serves, and read the
+    rest of that segment from the same table, chosen by the same rule
+    (:func:`_table_top`); so every check stays here.
     """
     sign = _branch_sign(branch)
-    _check_combo_args(n, x)
+    n = _check_combo_args(n, x)
     if n > _N_CAP:
         raise DomainError(f"combination index n must be <= {_N_CAP}, got {n}")
     if x == 0.0:
         return LogScaledValue.zero()
-    top = _TABLE_MIN_TOP if n <= _TABLE_MIN_TOP else 1 << (n - 1).bit_length()
-    plus, minus = _combo_table(float(x), top)
+    plus, minus = _combo_table(float(x), _table_top(n))
     return LogScaledValue(1, (plus if sign > 0 else minus)[n - 1])
 
 
@@ -369,7 +394,7 @@ def i_n_combo_kummer(n: int, x: float, branch: str) -> LogScaledValue:
     NoConvergenceError, where the Bessel route still converges.
     """
     sign = _branch_sign(branch)
-    _check_combo_args(n, x)
+    n = _check_combo_args(n, x)
     if x == 0.0:
         return LogScaledValue.zero()
     log_pref = (

@@ -368,6 +368,13 @@ class TestFockChiOracle:
     def test_bad_cutoff(self):
         with pytest.raises(DomainError):
             fock_chi_oracle(preset_state("even_cat"), 0.1, 0.1, 0.0, n_cut=0)
+        with pytest.raises(DomainError, match="n_cut"):
+            fock_chi_oracle(preset_state("even_cat"), 0.1, 0.1, 0.0, n_cut=True)
+
+    def test_numpy_integer_cutoff(self):
+        state = preset_state("even_cat")
+        numpy_cut = fock_chi_oracle(state, 0.5, 0.5, 0.0, n_cut=np.int64(40))
+        assert numpy_cut == fock_chi_oracle(state, 0.5, 0.5, 0.0, n_cut=40)
 
 
 def _mp_displacement(xi: complex, n_cut: int) -> np.ndarray:

@@ -76,6 +76,18 @@ class TestFourierCoefficient:
             fourier_coefficient(state, 0.0, 0, "plus")
         with pytest.raises(DomainError):
             fourier_coefficient(state, 0.0, 1, "both")
+        with pytest.raises(DomainError, match="coefficient index n"):
+            fourier_coefficient(state, 0.0, True, "plus")
+        with pytest.raises(DomainError, match="coefficient index n"):
+            fourier_coefficient(state, 0.0, 2.0, "plus")
+
+    def test_numpy_integer_index(self):
+        state = preset_state("odd_cat")
+        for n in (2, 65):
+            for branch in ("plus", "minus"):
+                assert fourier_coefficient(state, 0.9, np.int64(n), branch).hex() == (
+                    fourier_coefficient(state, 0.9, n, branch).hex()
+                )
 
 
 def _weights(kind):
@@ -393,6 +405,13 @@ class TestTrigMoments:
         moment = float(np.mean(density * np.cos(grid))) * TWO_PI
         assert trig_moments(spectrum, 1).mean_cos == pytest.approx(moment, abs=1e-6)
 
+    def test_numpy_integer_order(self):
+        spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")
+        for n in (2, spectrum.n_used):  # the second recomputes c_2n
+            assert trig_moments(spectrum, np.int64(n)) == trig_moments(spectrum, n)
+        with pytest.raises(DomainError, match="moment order"):
+            trig_moments(spectrum, True)
+
 
 class TestPhaseMeanVar:
     def test_centered_window_mean_is_reference(self, any_preset):
@@ -647,3 +666,42 @@ class TestFusionMatchesLogScaledRoute:
 
             old = _outcome(lambda: _truncate(_old_one_mode_terms(state, s, mode), policy)[0])
             assert _outcome(new_rows) == old, mode
+
+
+class TestTableEdges:
+    """Spectra read table segments; each value keeps the bits of the per-n i_n_combo route."""
+
+    # x_a = 96.8 and x_b = 45 at s = 0.95: the series crosses four table sizes.
+    DEEP = (QuasiBellState(2.2, 1.5 * cmath.exp(0.3j), 0.6, 0.8), 0.95, TruncationPolicy())
+    # x_a = 900 and x_b = 625 at s = 0, where many entries of one segment
+    # differ in their last bits between its own table and the next larger one.
+    LARGE_X = (QuasiBellState(30.0, 25.0 * cmath.exp(0.3j), 0.6, 0.8), 0.0, TruncationPolicy())
+    # A zero amplitude gives x = 0 and exact zeros; n_min = 300 makes the
+    # series cross the same table edges anyway.
+    ZERO_ALPHA = (
+        QuasiBellState(0.0, 1.5 * cmath.exp(0.3j), 0.6, 0.8),
+        0.95,
+        TruncationPolicy(n_min=300),
+    )
+    ZERO_BETA = (QuasiBellState(2.2, 0.0, 0.6, 0.8), 0.95, TruncationPolicy(n_min=300))
+
+    @pytest.mark.parametrize(
+        "case", [DEEP, LARGE_X, ZERO_ALPHA, ZERO_BETA], ids=["deep", "large_x", "alpha0", "beta0"]
+    )
+    def test_bits_match_per_n_route(self, case):
+        state, s, policy = case
+        for branch in ("plus", "minus"):
+            spectrum = build_spectrum(state, s, branch, policy)
+            old_terms = _old_pair_terms(state, s, branch)
+            old = _truncate(old_terms, policy)[0][:, 0]
+            assert spectrum.n_used > 256
+            assert spectrum.coeffs.tobytes() == old.tobytes(), branch
+            for n in (1, 64, 65, 128, 129, 256, 257, spectrum.n_used):
+                new = fourier_coefficient(state, s, n, branch)
+                assert new.hex() == old_terms(n)[0].hex(), (branch, n)
+        for mode in (1, 2):
+            spectrum = one_mode_coefficients(state, s, mode, policy)
+            old = _truncate(_old_one_mode_terms(state, s, mode), policy)[0]
+            new = np.column_stack([spectrum.cos_coeffs, spectrum.sin_coeffs])
+            assert spectrum.n_used > 128  # mode 2 of DEEP stops at 224
+            assert new.tobytes() == old.tobytes(), mode

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from catphase import (
     bessel_i_ratio,
     bessel_i_scaled,
     build_spectrum,
+    fourier_coefficient,
     i_n_combo,
     i_n_combo_kummer,
     kummer_m_log,
@@ -192,6 +194,18 @@ class TestCombination:
             i_n_combo(True, 1.0, "plus")
         with pytest.raises(DomainError, match="<= 65536"):
             i_n_combo(2**16 + 1, 1.0, "plus")
+        with pytest.raises(DomainError, match="combination index n"):
+            i_n_combo(2.0, 1.0, "plus")
+
+    def test_numpy_integer_index(self):
+        for n in (1, 65, 300):
+            for branch in ("plus", "minus"):
+                assert _bits(i_n_combo(np.int64(n), 80.0, branch)) == _bits(
+                    i_n_combo(n, 80.0, branch)
+                )
+                assert _bits(i_n_combo_kummer(np.int32(n), 3.0, branch)) == _bits(
+                    i_n_combo_kummer(n, 3.0, branch)
+                )
 
     def test_largest_index(self):
         for branch in ("plus", "minus"):
@@ -235,6 +249,35 @@ class TestTablePurity:
         one_mode_coefficients(state, 0.95, 2)
         second = build_spectrum(state, 0.95, branch)
         assert first.coeffs.tobytes() == second.coeffs.tobytes()
+
+    # The state above, and one at x_a = 900, x_b = 625 (s = 0) where a table's
+    # last bits depend on its size more often.
+    @pytest.mark.parametrize(
+        "state,s",
+        [
+            (QuasiBellState(2.2, 1.5 * cmath.exp(0.3j), 0.6, 0.8), 0.95),
+            (QuasiBellState(30.0, 25.0 * cmath.exp(0.3j), 0.6, 0.8), 0.0),
+        ],
+    )
+    def test_one_mode_and_coefficient_independent_of_call_order(self, state, s):
+        def outputs():
+            rows = []
+            for mode in (1, 2):
+                spectrum = one_mode_coefficients(state, s, mode)
+                rows += [spectrum.cos_coeffs.tobytes(), spectrum.sin_coeffs.tobytes()]
+            for branch in ("plus", "minus"):
+                for n in (1, 64, 65, 128, 129, 256, 257, 316):
+                    rows.append(fourier_coefficient(state, s, n, branch).hex())
+            return rows
+
+        specfun._combo_table.cache_clear()
+        cold = outputs()
+        # The 512-row table cached first at both x must not change what the
+        # smaller tables serve.
+        specfun._combo_table.cache_clear()
+        for amp in (state.alpha, state.beta):
+            i_n_combo(512, abs(amp) ** 2 / (1.0 - s), "plus")
+        assert outputs() == cold
 
 
 class TestKummer:
