@@ -7,100 +7,22 @@ independent quadrature and Fock-basis oracles that validate every analytic
 formula numerically.
 """
 
-from .errors import (
-    CatPhaseError,
-    CutoffTooSmallError,
-    DomainError,
-    NoConvergenceError,
-    NullStateError,
-)
-from .oracle import (
-    FOCK_BOUND_TOL,
-    FockChiResult,
-    QuadratureSpec,
-    fock_chi_oracle,
-    quadrature_normalization,
-    quadrature_one_mode,
-    quadrature_phase_dist,
-)
-from .phasedist import (
-    FourierSpectrum,
-    OneModeSpectrum,
-    PhaseStats,
-    TrigMoments,
-    TruncationPolicy,
-    build_spectrum,
-    eval_one_mode_dist,
-    eval_phase_dist,
-    fourier_coefficient,
-    one_mode_coefficients,
-    phase_mean_var,
-    trig_moments,
-    wrap_angle,
-)
-from .quasiprob import S_UPPER, chi, w, w_symmetrized
-from .specfun import (
-    LogScaledValue,
-    bessel_i_ratio,
-    bessel_i_scaled,
-    i_n_combo,
-    i_n_combo_kummer,
-    kummer_m_log,
-)
-from .states import (
-    PRESET_WEIGHTS,
-    QuasiBellState,
-    make_preset,
-    normalization_constant,
-    state_from_descriptor,
-    state_to_descriptor,
-    validate_params,
-)
+from . import errors, oracle, phasedist, quasiprob, specfun, states
+from .errors import *
+from .oracle import *
+from .phasedist import *
+from .quasiprob import *
+from .specfun import *
+from .states import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatPhaseError",
-    "CutoffTooSmallError",
-    "DomainError",
-    "NoConvergenceError",
-    "NullStateError",
-    "FOCK_BOUND_TOL",
-    "FockChiResult",
-    "QuadratureSpec",
-    "fock_chi_oracle",
-    "quadrature_normalization",
-    "quadrature_one_mode",
-    "quadrature_phase_dist",
-    "FourierSpectrum",
-    "OneModeSpectrum",
-    "PhaseStats",
-    "TrigMoments",
-    "TruncationPolicy",
-    "build_spectrum",
-    "eval_one_mode_dist",
-    "eval_phase_dist",
-    "fourier_coefficient",
-    "one_mode_coefficients",
-    "phase_mean_var",
-    "trig_moments",
-    "wrap_angle",
-    "S_UPPER",
-    "chi",
-    "w",
-    "w_symmetrized",
-    "LogScaledValue",
-    "bessel_i_ratio",
-    "bessel_i_scaled",
-    "i_n_combo",
-    "i_n_combo_kummer",
-    "kummer_m_log",
-    "PRESET_WEIGHTS",
-    "QuasiBellState",
-    "make_preset",
-    "normalization_constant",
-    "state_from_descriptor",
-    "state_to_descriptor",
-    "validate_params",
+    *errors.__all__,
+    *oracle.__all__,
+    *phasedist.__all__,
+    *quasiprob.__all__,
+    *specfun.__all__,
+    *states.__all__,
     "__version__",
 ]

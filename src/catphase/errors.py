@@ -1,5 +1,9 @@
 """Exception types shared by all catphase modules."""
 
+__all__ = [
+    "CatPhaseError", "NullStateError", "DomainError", "NoConvergenceError", "CutoffTooSmallError"
+]
+
 
 class CatPhaseError(Exception):
     """Base class for every error raised by this package."""

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CutoffTooSmallError
+from .errors import CutoffTooSmallError, DomainError
 from .quasiprob import _require_real_s, _require_s_below_one, w, w_symmetrized
 from .specfun import _branch_sign, _positive_int
 from .states import QuasiBellState, _require_mode, normalization_constant
@@ -80,10 +80,15 @@ class QuadratureSpec:
 
 
 def _radial_rule(state: QuasiBellState, s: float, spec: QuadratureSpec):
-    """Gauss-Legendre nodes and weights on [0, R]."""
+    """Gauss-Legendre nodes and weights on [0, R]; DomainError if R^2 is not finite."""
     radius = max(abs(state.alpha), abs(state.beta)) + spec.radial_cutoff_sigma * math.sqrt(
         (1.0 - s) / 2.0
     )
+    if not math.isfinite(radius * radius):
+        raise DomainError(
+            f"radial_cutoff_sigma = {spec.radial_cutoff_sigma!r} gives the radius R = {radius!r}, "
+            "whose square is not finite"
+        )
     nodes, weights = leggauss(spec.n_radial)
     return 0.5 * radius * (nodes + 1.0), 0.5 * radius * weights
 

@@ -418,6 +418,8 @@ def phase_mean_var(spectrum: FourierSpectrum, phi0: float) -> PhaseStats:
     mean = phi0 + 2 sum_n ((-1)^n / n) c_n sin n(phi0 - phi_prime)
     variance = pi^2/3 - (mean - phi0)^2
                + 4 sum_n ((-1)^n / n^2) c_n cos n(phi0 - phi_prime)
+
+    OverflowError, naming phi0, if either is not finite.
     """
     phi0 = float(phi0)
     if not math.isfinite(phi0):
@@ -425,10 +427,16 @@ def phase_mean_var(spectrum: FourierSpectrum, phi0: float) -> PhaseStats:
     n = np.arange(1, spectrum.n_used + 1)
     signs = np.where(n % 2 == 0, 1.0, -1.0)
     delta0 = phi0 - spectrum.phi_prime
-    mean_shift = 2.0 * np.sum(signs / n * spectrum.coeffs * np.sin(n * delta0))
-    variance = (
-        math.pi**2 / 3.0
-        - mean_shift**2
-        + 4.0 * np.sum(signs / n**2 * spectrum.coeffs * np.cos(n * delta0))
-    )
-    return PhaseStats(mean=phi0 + float(mean_shift), variance=float(variance))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_shift = 2.0 * np.sum(signs / n * spectrum.coeffs * np.sin(n * delta0))
+        variance = (
+            math.pi**2 / 3.0
+            - mean_shift**2
+            + 4.0 * np.sum(signs / n**2 * spectrum.coeffs * np.cos(n * delta0))
+        )
+    mean, variance = phi0 + float(mean_shift), float(variance)
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise OverflowError(
+            f"phase mean {mean!r}, variance {variance!r} not finite at window center {phi0!r}"
+        )
+    return PhaseStats(mean=mean, variance=variance)

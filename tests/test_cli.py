@@ -245,6 +245,30 @@ class TestMomentsCommand:
         assert code == 0
         assert json.loads(out)["phi0"] == 0.5
 
+    def test_variance_past_float_range_is_overflow_error(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "moments",
+            "--preset",
+            "odd_cat",
+            "--alpha",
+            "1.1361335358221332",
+            "0",
+            "--beta",
+            "1.6326762425465526",
+            "0",
+            "--s",
+            "0.9786597790976956",
+            "--branch",
+            "plus",
+            "--phi0",
+            "3.0",
+        )
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "OverflowError"
+        assert error["message"].endswith("window center 3.0")
+
 
 class TestWignerSliceCommand:
     def test_grid_and_values(self, capsys):
@@ -665,6 +689,24 @@ class TestOracleCompareCommand:
         assert payload["one_mode_vs_quadrature_max_abs_dev"] < 1e-6
         assert payload["normalization_max_abs_dev"] < 1e-6
         assert payload["max_abs_dev"] < 1e-6
+
+    def test_cutoff_past_float_range_is_domain_error(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "oracle-compare",
+            "--radial-sigma",
+            "1e300",
+            "--n-chi-points",
+            "0",
+            "--n-radial",
+            "16",
+            "--n-angular",
+            "32",
+        )
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "DomainError"
+        assert "radial_cutoff_sigma" in error["message"]
 
 
 def test_import_leaves_scipy_unloaded():

@@ -322,6 +322,32 @@ class TestRefusalParity:
         assert str(info.value) == self.MESSAGE
 
 
+class TestWideCutoff:
+    """A cutoff whose radius R squares past the float range is refused."""
+
+    STATE = make_preset("even_cat", 1.0, 1.0)
+    CALLS = [
+        lambda st, spec: quadrature_phase_dist(st, 0.0, "plus", 0.3, spec),
+        lambda st, spec: quadrature_one_mode(st, 0.0, 1, 0.3, spec),
+        lambda st, spec: quadrature_normalization(st, 0.0, spec),
+    ]
+    IDS = ["phase_dist", "one_mode", "normalization"]
+
+    @pytest.mark.parametrize("sigma", [1e155, 1e300])
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_refused(self, call, sigma):
+        # R ~ 7e154 at sigma = 1e155: R^2 and r w are inf, and 0 * inf made
+        # every oracle return NaN.
+        spec = QuadratureSpec(n_radial=16, n_angular=32, radial_cutoff_sigma=sigma)
+        with pytest.raises(DomainError, match="radial_cutoff_sigma"):
+            call(self.STATE, spec)
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_finite_below_the_refusal(self, call):
+        spec = QuadratureSpec(n_radial=16, n_angular=32, radial_cutoff_sigma=1e150)
+        assert call(self.STATE, spec) == 0.0
+
+
 class TestFockChiOracle:
     def test_trace_of_rho_at_origin(self, any_preset):
         state = preset_state(any_preset)

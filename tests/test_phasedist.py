@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +449,34 @@ class TestPhaseMeanVar:
         spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")
         stats = phase_mean_var(spectrum, spectrum.phi_prime + 0.5)
         assert stats.mean != pytest.approx(spectrum.phi_prime + 0.5)
+
+    def test_not_finite_is_overflow_error_without_warning(self):
+        # c_1 = -3.3e152 here: off centre the mean shift squares past the
+        # float range, and the variance was returned as -inf.
+        state = make_preset("odd_cat", 1.1361335358221332, 1.6326762425465526)
+        spectrum = build_spectrum(state, 0.9786597790976956, "plus")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"window center 3\.0$"):
+                phase_mean_var(spectrum, 3.0)
+            assert math.isfinite(phase_mean_var(spectrum, spectrum.phi_prime).variance)
+
+    @pytest.mark.parametrize("preset", ["even_cat", "odd_cat"])
+    @pytest.mark.parametrize("s", [-1.0, 0.4, 0.9])
+    def test_finite_bits_match_the_unguarded_formula(self, preset, s):
+        spectrum = build_spectrum(preset_state(preset), s, "minus")
+        n = np.arange(1, spectrum.n_used + 1)
+        signs = np.where(n % 2 == 0, 1.0, -1.0)
+        for phi0 in (spectrum.phi_prime, spectrum.phi_prime + 0.5, -2.0):
+            delta0 = phi0 - spectrum.phi_prime
+            shift = 2.0 * np.sum(signs / n * spectrum.coeffs * np.sin(n * delta0))
+            variance = (
+                math.pi**2 / 3.0
+                - shift**2
+                + 4.0 * np.sum(signs / n**2 * spectrum.coeffs * np.cos(n * delta0))
+            )
+            expected = (phi0 + float(shift), float(variance))
+            assert tuple(phase_mean_var(spectrum, phi0)) == expected
 
 
 def _refusal(error, coefficient):

@@ -19,10 +19,12 @@ The configs:
   unreadable ``--config`` and unwritable ``--out`` paths, and ``--help`` for
   the top level and every command (``oracle-compare`` at small node counts);
 - 5 later configs: ``validate --renormalize`` and settings below their least
-  value or not finite.
+  value or not finite;
+- 2 more: a ``moments`` window whose variance passes the float range, and an
+  ``oracle-compare`` cutoff whose radius squares past it.
 
-The first 947 configs, and then the first 1,045, keep their order, so an
-older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
+The first 947 configs, then the first 1,045 and the first 1,050, keep their
+order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
 argparse wraps help text to the terminal width.
 
 Usage, from the repository root:
@@ -180,13 +182,24 @@ FLAG_CONFIGS = (
     (),
 )
 # Configs added after the first 1,045: the renormalize flag on validate, and
-# settings below their least value or not finite.
+# settings below their least value or not finite.  Then, after the first
+# 1,050: a moments window whose variance passes the float range, and an
+# oracle-compare cutoff whose radius squares past it.
 LATER_CONFIGS = (
     ("validate", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
     ("validate", "--mu", "0", "0", "--nu", "0", "0", "--renormalize"),
     ("oracle-compare", "--n-chi-points", "-1", "--n-radial", "16", "--n-angular", "32"),
     ("wigner-slice", "--nx", "2", "--ny", "2", "--x-min", "nan"),
     ("wigner-slice", "--nx", "2", "--ny", "2", "--fix", "delta_re=nan"),
+    (
+        "moments", "--preset", "odd_cat", "--alpha", "1.1361335358221332", "0",
+        "--beta", "1.6326762425465526", "0", "--s", "0.9786597790976956",
+        "--branch", "plus", "--phi0", "3.0",
+    ),
+    (
+        "oracle-compare", "--radial-sigma", "1e300", "--n-chi-points", "0",
+        "--n-radial", "16", "--n-angular", "32",
+    ),
 )
 NATIVE_FORMATS = (
     ("validate", "json"),
