@@ -35,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import CutoffTooSmallError, DomainError
 from .quasiprob import _require_real_s, _require_s_below_one, w, w_symmetrized
 from .specfun import _branch_sign, _positive_int
-from .states import QuasiBellState, _require_mode, normalization_constant
+from .states import QuasiBellState, _require_mode, _sq_sum, normalization_constant
 
 __all__ = [
     "QuadratureSpec",
@@ -333,31 +333,41 @@ def fock_chi_oracle(
     exp(s(|xi|^2+|eta|^2)/2).  A rigorous truncation bound (driven by the
     coherent tails beyond n_cut; take n_cut >= 4 max(|alpha|^2, |beta|^2) + 20
     for comfortable margins) is returned alongside and must stay below
-    ``FOCK_BOUND_TOL``.
+    ``FOCK_BOUND_TOL``.  DomainError if |xi|^2 + |eta|^2 or the trace is not
+    finite.
     """
     n_cut = _positive_int(n_cut, "n_cut")
     s = _require_real_s(s)
     xi = complex(xi)
     eta = complex(eta)
+    mod_sq = _sq_sum(xi, eta)
+    if not math.isfinite(mod_sq):
+        raise DomainError(f"|xi|^2+|eta|^2 must be finite, got xi={xi!r}, eta={eta!r}")
 
     vec_a = _coherent_pair(state.alpha, n_cut)
     vec_b = _coherent_pair(state.beta, n_cut)
-    overlap_a = vec_a.conj().T @ _displacement_matrix(xi, n_cut) @ vec_a
-    overlap_b = vec_b.conj().T @ _displacement_matrix(eta, n_cut) @ vec_b
-
     mu, nu = state.mu, state.nu
     weights = np.outer(np.conj([mu, nu]), [mu, nu])
     n2 = normalization_constant(state) ** 2
-    prefactor = math.exp(0.5 * s * (abs(xi) ** 2 + abs(eta) ** 2))
-    value = prefactor * n2 * complex(np.sum(weights * overlap_a * overlap_b))
+    prefactor = math.exp(0.5 * s * mod_sq)
+    # A trace that leaves the float range is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap_a = vec_a.conj().T @ _displacement_matrix(xi, n_cut) @ vec_a
+        overlap_b = vec_b.conj().T @ _displacement_matrix(eta, n_cut) @ vec_b
+        value = prefactor * n2 * complex(np.sum(weights * overlap_a * overlap_b))
 
     err_a = 2.0 * math.sqrt(_poisson_tail(abs(state.alpha) ** 2, n_cut))
     err_b = 2.0 * math.sqrt(_poisson_tail(abs(state.beta) ** 2, n_cut))
     per_term = err_a + err_b + err_a * err_b
     bound = prefactor * n2 * (abs(mu) + abs(nu)) ** 2 * per_term
-    if bound > FOCK_BOUND_TOL:
+    if not bound <= FOCK_BOUND_TOL:
         raise CutoffTooSmallError(
             f"Fock truncation bound {bound:.3e} exceeds {FOCK_BOUND_TOL:g} at "
             f"n_cut={n_cut}; increase the cutoff"
+        )
+    if not np.isfinite(value):
+        raise DomainError(
+            f"the number-basis trace at xi={xi!r}, eta={eta!r} is not finite: "
+            f"the displacement matrix at n_cut={n_cut} is past the float range there"
         )
     return FockChiResult(value=value, bound=bound)

@@ -7,16 +7,16 @@ cosine series
 
 with coefficients built from the scaled Bessel combinations of
 :mod:`catphase.specfun`; the one-mode distributions add odd-index sine
-terms.  Both kinds share one path.  One row reader per Bessel argument x
-reads the combinations table segment by table segment: the first n of each
-cached table comes through the scalar :func:`~catphase.specfun.i_n_combo`
-(which checks it and picks the table), the rest straight from that table.
-A per-spectrum ``terms(n) -> (c_n, d_n)`` (d_n = 0 for the pair branches)
-fuses one row of each reader and feeds one truncation loop, which stops once
-two consecutive terms drop below ``eps_tail`` (the decay is super-geometric,
-so a two-term test is safe against even/odd alternation), and one Clenshaw
-evaluator sums either series.  Spectra carry their construction context so
-moments can recompute coefficients on demand.
+terms.  One row reader per Bessel argument x reads the combinations table
+segment by table segment: the first n of each cached table comes through the
+scalar :func:`~catphase.specfun.i_n_combo` (which checks it and picks the
+table), the rest straight from that table.  A row generator per spectrum
+fuses one row of each reader into (c_n,) for a pair branch or (c_n, d_n) for
+a mode; one truncation loop draws rows until two consecutive ones drop below
+``eps_tail`` (the decay is super-geometric, so a two-term test is safe
+against even/odd alternation) and makes one array per column, and one
+Clenshaw evaluator sums either series.  Spectra carry their construction
+context so moments can recompute coefficients on demand.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -196,52 +196,63 @@ def _combo_rows(x: float, n: int):
         n = top + 1
 
 
-def _pair_terms(state: QuasiBellState, s: float, branch: str, n: int = 1):
-    """terms(n) -> (c_n, 0.0) of the phase-sum (plus) or phase-difference (minus) series.
-
-    terms is called for n, n + 1, ... in turn: each call fuses the next row of
-    the readers at x_a and x_b.
-    """
-    sign = _branch_sign(branch)
+def _pair_rows(state: QuasiBellState, s: float, branch: str, sign: int, n: int = 1):
+    """Rows (c_n,) of the phase-sum (plus, sign 1) or difference (minus, sign -1) series from n."""
     x_a = abs(state.alpha) ** 2 / (1.0 - s)
     x_b = abs(state.beta) ** 2 / (1.0 - s)
     shift = -2.0 * state.amplitude_sq_sum
     w_sign, log_w = LogScaledValue.from_value(2.0 * state.weight_overlap.real)
     log_scale = 2.0 * math.log(normalization_constant(state)) + math.log(0.5 * math.pi)
     label = f"c_{{n}}^({branch}) at s={s!r}"
-    rows = zip(_combo_rows(x_a, n), _combo_rows(x_b, n))
-
-    def terms(n: int) -> tuple[float, float]:
-        (sign_pa, log_pa, sign_ma, log_ma), (sign_pb, log_pb, sign_mb, log_mb) = next(rows)
+    for n, (sign_pa, log_pa, sign_ma, log_ma), (sign_pb, log_pb, sign_mb, log_mb) in zip(
+        count(n), _combo_rows(x_a, n), _combo_rows(x_b, n)
+    ):
+        interf_sign = sign**n * w_sign * sign_ma * sign_mb
+        interf_log = log_w + log_ma + log_mb + shift
         c_n = _fused(
-            sign_pa * sign_pb,
-            log_pa + log_pb,
-            sign**n * w_sign * sign_ma * sign_mb,
-            log_w + log_ma + log_mb + shift,
-            log_scale,
-            label,
-            n,
+            sign_pa * sign_pb, log_pa + log_pb, interf_sign, interf_log, log_scale, label, n
         )
-        return c_n, 0.0
-
-    return terms
+        yield (c_n,)
 
 
-def _truncate(terms, policy: TruncationPolicy | None) -> tuple[np.ndarray, float]:
-    """Rows (c_n, d_n) = terms(n) for n = 1..n_used, and the tail where they stop.
+def _one_mode_rows(state: QuasiBellState, s: float, amp: complex):
+    """Rows (c_n, d_n) of the one-mode series of the mode of amplitude ``amp``, for n = 1, 2, ..."""
+    x_m = abs(amp) ** 2 / (1.0 - s)
+    shift = -2.0 * state.amplitude_sq_sum
+    log_scale = 2.0 * math.log(normalization_constant(state)) + 0.5 * math.log(0.5 * math.pi)
+    cross = state.weight_overlap
+    re_sign, log_re = LogScaledValue.from_value(2.0 * cross.real)
+    im_sign, log_im = LogScaledValue.from_value(2.0 * cross.imag)
+    imb_sign, log_imb = LogScaledValue.from_value(abs(state.mu) ** 2 - abs(state.nu) ** 2)
+    c_label = f"one-mode c_{{n}} at s={s!r}"
+    d_label = f"one-mode d_{{n}} at s={s!r}"
+    for n, (sign_p, log_p, sign_m, log_m) in enumerate(_combo_rows(x_m, 1), start=1):
+        if n % 2 == 0:
+            interf_log = log_re + log_m + shift
+            c_n = _fused(sign_p, log_p, re_sign * sign_m, interf_log, log_scale, c_label, n)
+            yield c_n, 0.0
+        else:
+            yield (
+                _fused(imb_sign * sign_p, log_imb + log_p, 0, 0.0, log_scale, c_label, n),
+                _fused(im_sign * sign_m, log_im + log_m + shift, 0, 0.0, log_scale, d_label, n),
+            )
 
-    They stop at the first n >= max(n_min, 2) where max(|c_n|, |d_n|,
-    |c_(n-1)|, |d_(n-1)|) < eps_tail, or raise NoConvergenceError by n_max.
+
+def _truncate(rows, policy: TruncationPolicy | None) -> tuple[list[np.ndarray], float]:
+    """One array per column of the rows drawn from ``rows`` for n = 1..n_used, and the tail there.
+
+    They stop at the first n >= max(n_min, 2) where every entry of rows n - 1
+    and n is below eps_tail in magnitude, or raise NoConvergenceError by n_max.
     """
     policy = policy or TruncationPolicy()
     if policy.n_max < 2:
         raise NoConvergenceError(f"the two-term tail test needs n_max >= 2, got {policy.n_max}")
-    rows: list[tuple[float, float]] = []
-    for n in range(1, policy.n_max + 1):
-        rows.append(terms(n))
-        tail = max(map(abs, rows[-2] + rows[-1])) if n >= 2 else math.inf
+    kept = [next(rows)]
+    for n in range(2, policy.n_max + 1):
+        kept.append(next(rows))
+        tail = max(map(abs, kept[-2] + kept[-1]))
         if n >= policy.n_min and tail < policy.eps_tail:
-            return np.array(rows), tail
+            return [np.array(column) for column in zip(*kept)], tail
     raise NoConvergenceError(
         f"spectrum tail still {tail:.3e} "
         f"above eps_tail={policy.eps_tail:g} at n_max={policy.n_max}"
@@ -259,10 +270,10 @@ def fourier_coefficient(state: QuasiBellState, s: float, n: int, branch: str) ->
     e^(-2(...)) is fused with the log-scaled minus combinations before
     anything is exponentiated.
     """
-    _branch_sign(branch)
+    sign = _branch_sign(branch)
     s = _require_s_below_one(s)
     n = _positive_int(n, "coefficient index n")
-    return _pair_terms(state, s, branch, n)(n)[0]
+    return next(_pair_rows(state, s, branch, sign, n))[0]
 
 
 def build_spectrum(
@@ -279,12 +290,12 @@ def build_spectrum(
     sign = _branch_sign(branch)
     s = _require_s_below_one(s)
     phi_prime = (cmath.phase(state.beta) + sign * cmath.phase(state.alpha)) % _TWO_PI
-    rows, tail = _truncate(_pair_terms(state, s, branch), policy)
+    (coeffs,), tail = _truncate(_pair_rows(state, s, branch, sign), policy)
     return FourierSpectrum(
         branch=branch,
         phi_prime=phi_prime,
-        coeffs=rows[:, 0].copy(),
-        n_used=len(rows),
+        coeffs=coeffs,
+        n_used=len(coeffs),
         tail_bound=tail,
         state=state,
         s=s,
@@ -350,35 +361,14 @@ def one_mode_coefficients(
     """
     s = _require_s_below_one(s)
     mode = _require_mode(mode)
-
     amp = state.alpha if mode == 1 else state.beta
-    x_m = abs(amp) ** 2 / (1.0 - s)
-    shift = -2.0 * state.amplitude_sq_sum
-    log_scale = 2.0 * math.log(normalization_constant(state)) + 0.5 * math.log(0.5 * math.pi)
-    cross = state.weight_overlap
-    re_sign, log_re = LogScaledValue.from_value(2.0 * cross.real)
-    im_sign, log_im = LogScaledValue.from_value(2.0 * cross.imag)
-    imb_sign, log_imb = LogScaledValue.from_value(abs(state.mu) ** 2 - abs(state.nu) ** 2)
-    c_label = f"one-mode c_{{n}} at s={s!r}"
-    d_label = f"one-mode d_{{n}} at s={s!r}"
-    rows = _combo_rows(x_m, 1)
-
-    def terms(n: int) -> tuple[float, float]:
-        sign_p, log_p, sign_m, log_m = next(rows)
-        if n % 2 == 0:
-            interf_log = log_re + log_m + shift
-            return _fused(sign_p, log_p, re_sign * sign_m, interf_log, log_scale, c_label, n), 0.0
-        c_n = _fused(imb_sign * sign_p, log_imb + log_p, 0, 0.0, log_scale, c_label, n)
-        d_n = _fused(im_sign * sign_m, log_im + log_m + shift, 0, 0.0, log_scale, d_label, n)
-        return c_n, d_n
-
-    rows, _ = _truncate(terms, policy)
+    (cos_coeffs, sin_coeffs), _ = _truncate(_one_mode_rows(state, s, amp), policy)
     return OneModeSpectrum(
         mode=mode,
         phi_ref=cmath.phase(amp) % _TWO_PI,
-        cos_coeffs=rows[:, 0].copy(),
-        sin_coeffs=rows[:, 1].copy(),
-        n_used=len(rows),
+        cos_coeffs=cos_coeffs,
+        sin_coeffs=sin_coeffs,
+        n_used=len(cos_coeffs),
         state=state,
         s=s,
     )

@@ -42,38 +42,32 @@ def _require_s_below_one(s: float) -> float:
     return s
 
 
-def _chi_any_s(state: QuasiBellState, xi, eta, s):
-    xi = np.asarray(xi, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
-    n2 = normalization_constant(state) ** 2
-    asq = state.amplitude_sq_sum
-
-    mod_sq = np.abs(xi) ** 2 + np.abs(eta) ** 2
-    # xi alpha* - xi* alpha is purely imaginary; xi alpha* + xi* alpha is real.
-    g = 2j * ((xi * np.conj(alpha)).imag + (eta * np.conj(beta)).imag)
-    h = 2.0 * ((xi * np.conj(alpha)).real + (eta * np.conj(beta)).real)
-
-    pref = np.exp(-0.5 * (1.0 - s) * mod_sq)
-    cross = state.weight_overlap  # mu nu*
-    terms = (
-        abs(mu) ** 2 * np.exp(g)
-        + abs(nu) ** 2 * np.exp(-g)
-        + np.conj(cross) * np.exp(h - 2.0 * asq)
-        + cross * np.exp(-h - 2.0 * asq)
-    )
-    return n2 * pref * terms
-
-
 def chi(state: QuasiBellState, xi, eta, s: float):
     """s-ordered characteristic function chi(xi, eta; s), closed form.
 
     Entire in s (any real value is accepted); chi(0, 0; s) = 1.  ``xi`` and
-    ``eta`` may be complex scalars or broadcastable arrays.
+    ``eta`` may be complex scalars or broadcastable arrays.  The Gaussian
+    factor exp(-(1-s)(|xi|^2+|eta|^2)/2) is fused into the exponent of each
+    of the four terms, so no term meets an overflow where chi underflows.
     """
     s = _require_real_s(s)
     scalar = np.ndim(xi) == 0 and np.ndim(eta) == 0
-    out = _chi_any_s(state, xi, eta, s)
+    xi = np.asarray(xi, dtype=complex)
+    eta = np.asarray(eta, dtype=complex)
+    alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
+    asq = state.amplitude_sq_sum
+
+    gauss = -0.5 * (1.0 - s) * (np.abs(xi) ** 2 + np.abs(eta) ** 2)
+    # xi alpha* - xi* alpha is purely imaginary; xi alpha* + xi* alpha is real.
+    g = 2j * ((xi * np.conj(alpha)).imag + (eta * np.conj(beta)).imag)
+    h = 2.0 * ((xi * np.conj(alpha)).real + (eta * np.conj(beta)).real)
+    cross = state.weight_overlap  # mu nu*
+    out = normalization_constant(state) ** 2 * (
+        abs(mu) ** 2 * np.exp(gauss + g)
+        + abs(nu) ** 2 * np.exp(gauss - g)
+        + np.conj(cross) * np.exp(gauss + h - 2.0 * asq)
+        + cross * np.exp(gauss - h - 2.0 * asq)
+    )
     return complex(out) if scalar else out
 
 

@@ -245,7 +245,7 @@ def _check_combo_args(n: int, x: float) -> int:
     """The index n as a Python int, once n >= 1 and x >= 0 are checked."""
     n = _positive_int(n, "combination index n")
     if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"combination argument x must be >= 0, got {x!r}")
+        raise DomainError(f"combination argument x must be finite and >= 0, got {x!r}")
     return n
 
 

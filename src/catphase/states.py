@@ -95,11 +95,15 @@ def validate_params(alpha: complex, beta: complex, mu: complex, nu: complex) -> 
         return diagnostics
 
     alpha, beta, mu, nu = complex(alpha), complex(beta), complex(mu), complex(nu)
-    weight_norm = abs(mu) ** 2 + abs(nu) ** 2
+    weight_norm = _sq_sum(mu, nu)
     if abs(weight_norm - 1.0) > WEIGHT_NORM_TOL:
         diagnostics.append(
             f"|mu|^2+|nu|^2 = {weight_norm!r} differs from 1 by "
             f"{abs(weight_norm - 1.0):.3e} (tolerance {WEIGHT_NORM_TOL:g})"
+        )
+    if not math.isfinite(_sq_sum(alpha, beta)):
+        diagnostics.append(
+            f"|alpha|^2+|beta|^2 is past the float range (alpha={alpha!r}, beta={beta!r})"
         )
     radicand, interference = _radicand(alpha, beta, mu, nu)
     if _radicand_is_null(radicand, interference):
@@ -110,9 +114,17 @@ def validate_params(alpha: complex, beta: complex, mu: complex, nu: complex) -> 
     return diagnostics
 
 
+def _sq_sum(a: complex, b: complex) -> float:
+    """|a|^2 + |b|^2, or inf where it passes the float range."""
+    try:
+        return abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _radicand(alpha: complex, beta: complex, mu: complex, nu: complex) -> tuple[float, float]:
     """Squared norm 1 + 2 Re(mu nu*) exp(-2(...)) and its interference part."""
-    asq = abs(alpha) ** 2 + abs(beta) ** 2
+    asq = _sq_sum(alpha, beta)
     interference = (mu * nu.conjugate()).real * math.exp(-2.0 * asq)
     return 1.0 + 2.0 * interference, interference
 
@@ -134,7 +146,8 @@ class QuasiBellState:
     Raises
     ------
     ValueError
-        Non-finite parameters or weight norm off by more than the tolerance.
+        Non-finite parameters, |alpha|^2 + |beta|^2 past the float range,
+        or weight norm off by more than the tolerance.
     NullStateError
         The superposition has zero norm (odd cat at alpha = beta = 0).
 
@@ -158,9 +171,8 @@ class QuasiBellState:
             object.__setattr__(self, "nu", nu)
         problems = validate_params(self.alpha, self.beta, self.mu, self.nu)
         if problems:
-            if any("non-normalizable" in p for p in problems):
-                raise NullStateError("; ".join(problems))
-            raise ValueError("; ".join(problems))
+            null = _radicand_is_null(*_radicand(self.alpha, self.beta, self.mu, self.nu))
+            raise (NullStateError if null else ValueError)("; ".join(problems))
 
     @property
     def weight_overlap(self) -> complex:

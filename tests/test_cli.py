@@ -69,6 +69,16 @@ class TestValidateCommand:
         assert json.loads(out)["error"]["message"].startswith("invalid state: cannot renormalize")
 
 
+    def test_amplitude_past_float_range_is_a_diagnostic(self, capsys):
+        code, out = run_cli(capsys, "validate", "--alpha", "1e200", "0", "--beta", "1", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert payload["diagnostics"] == [
+            "|alpha|^2+|beta|^2 is past the float range (alpha=(1e+200+0j), beta=(1+0j))"
+        ]
+
+
 class TestCoeffsCommand:
     def test_branch_csv(self, capsys):
         code, out = run_cli(capsys, "coeffs", "--branch", "minus", "--preset", "even_cat")
@@ -172,6 +182,20 @@ class TestPhaseDistCommand:
         assert code == 3
         payload = json.loads(out)
         assert payload["error"]["type"] == "DomainError"
+
+    def test_amplitude_past_float_range_is_invalid_state(self, capsys):
+        code, out = run_cli(capsys, "phase-dist", "--alpha", "1e200", "0", "--beta", "1", "0")
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert message.startswith("invalid state: |alpha|^2+|beta|^2 is past the float range")
+
+    def test_bessel_argument_past_float_range_names_finiteness(self, capsys):
+        argv = ["phase-dist", "--alpha", "1e154", "0", "--beta", "1", "0", "--s", "0.5"]
+        code, out = run_cli(capsys, *argv, "--n-phi", "3")
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"] == "combination argument x must be finite and >= 0, got inf"
 
     def test_convergence_error_status(self, capsys):
         code, out = run_cli(capsys, "phase-dist", "--n-max", "3", "--n-min", "2")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -396,6 +397,25 @@ class TestFockChiOracle:
             fock_chi_oracle(preset_state("even_cat"), 0.1, 0.1, 0.0, n_cut=0)
         with pytest.raises(DomainError, match="n_cut"):
             fock_chi_oracle(preset_state("even_cat"), 0.1, 0.1, 0.0, n_cut=True)
+
+    @pytest.mark.parametrize(
+        "xi,eta",
+        [(math.nan, 0.3), (math.inf, 0.3), (1e200, 0.3), (1e100, 0.3), (0.3, 1e100),
+         (0.3, complex(0.0, math.nan))],
+    )
+    def test_unusable_displacement_is_domain_error(self, xi, eta):
+        # Even cat at |alpha| = |beta| = 1, s = 0: a NaN or non-finite |xi|^2
+        # is refused up front; at xi = 1e100 the number-basis recurrence
+        # passes the float range and the trace is NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="xi"):
+                fock_chi_oracle(preset_state("even_cat"), xi, eta, 0.0)
+
+    def test_nan_bound_fails_closed(self, monkeypatch):
+        monkeypatch.setattr("catphase.oracle._poisson_tail", lambda mean, n_cut: math.nan)
+        with pytest.raises(CutoffTooSmallError, match="bound nan"):
+            fock_chi_oracle(preset_state("even_cat"), 0.5, 0.5, 0.0)
 
     def test_numpy_integer_cutoff(self):
         state = preset_state("even_cat")

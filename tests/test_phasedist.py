@@ -3,6 +3,7 @@ import json
 import math
 import re
 import warnings
+from itertools import count
 
 import numpy as np
 import pytest
@@ -276,6 +277,62 @@ class TestInformationLoss:
             other = build_spectrum(state, 0.0, "minus").coeffs
             assert other.shape == reference.shape
             assert np.allclose(other, reference, rtol=1e-13, atol=1e-300)
+
+
+# Random states beyond the presets: any amplitude phases, renormalized
+# complex weights, and moduli and orderings inside the validated box.
+_BOX_AMPLITUDES = st.builds(
+    cmath.rect, st.floats(0.05, math.sqrt(3.0)), st.floats(-math.pi, math.pi)
+)
+_ANY_WEIGHT = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_RANDOM_STATES = st.builds(
+    lambda alpha, beta, mu, nu: QuasiBellState(alpha, beta, mu, nu, renormalize=True),
+    _BOX_AMPLITUDES,
+    _BOX_AMPLITUDES,
+    _ANY_WEIGHT.filter(lambda z: abs(z) > 1e-3),
+    _ANY_WEIGHT,
+)
+_ABSOLUTE_PHASES = np.linspace(-math.pi, math.pi, 361)
+
+
+class TestRandomStates:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(state=_RANDOM_STATES)
+    def test_antinormal_spectra_are_bounded_and_densities_nonnegative(self, state):
+        for branch in ("plus", "minus"):
+            spectrum = build_spectrum(state, -1.0, branch)
+            assert np.max(np.abs(spectrum.coeffs)) <= 1.0, branch
+            grid = spectrum.phi_prime + _ABSOLUTE_PHASES
+            assert float(np.min(eval_phase_dist(spectrum, grid))) >= -1e-12, branch
+        for mode in (1, 2):
+            spectrum = one_mode_coefficients(state, -1.0, mode)
+            assert np.max(np.abs(spectrum.cos_coeffs)) <= 1.0, mode
+            assert np.max(np.abs(spectrum.sin_coeffs)) <= 1.0, mode
+            grid = spectrum.phi_ref + _ABSOLUTE_PHASES
+            assert float(np.min(eval_one_mode_dist(spectrum, grid))) >= -1e-12, mode
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(state=_RANDOM_STATES, s=st.floats(-1.0, 0.4), theta=st.floats(-math.pi, math.pi))
+    def test_information_loss_under_phase_rotations(self, state, s, theta):
+        turn = cmath.exp(1j * theta)
+        mu, nu = state.mu, state.nu
+
+        def density(branch, alpha, beta):
+            spectrum = build_spectrum(QuasiBellState(alpha, beta, mu, nu), s, branch)
+            return eval_phase_dist(spectrum, _ABSOLUTE_PHASES)
+
+        def mode_1_density(beta):
+            spectrum = one_mode_coefficients(QuasiBellState(state.alpha, beta, mu, nu), s, 1)
+            return eval_one_mode_dist(spectrum, _ABSOLUTE_PHASES)
+
+        alpha, beta = state.alpha, state.beta
+        pairs = [
+            (density("minus", alpha, beta), density("minus", alpha * turn, beta * turn)),
+            (density("plus", alpha, beta), density("plus", alpha * turn, beta / turn)),
+            (mode_1_density(beta), mode_1_density(beta * turn)),
+        ]
+        for kind, (base, turned) in zip(("minus", "plus", "mode 1"), pairs):
+            np.testing.assert_allclose(turned, base, rtol=1e-12, atol=1e-14, err_msg=kind)
 
 
 class TestGenuineDistributionBound:
@@ -686,14 +743,16 @@ class TestFusionMatchesLogScaledRoute:
         policy = TruncationPolicy(n_min=2, n_max=n_max)
         for branch in ("plus", "minus"):
             new = _outcome(lambda: build_spectrum(state, s, branch, policy).coeffs)
-            old = _outcome(lambda: _truncate(_old_pair_terms(state, s, branch), policy)[0][:, 0])
+            old_rows = map(_old_pair_terms(state, s, branch), count(1))
+            old = _outcome(lambda: _truncate(old_rows, policy)[0][0])
             assert new == old, branch
         for mode in (1, 2):
             def new_rows():
                 spectrum = one_mode_coefficients(state, s, mode, policy)
                 return np.column_stack([spectrum.cos_coeffs, spectrum.sin_coeffs])
 
-            old = _outcome(lambda: _truncate(_old_one_mode_terms(state, s, mode), policy)[0])
+            old_rows = map(_old_one_mode_terms(state, s, mode), count(1))
+            old = _outcome(lambda: np.column_stack(_truncate(old_rows, policy)[0]))
             assert _outcome(new_rows) == old, mode
 
 
@@ -722,7 +781,7 @@ class TestTableEdges:
         for branch in ("plus", "minus"):
             spectrum = build_spectrum(state, s, branch, policy)
             old_terms = _old_pair_terms(state, s, branch)
-            old = _truncate(old_terms, policy)[0][:, 0]
+            old = _truncate(map(old_terms, count(1)), policy)[0][0]
             assert spectrum.n_used > 256
             assert spectrum.coeffs.tobytes() == old.tobytes(), branch
             for n in (1, 64, 65, 128, 129, 256, 257, spectrum.n_used):
@@ -730,7 +789,8 @@ class TestTableEdges:
                 assert new.hex() == old_terms(n)[0].hex(), (branch, n)
         for mode in (1, 2):
             spectrum = one_mode_coefficients(state, s, mode, policy)
-            old = _truncate(_old_one_mode_terms(state, s, mode), policy)[0]
+            old_rows = map(_old_one_mode_terms(state, s, mode), count(1))
+            old = np.column_stack(_truncate(old_rows, policy)[0])
             new = np.column_stack([spectrum.cos_coeffs, spectrum.sin_coeffs])
             assert spectrum.n_used > 128  # mode 2 of DEEP stops at 224
             assert new.tobytes() == old.tobytes(), mode

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from catphase import (
     chi,
     make_preset,
     normalization_constant,
-    quasiprob,
     w,
     w_symmetrized,
 )
@@ -18,8 +18,25 @@ from conftest import preset_state
 
 
 def chi_complex_s(state, xi, eta, s):
-    """The characteristic function continued to complex s (scalar points)."""
-    return complex(quasiprob._chi_any_s(state, xi, eta, complex(s)))
+    """The closed form of :func:`chi`, continued to complex s, at scalar points.
+
+    The public :func:`chi` takes real s only; this follows its operations in
+    the same order, so at real s it gives the same bits.
+    """
+    s = complex(s)
+    alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
+    asq = state.amplitude_sq_sum
+    gauss = -0.5 * (1.0 - s) * (np.abs(xi) ** 2 + np.abs(eta) ** 2)
+    g = 2j * ((xi * np.conj(alpha)).imag + (eta * np.conj(beta)).imag)
+    h = 2.0 * ((xi * np.conj(alpha)).real + (eta * np.conj(beta)).real)
+    cross = state.weight_overlap
+    out = normalization_constant(state) ** 2 * (
+        abs(mu) ** 2 * np.exp(gauss + g)
+        + abs(nu) ** 2 * np.exp(gauss - g)
+        + np.conj(cross) * np.exp(gauss + h - 2.0 * asq)
+        + cross * np.exp(gauss - h - 2.0 * asq)
+    )
+    return complex(out)
 
 
 def _w_complex_s(state, gamma, delta, s):
@@ -90,6 +107,29 @@ class TestChi:
         assert out.shape == (3,)
         for k in range(3):
             assert out[k] == pytest.approx(chi(state, complex(xi[k]), 0.5, 0.0))
+
+    def test_underflows_to_zero_far_from_origin(self):
+        # exp(-(1-s)|xi|^2/2) underflows to 0 here, while exp(h - 2(|alpha|^2+|beta|^2))
+        # alone overflows.
+        state = preset_state("even_cat")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chi(state, 1000.0, 0.0, 0.0) == 0j
+            far = chi(state, np.array([1000.0, -1000.0, 1000j]), 0.3, 0.0)
+        assert np.all(far == 0)
+
+    def test_origin_bits_match_the_unfused_formula(self, any_preset):
+        state = preset_state(any_preset)
+        mu, nu, cross = state.mu, state.nu, state.weight_overlap
+        n2 = normalization_constant(state) ** 2
+        for s in (-2.0, -1.0, 0.0, 0.5, 1.0, 3.0):
+            pref = np.exp(-0.5 * (1.0 - s) * 0.0)
+            interference = np.exp(0.0 - 2.0 * state.amplitude_sq_sum)
+            terms = abs(mu) ** 2 * np.exp(0j) + abs(nu) ** 2 * np.exp(-0j)
+            terms = terms + np.conj(cross) * interference + cross * interference
+            expected = complex(n2 * pref * terms)
+            assert chi(state, 0.0, 0.0, s).real.hex() == expected.real.hex()
+            assert abs(chi(state, 0.0, 0.0, s) - 1.0) == abs(expected - 1.0)
 
     def test_non_finite_s_rejected(self):
         with pytest.raises(DomainError):

@@ -197,6 +197,13 @@ class TestCombination:
         with pytest.raises(DomainError, match="combination index n"):
             i_n_combo(2.0, 1.0, "plus")
 
+    def test_non_finite_argument_message_names_finiteness(self):
+        for x in (math.inf, math.nan, -1.0):
+            with pytest.raises(DomainError, match=r"x must be finite and >= 0, got"):
+                i_n_combo(1, x, "plus")
+            with pytest.raises(DomainError, match=r"x must be finite and >= 0, got"):
+                i_n_combo_kummer(1, x, "minus")
+
     def test_numpy_integer_index(self):
         for n in (1, 65, 300):
             for branch in ("plus", "minus"):

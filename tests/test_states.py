@@ -94,6 +94,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not finite"):
             QuasiBellState(1.0, 1.0, complex(math.nan, 0.0), INV_SQRT2)
 
+    def test_amplitudes_past_float_range_rejected(self):
+        for kind in ("even_cat", "odd_cat"):
+            with pytest.raises(ValueError, match="past the float range") as info:
+                make_preset(kind, 1e154, 1e154)
+            assert not isinstance(info.value, NullStateError)
+
+    def test_null_state_with_weights_off_is_null_state_error(self):
+        with pytest.raises(NullStateError, match="non-normalizable"):
+            QuasiBellState(0.0, 0.0, 1.0, -1.0)
+
     def test_immutable(self):
         state = make_preset("even_cat", 1.0, 1.0)
         with pytest.raises(AttributeError):
@@ -114,6 +124,23 @@ class TestValidate:
         msgs = validate_params(0.0, 0.0, INV_SQRT2, -INV_SQRT2)
         assert len(msgs) == 1
         assert "non-normalizable" in msgs[0]
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(1e200, 1.0), (1.35e154, 0.0), (1e154, 1e154j), (complex(1e308, 1e308), 0.0),
+         (0.0, complex(1.7e308, 1.7e308))],
+    )
+    def test_amplitudes_past_float_range_diagnostic(self, alpha, beta):
+        msgs = validate_params(alpha, beta, INV_SQRT2, INV_SQRT2)
+        assert msgs == [
+            f"|alpha|^2+|beta|^2 is past the float range "
+            f"(alpha={complex(alpha)!r}, beta={complex(beta)!r})"
+        ]
+
+    def test_weights_past_float_range_diagnostic(self):
+        msgs = validate_params(1.0, 1.0, 1e200, complex(1.7e308, 1.7e308))
+        assert len(msgs) == 1
+        assert "|mu|^2+|nu|^2 = inf" in msgs[0]
 
     def test_non_finite_diagnostic(self):
         msgs = validate_params(complex(0, math.inf), 0.0, INV_SQRT2, INV_SQRT2)

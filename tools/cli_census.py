@@ -21,9 +21,12 @@ The configs:
 - 5 later configs: ``validate --renormalize`` and settings below their least
   value or not finite;
 - 2 more: a ``moments`` window whose variance passes the float range, and an
-  ``oracle-compare`` cutoff whose radius squares past it.
+  ``oracle-compare`` cutoff whose radius squares past it;
+- 3 more: ``validate`` and ``phase-dist`` of a state whose |alpha|^2 passes
+  the float range, and a ``phase-dist`` whose Bessel argument
+  |alpha|^2/(1-s) does.
 
-The first 947 configs, then the first 1,045 and the first 1,050, keep their
+The first 947 configs, then the first 1,045, 1,050 and 1,052, keep their
 order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
 argparse wraps help text to the terminal width.
 
@@ -184,7 +187,9 @@ FLAG_CONFIGS = (
 # Configs added after the first 1,045: the renormalize flag on validate, and
 # settings below their least value or not finite.  Then, after the first
 # 1,050: a moments window whose variance passes the float range, and an
-# oracle-compare cutoff whose radius squares past it.
+# oracle-compare cutoff whose radius squares past it.  Then, after the first
+# 1,052: a state whose |alpha|^2 passes the float range, on validate and on
+# phase-dist, and a Bessel argument |alpha|^2/(1-s) that does.
 LATER_CONFIGS = (
     ("validate", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
     ("validate", "--mu", "0", "0", "--nu", "0", "0", "--renormalize"),
@@ -200,6 +205,9 @@ LATER_CONFIGS = (
         "oracle-compare", "--radial-sigma", "1e300", "--n-chi-points", "0",
         "--n-radial", "16", "--n-angular", "32",
     ),
+    ("validate", "--alpha", "1e200", "0", "--beta", "1", "0"),
+    ("phase-dist", "--alpha", "1e200", "0", "--beta", "1", "0", "--n-phi", "3"),
+    ("phase-dist", "--alpha", "1e154", "0", "--beta", "1", "0", "--s", "0.5", "--n-phi", "3"),
 )
 NATIVE_FORMATS = (
     ("validate", "json"),
