@@ -14,10 +14,16 @@ Two oracle families live here:
   and
 * a truncated-Fock-basis trace of the displacement operator, checking the
   closed-form characteristic function.  The number-basis displacement
-  matrix is built from log-factorials and the forward three-term recurrence
-  of the generalized Laguerre polynomials in the degree; the truncation
-  bound uses the Poisson tail, summed by its upward series (or as one minus
-  its head once the mean passes the cutoff).
+  matrices are built from log-factorials and the forward three-term
+  recurrence of the generalized Laguerre polynomials in the degree, one
+  recurrence for both modes' matrices; the truncation bound uses the
+  Poisson tail, summed by its upward series (or as one minus its head once
+  the mean passes the cutoff).
+
+What depends only on an integer is built once and kept read-only in a
+small bounded cache: the Gauss-Legendre rule per radial node count, and per
+Fock cutoff the index grids, log-factorial base and recurrence denominators
+of the displacement matrices.  Nothing that depends on the state is cached.
 
 Node sums use NumPy's pairwise summation on fixed shapes, so results are
 bit-stable across runs for a fixed spec.
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +86,18 @@ class QuadratureSpec:
             raise ValueError(f"radial_cutoff_sigma must be finite, got {sigma!r}")
 
 
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=8, typed=True)
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] for n nodes, as read-only arrays."""
+    return _read_only(*leggauss(n))
+
+
 def _radial_rule(state: QuasiBellState, s: float, spec: QuadratureSpec):
     """Gauss-Legendre nodes and weights on [0, R]; DomainError if R^2 is not finite."""
     radius = max(abs(state.alpha), abs(state.beta)) + spec.radial_cutoff_sigma * math.sqrt(
@@ -89,7 +108,7 @@ def _radial_rule(state: QuasiBellState, s: float, spec: QuadratureSpec):
             f"radial_cutoff_sigma = {spec.radial_cutoff_sigma!r} gives the radius R = {radius!r}, "
             "whose square is not finite"
         )
-    nodes, weights = leggauss(spec.n_radial)
+    nodes, weights = _legendre_rule(spec.n_radial)
     return 0.5 * radius * (nodes + 1.0), 0.5 * radius * weights
 
 
@@ -269,33 +288,59 @@ def _coherent_pair(alpha: complex, n_cut: int) -> np.ndarray:
     return np.column_stack([coeffs, np.where(np.arange(n_cut + 1) % 2, -coeffs, coeffs)])
 
 
-def _displacement_matrix(xi: complex, n_cut: int) -> np.ndarray:
-    """Number-basis matrix of the one-mode displacement operator D(xi).
+@lru_cache(maxsize=8)
+def _fock_tables(dim: int):
+    """The parts of the displacement matrices in a dim-state basis that do not depend on xi.
+
+    Returns the Laguerre step denominators j + 1 + k (row j), the column grid,
+    diff = max(rows - cols, 0) and the log-factorial base
+    log(sqrt(m!/n!) / (m-n)!) on the lower triangle, all read-only.
+    """
+    k = np.arange(dim)
+    rows, cols = k[:, None], k[None, :]
+    diff = np.maximum(rows - cols, 0)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+    base = 0.5 * (log_fact[rows] - log_fact[cols]) - log_fact[diff]
+    return _read_only(np.arange(1, dim)[:, None] + k, cols, diff, base)
+
+
+def _displacement_matrices(xis, n_cut: int) -> np.ndarray:
+    """Number-basis matrices of the one-mode displacement operators D(xi), one per xi.
 
     For m >= n:  D_mn = sqrt(m!/n!) / (m-n)! xi^(m-n) e^(-|xi|^2/2) p_n^(m-n)(|xi|^2),
     with log-factorials by cumulative sum and p_j^(k) = L_j^(k) / C(j+k, j) from the
     forward three-term Laguerre recurrence in the degree, run on the steps p_(j+1) - p_j
-    so that small |xi| does not cancel.  The upper triangle follows from
-    D(xi)^dagger = D(-xi), which has the same magnitudes.
+    so that small |xi| does not cancel; one recurrence serves every nonzero xi.  The
+    upper triangle follows from D(xi)^dagger = D(-xi), which has the same magnitudes.
+    xi = 0 gives the exact identity.
     """
     dim = n_cut + 1
-    if xi == 0:
-        return np.eye(dim, dtype=complex)
-    x = abs(xi) ** 2
-    k = np.arange(dim)
-    p = np.ones((dim, dim))
-    step = np.zeros(dim)
+    out = np.empty((len(xis), dim, dim), dtype=complex)
+    out[:] = np.eye(dim)
+    live = [i for i, xi in enumerate(xis) if xi != 0]
+    if not live:
+        return out
+    xis = [xis[i] for i in live]
+    denominators, cols, diff, base = _fock_tables(dim)
+    x = np.array([abs(xi) ** 2 for xi in xis])[:, None]
+    # p[j, i, k] = p_j^(k) at the i-th |xi|^2.
+    p = np.ones((dim, len(xis), dim))
+    step = np.zeros((len(xis), dim))
     for j in range(dim - 1):
-        step = (j * step - x * p[j]) / (j + 1 + k)
-        p[j + 1] = p[j] + step
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
-    rows, cols = k[:, None], k[None, :]
-    diff = np.maximum(rows - cols, 0)
-    log_mag = 0.5 * (log_fact[rows] - log_fact[cols]) - log_fact[diff] + diff * math.log(abs(xi))
-    magnitude = np.tril(np.exp(log_mag - 0.5 * x) * p[cols, diff])
-    low = magnitude * np.exp(1j * np.angle(xi) * diff)
-    upp = np.tril(magnitude * np.exp(1j * np.angle(-xi) * diff), -1).conj().T
-    return low + upp
+        step *= j
+        step -= x * p[j]
+        step /= denominators[j]
+        np.add(p[j], step, out=p[j + 1])
+    log_mag = base + diff * np.array([math.log(abs(xi)) for xi in xis])[:, None, None]
+    p_lower = p.transpose(1, 0, 2)[:, cols, diff]
+    magnitude = np.tril(np.exp(log_mag - 0.5 * x[:, :, None]) * p_lower)
+    # e^(i arg(+-xi) d) for d = 0 .. n_cut, looked up at d = m - n.
+    angles = np.array([[1j * np.angle(xi), 1j * np.angle(-xi)] for xi in xis])
+    phases = np.exp(angles[:, :, None] * np.arange(dim))
+    low = magnitude * phases[:, 0, diff]
+    upp = magnitude * phases[:, 1, diff]
+    out[live] = low + np.tril(upp, -1).conj().transpose(0, 2, 1)
+    return out
 
 
 def _poisson_tail(mean: float, n_cut: int) -> float:
@@ -333,8 +378,8 @@ def fock_chi_oracle(
     exp(s(|xi|^2+|eta|^2)/2).  A rigorous truncation bound (driven by the
     coherent tails beyond n_cut; take n_cut >= 4 max(|alpha|^2, |beta|^2) + 20
     for comfortable margins) is returned alongside and must stay below
-    ``FOCK_BOUND_TOL``.  DomainError if |xi|^2 + |eta|^2 or the trace is not
-    finite.
+    ``FOCK_BOUND_TOL``.  DomainError if |xi|^2 + |eta|^2, the s-ordering factor
+    or the trace is not finite.
     """
     n_cut = _positive_int(n_cut, "n_cut")
     s = _require_real_s(s)
@@ -343,17 +388,24 @@ def fock_chi_oracle(
     mod_sq = _sq_sum(xi, eta)
     if not math.isfinite(mod_sq):
         raise DomainError(f"|xi|^2+|eta|^2 must be finite, got xi={xi!r}, eta={eta!r}")
+    try:
+        prefactor = math.exp(0.5 * s * mod_sq)
+    except OverflowError:
+        raise DomainError(
+            f"the s-ordering factor exp(s(|xi|^2+|eta|^2)/2) is past the float range at "
+            f"xi={xi!r}, eta={eta!r}, s={s!r}"
+        ) from None
 
     vec_a = _coherent_pair(state.alpha, n_cut)
     vec_b = _coherent_pair(state.beta, n_cut)
     mu, nu = state.mu, state.nu
     weights = np.outer(np.conj([mu, nu]), [mu, nu])
     n2 = normalization_constant(state) ** 2
-    prefactor = math.exp(0.5 * s * mod_sq)
     # A trace that leaves the float range is refused below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        overlap_a = vec_a.conj().T @ _displacement_matrix(xi, n_cut) @ vec_a
-        overlap_b = vec_b.conj().T @ _displacement_matrix(eta, n_cut) @ vec_b
+        disp_a, disp_b = _displacement_matrices((xi, eta), n_cut)
+        overlap_a = vec_a.conj().T @ disp_a @ vec_a
+        overlap_b = vec_b.conj().T @ disp_b @ vec_b
         value = prefactor * n2 * complex(np.sum(weights * overlap_a * overlap_b))
 
     err_a = 2.0 * math.sqrt(_poisson_tail(abs(state.alpha) ** 2, n_cut))

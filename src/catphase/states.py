@@ -62,7 +62,10 @@ PRESET_WEIGHTS = {
 
 def _unit_weights(mu: complex, nu: complex) -> tuple[complex, complex]:
     """(mu, nu) rescaled onto |mu|^2 + |nu|^2 = 1."""
-    norm = math.hypot(abs(mu), abs(nu))
+    try:
+        norm = math.hypot(abs(mu), abs(nu))
+    except OverflowError:  # abs() of a weight past the float range
+        norm = math.inf
     if norm == 0.0 or not math.isfinite(norm):
         raise ValueError("cannot renormalize weights with zero or non-finite norm")
     return mu / norm, nu / norm

@@ -68,6 +68,12 @@ class TestValidateCommand:
         assert code == 2
         assert json.loads(out)["error"]["message"].startswith("invalid state: cannot renormalize")
 
+    def test_renormalize_of_weight_past_float_range_is_invalid_state(self, capsys):
+        flags = ["--mu", "1.7e308", "1.7e308", "--nu", "1", "0", "--renormalize"]
+        code, out = run_cli(capsys, "validate", *flags)
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("invalid state: cannot renormalize")
+
 
     def test_amplitude_past_float_range_is_a_diagnostic(self, capsys):
         code, out = run_cli(capsys, "validate", "--alpha", "1e200", "0", "--beta", "1", "0")

@@ -25,8 +25,10 @@ from catphase import (
 from catphase.oracle import (
     _angular_rule,
     _combine,
-    _displacement_matrix,
+    _displacement_matrices,
     _factors,
+    _fock_tables,
+    _legendre_rule,
     _poisson_tail,
     _radial_rule,
 )
@@ -422,6 +424,12 @@ class TestFockChiOracle:
         numpy_cut = fock_chi_oracle(state, 0.5, 0.5, 0.0, n_cut=np.int64(40))
         assert numpy_cut == fock_chi_oracle(state, 0.5, 0.5, 0.0, n_cut=40)
 
+    @pytest.mark.parametrize("xi,eta,s", [(40.0, 0.0, 1.0), (0.0, 30j, 2.0), (30.0, 30.0, 0.9)])
+    def test_ordering_factor_past_float_range_is_domain_error(self, xi, eta, s):
+        # exp(s(|xi|^2+|eta|^2)/2) overflows; the message names xi, eta and s.
+        with pytest.raises(DomainError, match=r"xi=.*eta=.*s="):
+            fock_chi_oracle(preset_state("even_cat"), xi, eta, s)
+
 
 def _mp_displacement(xi: complex, n_cut: int) -> np.ndarray:
     """D(xi) in the number basis from the explicit Laguerre sum, in mpmath.
@@ -448,13 +456,92 @@ def _mp_displacement(xi: complex, n_cut: int) -> np.ndarray:
     return out
 
 
+def _per_xi_displacement(xi: complex, n_cut: int) -> np.ndarray:
+    """D(xi) built for one xi at a time, with every table rebuilt per call.
+
+    The earlier form of oracle._displacement_matrices, kept as the bit reference.
+    """
+    dim = n_cut + 1
+    if xi == 0:
+        return np.eye(dim, dtype=complex)
+    x = abs(xi) ** 2
+    k = np.arange(dim)
+    p = np.ones((dim, dim))
+    step = np.zeros(dim)
+    for j in range(dim - 1):
+        step = (j * step - x * p[j]) / (j + 1 + k)
+        p[j + 1] = p[j] + step
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+    rows, cols = k[:, None], k[None, :]
+    diff = np.maximum(rows - cols, 0)
+    log_mag = 0.5 * (log_fact[rows] - log_fact[cols]) - log_fact[diff] + diff * math.log(abs(xi))
+    magnitude = np.tril(np.exp(log_mag - 0.5 * x) * p[cols, diff])
+    low = magnitude * np.exp(1j * np.angle(xi) * diff)
+    upp = np.tril(magnitude * np.exp(1j * np.angle(-xi) * diff), -1).conj().T
+    return low + upp
+
+
+_RNG_PAIR = tuple(complex(*v) for v in np.random.default_rng(15).normal(size=(2, 2)))
+
+
 class TestFockPieces:
     @pytest.mark.parametrize("xi", [0.05j, 0.7 + 0.2j, -1.2 + 0.9j, 2.0j, 2.8])
     def test_displacement_matrix_matches_mpmath(self, xi):
         n_cut = 60
         with mpmath.workdps(30):
             ref = _mp_displacement(xi, n_cut)
-        assert np.max(np.abs(_displacement_matrix(xi, n_cut) - ref)) < 1e-13
+        (got,) = _displacement_matrices((xi,), n_cut)
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+    @pytest.mark.parametrize("n_cut", [1, 40, 80])
+    @pytest.mark.parametrize(
+        "xis",
+        [(0.0, -1.2 + 0.9j), (0.7 - 0.2j, 0.0), _RNG_PAIR, (-0.3, 2.5j)],
+        ids=["zero-first", "zero-second", "random", "real-imaginary"],
+    )
+    def test_displacement_matrices_match_per_xi_bits(self, n_cut, xis):
+        got = _displacement_matrices(xis, n_cut)
+        assert got.shape == (2, n_cut + 1, n_cut + 1)
+        for matrix, xi in zip(got, xis):
+            assert matrix.tobytes() == _per_xi_displacement(xi, n_cut).tobytes()
+
+    def test_zero_displacement_is_exact_identity(self):
+        eye = np.eye(41, dtype=complex).tobytes()
+        assert all(m.tobytes() == eye for m in _displacement_matrices((0.0, 0j), 40))
+        assert _displacement_matrices((0j, 0.5), 40)[0].tobytes() == eye
+
+    def test_cached_tables_are_read_only(self):
+        for array in (*_legendre_rule(40), *_fock_tables(41)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert _legendre_rule(40) is _legendre_rule(40)
+        assert _fock_tables(41) is _fock_tables(41)
+
+    def test_caches_are_bounded_and_keyed_by_an_int(self):
+        for cached in (_legendre_rule, _fock_tables):
+            assert cached.cache_parameters()["maxsize"] is not None
+        # Typed keys: a float node count is refused as by leggauss, not served the int's rule.
+        _legendre_rule(40)
+        with pytest.raises(TypeError):
+            _legendre_rule(40.0)
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda state: quadrature_phase_dist(state, 0.2, "plus", np.linspace(0.0, 6.0, 7)),
+            lambda state: quadrature_one_mode(state, -0.5, 2, np.linspace(0.0, 6.0, 7)),
+            lambda state: np.float64(quadrature_normalization(state, 0.1)),
+        ],
+        ids=["phase-dist", "one-mode", "normalization"],
+    )
+    def test_quadrature_bits_cold_and_warm_cache(self, oracle):
+        state = preset_state("yurke_stoler_plus", 1.1)
+        _legendre_rule.cache_clear()
+        cold = np.asarray(oracle(state)).tobytes()
+        assert _legendre_rule.cache_info().currsize == 1
+        assert np.asarray(oracle(state)).tobytes() == cold
+        assert _legendre_rule.cache_info().hits >= 1
 
     def test_poisson_tail_matches_mpmath(self):
         with mpmath.workdps(30):

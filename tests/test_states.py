@@ -88,6 +88,11 @@ class TestConstruction:
         assert state.mu == pytest.approx(0.6)
         assert state.nu == pytest.approx(0.8j)
 
+    def test_renormalize_weight_modulus_past_float_range(self):
+        # abs(complex(1.7e308, 1.7e308)) overflows; the norm is not finite.
+        with pytest.raises(ValueError, match="cannot renormalize"):
+            QuasiBellState(1.0, 1.0, complex(1.7e308, 1.7e308), 1.0, renormalize=True)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
             QuasiBellState(math.inf, 1.0, INV_SQRT2, INV_SQRT2)

@@ -24,10 +24,12 @@ The configs:
   ``oracle-compare`` cutoff whose radius squares past it;
 - 3 more: ``validate`` and ``phase-dist`` of a state whose |alpha|^2 passes
   the float range, and a ``phase-dist`` whose Bessel argument
-  |alpha|^2/(1-s) does.
+  |alpha|^2/(1-s) does;
+- 1 more: ``validate --renormalize`` with a weight whose modulus passes the
+  float range.
 
-The first 947 configs, then the first 1,045, 1,050 and 1,052, keep their
-order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
+The first 947 configs, then the first 1,045, 1,050, 1,052 and 1,055, keep
+their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
 argparse wraps help text to the terminal width.
 
 Usage, from the repository root:
@@ -189,7 +191,8 @@ FLAG_CONFIGS = (
 # 1,050: a moments window whose variance passes the float range, and an
 # oracle-compare cutoff whose radius squares past it.  Then, after the first
 # 1,052: a state whose |alpha|^2 passes the float range, on validate and on
-# phase-dist, and a Bessel argument |alpha|^2/(1-s) that does.
+# phase-dist, and a Bessel argument |alpha|^2/(1-s) that does.  Then, after
+# the first 1,055: renormalizing a weight whose modulus passes the float range.
 LATER_CONFIGS = (
     ("validate", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
     ("validate", "--mu", "0", "0", "--nu", "0", "0", "--renormalize"),
@@ -208,6 +211,7 @@ LATER_CONFIGS = (
     ("validate", "--alpha", "1e200", "0", "--beta", "1", "0"),
     ("phase-dist", "--alpha", "1e200", "0", "--beta", "1", "0", "--n-phi", "3"),
     ("phase-dist", "--alpha", "1e154", "0", "--beta", "1", "0", "--s", "0.5", "--n-phi", "3"),
+    ("validate", "--mu", "1.7e308", "1.7e308", "--nu", "1", "0", "--renormalize"),
 )
 NATIVE_FORMATS = (
     ("validate", "json"),
