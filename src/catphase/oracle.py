@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CutoffTooSmallError, DomainError
-from .quasiprob import _require_real_s, _require_s_below_one, w, w_symmetrized
+from .quasiprob import _require_real_s, _require_s_below_one, _square_of_spread, w, w_symmetrized
 from .specfun import _branch_sign, _positive_int
 from .states import QuasiBellState, _require_mode, _sq_sum, normalization_constant
 
@@ -162,9 +162,11 @@ def _factors(state: QuasiBellState, s: float, r_nodes, gamma_angles, delta_angle
     peaks are given back in equal halves, so no factor exceeds the square root
     of W's largest interference term on the grid.  Unshifted, one mode's own
     exponent can pass the float range where the pair's does not (a wide
-    radial cutoff moves the innermost node out).
+    radial cutoff moves the innermost node out).  DomainError, naming s, where
+    (pi (1-s))^2 passes the float range (s below about -4.3e153).
     """
-    log_pref = math.log(4.0 * normalization_constant(state) ** 2 / (math.pi * (1.0 - s)) ** 2)
+    spread = _square_of_spread(math.pi * (1.0 - s), s)
+    log_pref = math.log(4.0 * normalization_constant(state) ** 2 / spread)
     peaks = [
         2.0 * (s * abs(amp) ** 2 - r_nodes[0] ** 2) / (1.0 - s) for amp in (state.alpha, state.beta)
     ]

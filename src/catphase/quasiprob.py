@@ -42,6 +42,17 @@ def _require_s_below_one(s: float) -> float:
     return s
 
 
+def _square_of_spread(value: float, s: float) -> float:
+    """value**2, value a multiple of 1 - s; DomainError, naming s, past the float range."""
+    try:
+        return value**2
+    except OverflowError:
+        raise DomainError(
+            f"s = {s!r} is too far below 0: the square of 1 - s in W's prefactor "
+            "is past the float range"
+        ) from None
+
+
 def chi(state: QuasiBellState, xi, eta, s: float):
     """s-ordered characteristic function chi(xi, eta; s), closed form.
 
@@ -79,7 +90,8 @@ def w(state: QuasiBellState, gamma, delta, s: float):
     exponentiation, so the result is exactly real and safe from spurious
     overflow; if a fused interference exponent still exceeds the float
     range (large |alpha|^2 with s close to 1), OverflowError is raised with
-    the offending numbers rather than returning inf.
+    the offending numbers rather than returning inf.  Where (1-s)^2 passes
+    the float range (s below about -1.3e154), DomainError names s.
     """
     s = _require_s_below_one(s)
     gamma = np.asarray(gamma, dtype=complex)
@@ -89,7 +101,8 @@ def w(state: QuasiBellState, gamma, delta, s: float):
     alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
     one_minus = 1.0 - s
     asq = state.amplitude_sq_sum
-    pref = 4.0 * normalization_constant(state) ** 2 / (math.pi**2 * one_minus**2)
+    spread = _square_of_spread(one_minus, s)
+    pref = 4.0 * normalization_constant(state) ** 2 / (math.pi**2 * spread)
 
     e_gauss1 = -2.0 * (np.abs(gamma - alpha) ** 2 + np.abs(delta - beta) ** 2) / one_minus
     e_gauss2 = -2.0 * (np.abs(gamma + alpha) ** 2 + np.abs(delta + beta) ** 2) / one_minus

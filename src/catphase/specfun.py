@@ -272,9 +272,18 @@ def _combo_table(x: float, top: int) -> tuple[tuple[float, ...], tuple[float, ..
     r_(nu-1) = 1/(2nu/x + r_nu) and u_(nu-1) = (2nu/x - u_nu)/(2nu/x + r_nu),
     u = 1 - r, so the minus branch reads log u without cancellation.  log I_nu
     is log I_0 or the elementary log I_(1/2) plus the running sum of log r.
-    The entries depend on (x, top) alone.
+    Where the recurrence's largest 2nu/x passes the float range (x below
+    about 1e-303), both branches are the leading term sqrt(x) (x/2)^nu /
+    Gamma(nu + 1) of sqrt(x) I_nu(x), nu = (n - 1)/2; the terms dropped are a
+    relative O(x), far below rounding.  The entries depend on (x, top) alone.
     """
     half_log_x = 0.5 * math.log(x)
+    if math.isinf((top - 1) / x):
+        log_half_x = math.log(x) - math.log(2.0)  # x / 2 loses bits when x is subnormal
+        row = tuple(
+            half_log_x + 0.5 * k * log_half_x - math.lgamma(0.5 * k + 1.0) for k in range(top)
+        )
+        return row, row
     plus = [0.0] * top  # first r_nu, then log_mag of the plus branch, at index n - 1 = 2 nu
     minus = [0.0] * top  # first u_nu, then log_mag of the minus branch
     for low in (0, 1):

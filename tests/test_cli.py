@@ -203,6 +203,25 @@ class TestPhaseDistCommand:
         assert error["type"] == "DomainError"
         assert error["message"] == "combination argument x must be finite and >= 0, got inf"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--alpha", "1e-154", "0", "--beta", "1", "0", "--s", "0"), ("--s", "-1e307")],
+        ids=["tiny-alpha", "huge-negative-s"],
+    )
+    def test_tiny_bessel_argument_exits_with_a_documented_status(self, flags):
+        # x = |alpha|^2/(1-s) is about 1e-308 or 1e-307, below the Bessel
+        # recurrence's range.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(catphase.__file__)))
+        argv = ["phase-dist", "--preset", "odd_cat", *flags, "--n-phi", "3"]
+        result = subprocess.run(
+            [sys.executable, "-m", "catphase.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode in (0, 2, 3, 4)
+        assert "Traceback" not in result.stderr
+
     def test_convergence_error_status(self, capsys):
         code, out = run_cli(capsys, "phase-dist", "--n-max", "3", "--n-min", "2")
         assert code == 4

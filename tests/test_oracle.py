@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -323,6 +324,29 @@ class TestRefusalParity:
         with pytest.raises(OverflowError) as info:
             call(self.STATE)
         assert str(info.value) == self.MESSAGE
+
+    # (pi (1-s))^2 passes the float range from s = -4.3e153, (1-s)^2 in W
+    # itself from s = -1.4e154.
+    @pytest.mark.parametrize("s", [-4.3e153, -1e156])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda st, s: quadrature_phase_dist(st, s, "plus", 0.3),
+            lambda st, s: quadrature_one_mode(st, s, 1, np.array([0.3, 1.0])),
+            lambda st, s: quadrature_normalization(st, s),
+        ],
+        ids=["phase-dist", "one-mode", "normalization"],
+    )
+    def test_huge_negative_s_is_domain_error_naming_s(self, call, s):
+        with pytest.raises(DomainError, match=f"^s = {re.escape(repr(s))} is too far below 0: "):
+            call(preset_state("odd_cat"), s)
+
+    def test_just_above_the_refusal_still_normalizes(self):
+        assert quadrature_normalization(preset_state("odd_cat"), -4e153) == pytest.approx(1.0)
+
+    def test_w_names_s_past_float_range(self):
+        with pytest.raises(DomainError, match=r"^s = -1e\+156 is too far below 0: "):
+            w(preset_state("odd_cat"), 0.1, 0.2, -1e156)
 
 
 class TestWideCutoff:

@@ -5,6 +5,7 @@ import re
 import warnings
 from itertools import count
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from catphase import (
     wrap_angle,
 )
 from catphase.cli import main
-from catphase.phasedist import _clenshaw, _fused, _truncate
+from catphase.phasedist import _fused, _horner, _truncate
 
 from conftest import preset_state
 
@@ -173,7 +174,7 @@ class TestEvalPhaseDist:
             )
             assert integral == pytest.approx(1.0, abs=1e-10)
 
-    def test_clenshaw_matches_naive_summation(self):
+    def test_horner_matches_naive_summation(self):
         # A real spectrum first, then a long synthetic decaying one.
         state = QuasiBellState(math.sqrt(3.0), math.sqrt(3.0), *_weights("even_cat"))
         spectrum = build_spectrum(state, 0.4, "minus")
@@ -184,8 +185,7 @@ class TestEvalPhaseDist:
                 for p in phis
             ]
         )
-        b1, b2 = _clenshaw(spectrum.coeffs, np.cos(phis))
-        got = b1 * np.cos(phis) - b2
+        got = _horner(spectrum.coeffs, np.exp(1j * phis)).real
         assert np.max(np.abs(got - naive)) < 1e-12
 
         rng = np.random.default_rng(31)
@@ -194,28 +194,55 @@ class TestEvalPhaseDist:
         naive = np.array(
             [sum(c * math.cos((k + 1) * p) for k, c in enumerate(coeffs)) for p in phis]
         )
-        b1, b2 = _clenshaw(coeffs, np.cos(phis))
-        assert np.max(np.abs(b1 * np.cos(phis) - b2 - naive)) < 1e-12
+        assert np.max(np.abs(_horner(coeffs, np.exp(1j * phis)).real - naive)) < 1e-12
 
-    def test_clenshaw_bit_equal_to_plain_recurrence(self):
-        def plain(coeffs, cos_delta):
-            b1 = np.zeros_like(cos_delta)
-            b2 = np.zeros_like(cos_delta)
+    def test_horner_bit_equal_to_plain_loop(self):
+        def plain(coeffs, z):
+            acc = np.zeros_like(z)
             for a in coeffs[::-1]:
-                b1, b2 = a + 2.0 * cos_delta * b1 - b2, b1
-            return b1, b2
+                acc = (acc + a) * z
+            return acc
 
         rng = np.random.default_rng(37)
         long_series = build_spectrum(QuasiBellState(1.5, 1.2, 0.6, 0.8), 0.95, "plus").coeffs
         assert long_series.size > 100
         synthetic = rng.uniform(-1.0, 1.0, 300) * 0.97 ** np.arange(300)
-        for coeffs, cos_delta in [
-            (long_series, np.cos(rng.uniform(-4.0, 4.0, 360))),
-            (synthetic, np.cos(rng.uniform(-20.0, 20.0, 64))),
-            (synthetic, np.cos(np.float64(0.7))),
+        # The 1-element array is how a scalar phi is summed; the complex
+        # coefficients are those of a one-mode series.
+        for coeffs, delta in [
+            (long_series, rng.uniform(-4.0, 4.0, 360)),
+            (synthetic, rng.uniform(-20.0, 20.0, 64)),
+            (synthetic, np.array([0.7])),
+            (synthetic - 0.5j * synthetic[::-1], rng.uniform(-4.0, 4.0, 360)),
         ]:
-            for got, want in zip(_clenshaw(coeffs, cos_delta), plain(coeffs, cos_delta)):
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            z = np.exp(1j * delta)
+            assert _horner(coeffs, z).tobytes() == plain(coeffs, z).tobytes()
+
+    def test_one_mode_series_matches_mpmath(self):
+        # Mode 1 of this state at s = 0.9 and 0.97 sums 108 and 286 terms;
+        # the reference is taken at the evaluator's own wrapped offset, so
+        # only the summation is checked, at 2e-15 of the density's scale.
+        state = QuasiBellState(1.3, 0.9, 0.6, 0.8)
+        offsets = np.linspace(-math.pi, math.pi, 40, endpoint=False) + 0.1
+        with mpmath.workdps(30):
+            for s in (0.9, 0.97):
+                spectrum = one_mode_coefficients(state, s, 1)
+                phis = spectrum.phi_ref + offsets
+                got = eval_one_mode_dist(spectrum, phis)
+                scale = (
+                    1.0
+                    + 2.0 * np.sum(np.abs(spectrum.cos_coeffs))
+                    + 2.0 * np.sum(np.abs(spectrum.sin_coeffs))
+                ) / TWO_PI
+                for phi, value in zip(phis, got):
+                    delta = mpmath.mpf(wrap_angle(phi - spectrum.phi_ref))
+                    total = 1 + 2 * mpmath.fsum(
+                        mpmath.mpf(c) * mpmath.cos(n * delta)
+                        + mpmath.mpf(d) * mpmath.sin(n * delta)
+                        for n, c, d in zip(count(1), spectrum.cos_coeffs, spectrum.sin_coeffs)
+                    )
+                    want = float(total / (2 * mpmath.pi))
+                    assert abs(value - want) <= 2e-15 * scale, (s, phi)
 
     def test_scalar_and_array_agree(self):
         spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")
@@ -603,6 +630,31 @@ class TestWrapAngle:
     def test_pi_maps_to_pi(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+
+    @pytest.mark.parametrize(
+        "phi,named",
+        [
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            ([0.0, 1.0, -math.inf, math.nan], "-inf"),
+            (np.array([[0.5, math.nan], [math.inf, 2.0]]), "nan"),
+        ],
+    )
+    def test_non_finite_angle_is_domain_error(self, phi, named):
+        state = make_preset("odd_cat", 1.0, 0.7)
+        pair = build_spectrum(state, 0.3, "plus")
+        one_mode = one_mode_coefficients(state, 0.3, 2)
+        calls = (
+            lambda: wrap_angle(phi),
+            lambda: eval_phase_dist(pair, phi),
+            lambda: eval_one_mode_dist(one_mode, phi),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(DomainError, match=f"angle must be finite, got {named}$"):
+                    call()
 
 
 # The coefficient fusion through LogScaledValue objects and math.fsum, as the

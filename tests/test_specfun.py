@@ -167,6 +167,17 @@ class TestCombination:
         assert got.sign == 1
         assert got.log_mag == pytest.approx(expected, abs=1e-11)
 
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("x", [1e-307, 2.3e-308, 1e-308, 5e-324])
+    def test_tiny_argument_matches_high_precision(self, branch, x):
+        # Past the downward recurrence's range: 2nu/x overflows from nu = 1/2
+        # on, and 5e-324 is the smallest subnormal.
+        for n in (1, 2, 3, 64, 65, 300, 2**16):
+            expected = mp_combo_log(n, mpmath.mpf(x), branch)
+            got = i_n_combo(n, x, branch)
+            assert got.sign == 1
+            assert got.log_mag == pytest.approx(expected, rel=1e-14, abs=0.0), n
+
     def test_positive_for_positive_argument(self):
         for n in (1, 2, 5, 17):
             for x in (1e-7, 0.1, 2.0, 50.0):

@@ -26,9 +26,11 @@ The configs:
   the float range, and a ``phase-dist`` whose Bessel argument
   |alpha|^2/(1-s) does;
 - 1 more: ``validate --renormalize`` with a weight whose modulus passes the
-  float range.
+  float range;
+- 2 more: ``phase-dist`` calls whose Bessel argument is about 1e-308, from
+  a tiny |alpha| and from a huge negative s.
 
-The first 947 configs, then the first 1,045, 1,050, 1,052 and 1,055, keep
+The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055 and 1,056, keep
 their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
 argparse wraps help text to the terminal width.
 
@@ -212,6 +214,11 @@ LATER_CONFIGS = (
     ("phase-dist", "--alpha", "1e200", "0", "--beta", "1", "0", "--n-phi", "3"),
     ("phase-dist", "--alpha", "1e154", "0", "--beta", "1", "0", "--s", "0.5", "--n-phi", "3"),
     ("validate", "--mu", "1.7e308", "1.7e308", "--nu", "1", "0", "--renormalize"),
+    (
+        "phase-dist", "--preset", "odd_cat", "--alpha", "1e-154", "0", "--beta", "1", "0",
+        "--s", "0", "--n-phi", "3",
+    ),
+    ("phase-dist", "--preset", "odd_cat", "--s", "-1e307", "--n-phi", "3"),
 )
 NATIVE_FORMATS = (
     ("validate", "json"),
