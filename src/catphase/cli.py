@@ -553,10 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catphase",
         description="Phase distributions of entangled two-mode coherent states",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _, _, takes_state, extras) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--config", help="JSON config file; inline flags override it")
         p.add_argument("--out", help="output path (default stdout)")

@@ -40,7 +40,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CutoffTooSmallError, DomainError
-from .quasiprob import _require_real_s, _require_s_below_one, _square_of_spread, w, w_symmetrized
+from .quasiprob import (
+    _finite_array,
+    _require_real_s,
+    _require_s_below_one,
+    _square_of_spread,
+    w,
+    w_symmetrized,
+)
 from .specfun import _branch_sign, _positive_int
 from .states import QuasiBellState, _require_mode, _sq_sum, normalization_constant
 
@@ -214,12 +221,14 @@ def quadrature_phase_dist(
     angle set to phi.  Per angular node a_j, W_sym sits at
     phi_gamma = (phi_plus - phi_minus)/2 and phi_delta = (phi_plus + phi_minus)/2,
     and its radial double sum is a product of one radial sum per mode.
-    ``phi`` may be a scalar or an array of any shape.
+    ``phi`` may be a scalar or an array of any shape; a phi that is not
+    finite is a DomainError.
     """
     plus = _branch_sign(branch) > 0
     s = _require_s_below_one(s)
+    phi = _finite_array(phi, float, "phi")
     r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, True)
-    fixed = np.mod(np.atleast_1d(np.asarray(phi, dtype=float)), _TWO_PI)[..., None]
+    fixed = np.mod(np.atleast_1d(phi), _TWO_PI)[..., None]
     # (phi_plus, phi_minus) is (phi, a_j) on the plus branch and (a_j, phi) on the minus.
     half_diff = 0.5 * (fixed - a_nodes) if plus else 0.5 * (a_nodes - fixed)
     g, d = _mode_sums(state, s, r_nodes, r_weights, half_diff, 0.5 * (fixed + a_nodes))
@@ -259,11 +268,13 @@ def quadrature_one_mode(
     Integrates the raw (unsymmetrized) W over the full complex plane of the
     other mode and over the mode's own radius, at fixed own angle phi.  The
     other mode's sums over its plane do not depend on phi and are taken once.
+    A phi that is not finite is a DomainError.
     """
     mode = _require_mode(mode)
     s = _require_s_below_one(s)
+    phi = _finite_array(phi, float, "phi")
     r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, False)
-    own = np.atleast_1d(np.asarray(phi, dtype=float))
+    own = np.atleast_1d(phi)
     angles = (own, a_nodes) if mode == 1 else (a_nodes, own)
     g, d = _mode_sums(state, s, r_nodes, r_weights, *angles)
     if mode == 1:

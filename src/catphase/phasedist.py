@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NoConvergenceError
-from .quasiprob import _require_s_below_one
+from .quasiprob import _finite_array, _require_s_below_one
 from .specfun import (
     LogScaledValue,
     _branch_sign,
@@ -151,11 +151,7 @@ class PhaseStats(NamedTuple):
 
 def wrap_angle(phi):
     """Reduce angles to (-pi, pi]; DomainError names the first angle that is not finite."""
-    phi = np.asarray(phi, dtype=float)
-    finite = np.isfinite(phi)
-    if not finite.all():
-        raise DomainError(f"angle must be finite, got {float(phi[~finite][0])!r}")
-    out = np.mod(phi, _TWO_PI)
+    out = np.mod(_finite_array(phi, float, "angle"), _TWO_PI)
     out = np.where(out > math.pi, out - _TWO_PI, out)
     return out if out.ndim else float(out)
 

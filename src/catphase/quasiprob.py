@@ -1,9 +1,10 @@
 """Characteristic function and s-ordered quasi-probability distributions.
 
 All evaluators broadcast over NumPy arrays of phase-space points and return
-scalars for scalar input.  The ordering parameter s is real throughout the
-public API; the quasi-probability exists for s < 1 only, with a guard band
-below 1 to keep the 1/(1-s) factors finite.
+scalars for scalar input; a point, radius or angle that is not finite is a
+DomainError naming the argument.  The ordering parameter s is real
+throughout the public API; the quasi-probability exists for s < 1 only,
+with a guard band below 1 to keep the 1/(1-s) factors finite.
 """
 
 from __future__ import annotations
@@ -42,6 +43,15 @@ def _require_s_below_one(s: float) -> float:
     return s
 
 
+def _finite_array(values, dtype, what: str) -> np.ndarray:
+    """``values`` as an array of ``dtype``; DomainError names the first entry that is not finite."""
+    values = np.asarray(values, dtype=dtype)
+    finite = np.isfinite(values)
+    if not (finite.all() if finite.ndim else finite):  # a 0-d check skips the reduction
+        raise DomainError(f"{what} must be finite, got {values[~finite][0].item()!r}")
+    return values
+
+
 def _square_of_spread(value: float, s: float) -> float:
     """value**2, value a multiple of 1 - s; DomainError, naming s, past the float range."""
     try:
@@ -60,11 +70,12 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     ``eta`` may be complex scalars or broadcastable arrays.  The Gaussian
     factor exp(-(1-s)(|xi|^2+|eta|^2)/2) is fused into the exponent of each
     of the four terms, so no term meets an overflow where chi underflows.
+    A xi or eta that is not finite is a DomainError.
     """
     s = _require_real_s(s)
-    scalar = np.ndim(xi) == 0 and np.ndim(eta) == 0
-    xi = np.asarray(xi, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
+    xi = _finite_array(xi, complex, "xi")
+    eta = _finite_array(eta, complex, "eta")
+    scalar = xi.ndim == 0 and eta.ndim == 0
     alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
     asq = state.amplitude_sq_sum
 
@@ -91,11 +102,12 @@ def w(state: QuasiBellState, gamma, delta, s: float):
     overflow; if a fused interference exponent still exceeds the float
     range (large |alpha|^2 with s close to 1), OverflowError is raised with
     the offending numbers rather than returning inf.  Where (1-s)^2 passes
-    the float range (s below about -1.3e154), DomainError names s.
+    the float range (s below about -1.3e154), DomainError names s; a gamma
+    or delta that is not finite is a DomainError too.
     """
     s = _require_s_below_one(s)
-    gamma = np.asarray(gamma, dtype=complex)
-    delta = np.asarray(delta, dtype=complex)
+    gamma = _finite_array(gamma, complex, "gamma")
+    delta = _finite_array(delta, complex, "delta")
     scalar = gamma.ndim == 0 and delta.ndim == 0
 
     alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
@@ -137,18 +149,17 @@ def w_symmetrized(state: QuasiBellState, r_gamma, r_delta, phi_plus, phi_minus, 
     Evaluates (1/2)[W(gamma, delta) + W(-gamma, -delta)] at
     gamma = r_gamma e^(i phi_gamma), delta = r_delta e^(i phi_delta) with
     phi_gamma = (phi_plus - phi_minus)/2 and phi_delta = (phi_plus + phi_minus)/2.
-    Angles are reduced to [0, 2pi) first; radii must be non-negative.
+    Angles are reduced to [0, 2pi) first; radii must be non-negative, and
+    radii and angles finite.
     """
-    r_gamma = np.asarray(r_gamma, dtype=float)
-    r_delta = np.asarray(r_delta, dtype=float)
+    r_gamma = _finite_array(r_gamma, float, "r_gamma")
+    r_delta = _finite_array(r_delta, float, "r_delta")
     if np.any(r_gamma < 0.0) or np.any(r_delta < 0.0):
         raise DomainError("radial coordinates must be non-negative")
     two_pi = 2.0 * math.pi
-    phi_plus = np.mod(np.asarray(phi_plus, dtype=float), two_pi)
-    phi_minus = np.mod(np.asarray(phi_minus, dtype=float), two_pi)
-    scalar = all(
-        a.ndim == 0 for a in (r_gamma, r_delta, np.asarray(phi_plus), np.asarray(phi_minus))
-    )
+    phi_plus = np.mod(_finite_array(phi_plus, float, "phi_plus"), two_pi)
+    phi_minus = np.mod(_finite_array(phi_minus, float, "phi_minus"), two_pi)
+    scalar = all(a.ndim == 0 for a in (r_gamma, r_delta, phi_plus, phi_minus))
 
     phi_gamma = 0.5 * (phi_plus - phi_minus)
     phi_delta = 0.5 * (phi_plus + phi_minus)

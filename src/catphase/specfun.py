@@ -1,4 +1,4 @@
-"""Scaled modified Bessel functions, Kummer's function, and their combinations.
+"""Modified Bessel ratios and the log-scaled combinations built from them.
 
 Everything here is scalar and pure.  The quantities that grow like exp(+2x)
 are carried as :class:`LogScaledValue` (sign, natural-log magnitude) pairs so
@@ -39,10 +39,8 @@ from .errors import DomainError, NoConvergenceError
 
 __all__ = [
     "LogScaledValue",
-    "bessel_i_scaled",
     "bessel_i_ratio",
     "i_n_combo",
-    "kummer_m_log",
     "i_n_combo_kummer",
 ]
 
@@ -80,12 +78,6 @@ class LogScaledValue(NamedTuple):
         if value == 0.0:
             return cls.zero()
         return cls(1 if value > 0 else -1, math.log(abs(value)))
-
-    def value(self) -> float:
-        """The plain float; raises OverflowError past the float range."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_mag)
 
     def scaled(self, log_factor: float) -> "LogScaledValue":
         """Multiply by exp(log_factor) without leaving log space."""
@@ -207,25 +199,6 @@ def _log_ive(two_nu: int, x: float) -> float:
         if res is not None:
             return res
     return _log_ive_series(nu, x)
-
-
-def bessel_i_scaled(order: float, x: float) -> float:
-    """Exponentially scaled modified Bessel function e^(-x) I_order(x).
-
-    ``order`` must be a non-negative integer or half-integer.  Relative
-    accuracy is better than 1e-13 for x <= 700; the result may underflow to
-    0.0 for large orders at tiny arguments (use :func:`i_n_combo` when the
-    log-scaled value is needed).
-    """
-    two_nu = _check_half_order(order)
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"bessel_i_scaled needs x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0 if two_nu == 0 else 0.0
-    log_val = _log_ive(two_nu, x)
-    if log_val < -745.0:
-        return 0.0
-    return math.exp(log_val)
 
 
 def _positive_int(value, what: str) -> int:
@@ -375,7 +348,7 @@ def _kummer_series_log(a: float, b: float, x: float) -> LogScaledValue:
     raise NoConvergenceError(f"Kummer series for a={a}, b={b}, x={x} exceeded {_SERIES_CAP} terms")
 
 
-def kummer_m_log(a: float, b: float, x: float) -> LogScaledValue:
+def _kummer_m_log(a: float, b: float, x: float) -> LogScaledValue:
     """Kummer's confluent hypergeometric function M(a, b, x), log-scaled.
 
     For x >= 0 the defining ascending series is summed directly; for x < 0
@@ -384,7 +357,7 @@ def kummer_m_log(a: float, b: float, x: float) -> LogScaledValue:
     (a = n/2 + 1, b = n + 1).
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(x)):
-        raise DomainError("kummer_m_log requires finite arguments")
+        raise DomainError("Kummer's M(a, b, x) requires finite arguments")
     if b <= 0.0 and b == round(b):
         raise DomainError(f"b must not be a non-positive integer, got {b!r}")
     if x >= 0.0:
@@ -412,5 +385,5 @@ def i_n_combo_kummer(n: int, x: float, branch: str) -> LogScaledValue:
         - math.lgamma(n + 1.0)
         + 0.5 * n * math.log(2.0 * x)
     )
-    m = kummer_m_log(0.5 * n + 1.0, n + 1.0, sign * 2.0 * x)
+    m = _kummer_m_log(0.5 * n + 1.0, n + 1.0, sign * 2.0 * x)
     return m.scaled(log_pref - sign * 2.0 * x)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from .errors import DomainError, NullStateError
 
@@ -27,7 +27,6 @@ __all__ = [
     "validate_params",
     "params_from_descriptor",
     "state_from_descriptor",
-    "state_to_descriptor",
 ]
 
 # Tolerance for the |mu|^2 + |nu|^2 = 1 constraint at construction.
@@ -141,10 +140,9 @@ class QuasiBellState:
     alpha, beta : complex
         Coherent amplitudes of mode 1 and mode 2.
     mu, nu : complex
-        Superposition weights, |mu|^2 + |nu|^2 = 1 (within 1e-12).
-    renormalize : bool, optional
-        If True, rescale (mu, nu) onto the unit circle of weight norm
-        instead of rejecting weights that miss it.
+        Superposition weights, |mu|^2 + |nu|^2 = 1 (within 1e-12).  Weights
+        that miss it are rejected; a descriptor with ``"renormalize": true``
+        (see :func:`params_from_descriptor`) rescales them first.
 
     Raises
     ------
@@ -161,17 +159,12 @@ class QuasiBellState:
     beta: complex
     mu: complex
     nu: complex
-    renormalize: InitVar[bool] = False
 
-    def __post_init__(self, renormalize: bool) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "mu", complex(self.mu))
         object.__setattr__(self, "nu", complex(self.nu))
-        if renormalize:
-            mu, nu = _unit_weights(self.mu, self.nu)
-            object.__setattr__(self, "mu", mu)
-            object.__setattr__(self, "nu", nu)
         problems = validate_params(self.alpha, self.beta, self.mu, self.nu)
         if problems:
             null = _radicand_is_null(*_radicand(self.alpha, self.beta, self.mu, self.nu))
@@ -263,12 +256,3 @@ def state_from_descriptor(descriptor: dict) -> QuasiBellState:
     """
     return QuasiBellState(*params_from_descriptor(descriptor))
 
-
-def state_to_descriptor(state: QuasiBellState) -> dict:
-    """Serialize a state to the explicit-weight descriptor form."""
-    return {
-        "alpha": {"abs": abs(state.alpha), "arg": cmath.phase(state.alpha)},
-        "beta": {"abs": abs(state.beta), "arg": cmath.phase(state.beta)},
-        "mu": {"re": state.mu.real, "im": state.mu.imag},
-        "nu": {"re": state.nu.real, "im": state.nu.imag},
-    }

@@ -559,6 +559,21 @@ class TestConfigAndFormat:
                 main([command, "--eps-tail", "0"])
             assert refused.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-compare", "--s", "3", "--n-chi-points", "0", "--n-radial", "16",
+             "--n-angular", "32"],
+            ["phase-dist", "--n-ph", "3"],
+        ],
+    )
+    def test_abbreviated_flag_is_refused(self, capsys, argv):
+        # A prefix is not read as the longer flag (--s as --seed, --n-ph as --n-phi).
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {argv[1]} 3" in capsys.readouterr().err
+
     def test_negative_values_in_exponent_notation(self, capsys):
         code, out = run_cli(
             capsys,
@@ -615,10 +630,21 @@ _COMMON_FLAGS = st.one_of(
 
 _STATE_FLAGS = st.one_of(
     st.tuples(st.just("--s"), st.floats(-3, 3).map(repr)),
+    # Domain extremes: s past the quadrature's float range, subnormal, and
+    # just below the guard S_UPPER = 1 - 1e-9.
+    st.tuples(
+        st.just("--s"),
+        st.sampled_from(["-1e307", "-1e156", "5e-324", "0.999999998", "0.9999999989"]),
+    ),
     st.tuples(st.just("--preset"), st.sampled_from(["even_cat", "odd_cat", "yurke_stoler_minus"])),
     st.tuples(
         st.sampled_from(["--alpha", "--beta", "--mu", "--nu"]),
         st.sampled_from(["0 0", "1e-3 0.5", "1 0", "0.6 0.8", "2.5 -1", "nan 0", "1e200 0"]),
+    ),
+    # Amplitudes whose squares underflow or sit at the edge of the float range.
+    st.tuples(
+        st.sampled_from(["--alpha", "--beta"]),
+        st.sampled_from(["1e-170 0", "1e-154 0", "1e154 0", "5e-324 0"]),
     ),
     st.tuples(st.just("--state"), st.sampled_from(["{}", "[]", "{bad", '{"preset": 3}'])),
     st.tuples(st.just("--renormalize"), st.just("")),

@@ -344,6 +344,31 @@ class TestRefusalParity:
     def test_just_above_the_refusal_still_normalizes(self):
         assert quadrature_normalization(preset_state("odd_cat"), -4e153) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "phi,shown",
+        [
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (math.nan, "nan"),
+            (np.array([[0.3, math.nan], [math.inf, 1.0]]), "nan"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda st, phi: quadrature_phase_dist(st, 0.0, "plus", phi),
+            lambda st, phi: quadrature_phase_dist(st, 0.0, "minus", phi),
+            lambda st, phi: quadrature_one_mode(st, 0.0, 1, phi),
+            lambda st, phi: quadrature_one_mode(st, 0.0, 2, phi),
+        ],
+        ids=["plus", "minus", "mode1", "mode2"],
+    )
+    def test_non_finite_phi_is_domain_error(self, call, phi, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^phi must be finite, got {shown}$"):
+                call(preset_state("odd_cat"), phi)
+
     def test_w_names_s_past_float_range(self):
         with pytest.raises(DomainError, match=r"^s = -1e\+156 is too far below 0: "):
             w(preset_state("odd_cat"), 0.1, 0.2, -1e156)

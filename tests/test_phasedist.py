@@ -33,6 +33,7 @@ from catphase import (
 )
 from catphase.cli import main
 from catphase.phasedist import _fused, _horner, _truncate
+from catphase.states import _unit_weights
 
 from conftest import preset_state
 
@@ -313,7 +314,7 @@ _BOX_AMPLITUDES = st.builds(
 )
 _ANY_WEIGHT = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 _RANDOM_STATES = st.builds(
-    lambda alpha, beta, mu, nu: QuasiBellState(alpha, beta, mu, nu, renormalize=True),
+    lambda alpha, beta, mu, nu: QuasiBellState(alpha, beta, *_unit_weights(mu, nu)),
     _BOX_AMPLITUDES,
     _BOX_AMPLITUDES,
     _ANY_WEIGHT.filter(lambda z: abs(z) > 1e-3),
@@ -788,7 +789,7 @@ class TestFusionMatchesLogScaledRoute:
     )
     def test_spectra_bits_and_errors(self, alpha, beta, weights, s, n_max):
         try:
-            state = QuasiBellState(alpha, beta, *weights, renormalize=True)
+            state = QuasiBellState(alpha, beta, *_unit_weights(*weights))
             normalization_constant(state)
         except (ValueError, ArithmeticError):
             return  # no normalizable state

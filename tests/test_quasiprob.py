@@ -275,3 +275,42 @@ class TestWSymmetrized:
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
             w_symmetrized(preset_state("even_cat"), -0.1, 0.0, 0.0, 0.0, 0.0)
+
+
+class TestNonFinitePoints:
+    """A point, radius or angle that is not finite is a DomainError naming the argument."""
+
+    STATE = make_preset("odd_cat", 1.0, 0.7)
+    VALUES = [
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (math.nan, "nan"),
+        (np.array([[0.5, math.nan], [math.inf, 1.0]]), "nan"),
+    ]
+
+    @pytest.mark.parametrize("value,shown", VALUES + [(complex(0.3, math.inf), "infj")])
+    @pytest.mark.parametrize(
+        "call,named",
+        [
+            (lambda st, v: chi(st, v, 0.0, 0.0), "xi"),
+            (lambda st, v: chi(st, 0.2, v, 0.3), "eta"),
+            (lambda st, v: w(st, v, 0.1, 0.0), "gamma"),
+            (lambda st, v: w(st, 0.1, v, -1.0), "delta"),
+        ],
+        ids=["chi-xi", "chi-eta", "w-gamma", "w-delta"],
+    )
+    def test_complex_point(self, call, named, value, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{named} must be finite, got .*{shown}"):
+                call(self.STATE, value)
+
+    @pytest.mark.parametrize("value,shown", VALUES)
+    @pytest.mark.parametrize("named", ["r_gamma", "r_delta", "phi_plus", "phi_minus"])
+    def test_w_symmetrized_coordinate(self, named, value, shown):
+        coords = {"r_gamma": 1.0, "r_delta": 0.5, "phi_plus": 0.2, "phi_minus": -0.4}
+        coords[named] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{named} must be finite, got {shown}$"):
+                w_symmetrized(self.STATE, *coords.values(), 0.0)

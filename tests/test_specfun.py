@@ -12,22 +12,26 @@ from catphase import (
     LogScaledValue,
     QuasiBellState,
     bessel_i_ratio,
-    bessel_i_scaled,
     build_spectrum,
     fourier_coefficient,
     i_n_combo,
     i_n_combo_kummer,
-    kummer_m_log,
     one_mode_coefficients,
     specfun,
 )
+from catphase.specfun import _kummer_m_log, _log_ive
 
 mpmath.mp.dps = 40
 
 
-def mp_ive(order: float, x: float) -> float:
-    """High-precision e^(-x) I_order(x), independent of the package."""
-    return float(mpmath.exp(-x) * mpmath.besseli(mpmath.mpf(order * 2) / 2, x))
+def mp_log_ive(order: float, x: float) -> float:
+    """High-precision log(e^(-x) I_order(x)), independent of the package."""
+    return float(mpmath.log(mpmath.besseli(mpmath.mpf(order * 2) / 2, x)) - x)
+
+
+def plain(value: LogScaledValue) -> float:
+    """The float a nonzero LogScaledValue stands for."""
+    return value.sign * math.exp(value.log_mag)
 
 
 def mp_combo_log(n: int, x: float, branch: str) -> float:
@@ -41,62 +45,55 @@ def mp_combo_log(n: int, x: float, branch: str) -> float:
 
 
 class TestBesselScaled:
-    def test_at_zero(self):
-        assert bessel_i_scaled(0, 0.0) == 1.0
-        assert bessel_i_scaled(1, 0.0) == 0.0
-        assert bessel_i_scaled(0.5, 0.0) == 0.0
+    """log(e^(-x) I_order(x)) from _log_ive, which seeds every combination table.
+
+    Each check compares logs at an absolute tolerance equal to a relative
+    tolerance on the value, which is the same to first order.
+    """
 
     def test_frozen_values(self):
         # 40-digit oracle values.
-        assert bessel_i_scaled(1, 1.0) == pytest.approx(0.2079104153497084, rel=1e-14, abs=0.0)
-        assert bessel_i_scaled(0.5, 1.0) == pytest.approx(0.3449513138882446, rel=1e-14, abs=0.0)
-        assert bessel_i_scaled(0, 1.0) == pytest.approx(0.4657596075936404, rel=1e-14, abs=0.0)
+        assert _log_ive(2, 1.0) == pytest.approx(math.log(0.2079104153497084), rel=0.0, abs=1e-14)
+        assert _log_ive(1, 1.0) == pytest.approx(math.log(0.3449513138882446), rel=0.0, abs=1e-14)
+        assert _log_ive(0, 1.0) == pytest.approx(math.log(0.4657596075936404), rel=0.0, abs=1e-14)
 
     @pytest.mark.parametrize("order", [0, 0.5, 1, 1.5, 2, 2.5, 5, 7.5, 12, 20.5])
     @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 1.0, 10.0, 100.0, 350.0, 500.0, 700.0])
     def test_against_high_precision(self, order, x):
-        expected = mp_ive(order, x)
-        got = bessel_i_scaled(order, x)
-        if expected < 1e-290:
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
-        else:
-            assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+        expected = mp_log_ive(order, x)
+        assert _log_ive(round(2 * order), x) == pytest.approx(expected, rel=0.0, abs=1e-13)
 
     @pytest.mark.parametrize("order,x", [(25, 1000.0), (20, 780.0)])
     def test_series_rescale_past_documented_range(self, order, x):
         # 2 order^2 > x sends these to the ascending series, whose running sum
-        # passes 1e280 and is rescaled.  x lies past the x <= 700 that the
-        # docstring claims; the errors measured 9.4e-14 and 1.1e-13 relative.
-        expected = mp_ive(order, x)
-        assert bessel_i_scaled(order, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        # passes 1e280 and is rescaled.  x lies past 700, the largest argument
+        # the other checks here reach.
+        expected = mp_log_ive(order, x)
+        assert _log_ive(round(2 * order), x) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("x", [1e-8, 1e-2, 0.5, 2.0, 10.0, 100.0, 500.0])
     def test_half_integer_closed_forms(self, x):
         # I_(1/2) = sqrt(2/(pi x)) sinh x, I_(3/2) = sqrt(2/(pi x)) (cosh x - sinh x / x),
         # both evaluated in scaled form through mpmath to dodge cancellation.
-        i_half = float(mpmath.sqrt(2 / (mpmath.pi * x)) * mpmath.sinh(x) * mpmath.exp(-x))
-        i_three_half = float(
-            mpmath.sqrt(2 / (mpmath.pi * x))
-            * (mpmath.cosh(x) - mpmath.sinh(x) / x)
-            * mpmath.exp(-x)
+        i_half = float(
+            mpmath.log(mpmath.sqrt(2 / (mpmath.pi * x)) * mpmath.sinh(x) * mpmath.exp(-x))
         )
-        assert bessel_i_scaled(0.5, x) == pytest.approx(i_half, rel=1e-13, abs=0.0)
-        assert bessel_i_scaled(1.5, x) == pytest.approx(i_three_half, rel=1e-13, abs=0.0)
+        i_three_half = float(
+            mpmath.log(
+                mpmath.sqrt(2 / (mpmath.pi * x))
+                * (mpmath.cosh(x) - mpmath.sinh(x) / x)
+                * mpmath.exp(-x)
+            )
+        )
+        assert _log_ive(1, x) == pytest.approx(i_half, rel=0.0, abs=1e-13)
+        assert _log_ive(3, x) == pytest.approx(i_three_half, rel=0.0, abs=1e-13)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3.5])
     @pytest.mark.parametrize("x", [39.5, 40.0, 40.5])
     def test_series_asymptotic_crossover(self, order, x):
         # Both evaluation paths meet near x = 40; no seam is visible.
-        expected = mp_ive(order, x)
-        assert bessel_i_scaled(order, x) == pytest.approx(expected, rel=1e-13, abs=0.0)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bessel_i_scaled(0, -1.0)
-        with pytest.raises(DomainError):
-            bessel_i_scaled(-0.5, 1.0)
-        with pytest.raises(DomainError):
-            bessel_i_scaled(0.3, 1.0)
+        expected = mp_log_ive(order, x)
+        assert _log_ive(round(2 * order), x) == pytest.approx(expected, rel=0.0, abs=1e-13)
 
 
 class TestBesselRatio:
@@ -140,6 +137,10 @@ class TestBesselRatio:
             bessel_i_ratio(0, 0.0)
         with pytest.raises(DomainError):
             bessel_i_ratio(0, -2.0)
+        with pytest.raises(DomainError):
+            bessel_i_ratio(-0.5, 1.0)
+        with pytest.raises(DomainError):
+            bessel_i_ratio(0.3, 1.0)
 
 
 class TestCombination:
@@ -147,7 +148,7 @@ class TestCombination:
         for branch in ("plus", "minus"):
             val = i_n_combo(1, 0.0, branch)
             assert val.sign == 0
-            assert val.value() == 0.0
+            assert val.log_mag == -math.inf
 
     def test_frozen_values(self):
         # e^-1 (I_0(1) + I_1(1))
@@ -301,18 +302,18 @@ class TestTablePurity:
 class TestKummer:
     def test_at_zero(self):
         for a, b in [(0.5, 1.0), (3.0, 4.0), (1.5, 2.0)]:
-            assert kummer_m_log(a, b, 0.0).value() == 1.0
+            assert _kummer_m_log(a, b, 0.0) == LogScaledValue(1, 0.0)
 
     @pytest.mark.parametrize("x", [-30.0, -2.0, 0.5, 3.0, 100.0])
     def test_exponential_identity(self, x):
         # M(1, 1, x) = e^x.
-        val = kummer_m_log(1.0, 1.0, x)
+        val = _kummer_m_log(1.0, 1.0, x)
         assert val.sign == 1
         assert val.log_mag == pytest.approx(x, abs=1e-13)
 
     def test_frozen_value(self):
         # M(3/2, 2, 2), the n = 1, x = 1 case of the combination identity.
-        assert kummer_m_log(1.5, 2.0, 2.0).value() == pytest.approx(
+        assert plain(_kummer_m_log(1.5, 2.0, 2.0)) == pytest.approx(
             4.977785591696303, rel=1e-13, abs=0.0
         )
 
@@ -322,12 +323,12 @@ class TestKummer:
     )
     def test_against_high_precision(self, a, b, x):
         expected = float(mpmath.log(mpmath.hyp1f1(a, b, x)))
-        assert kummer_m_log(a, b, x).log_mag == pytest.approx(expected, abs=1e-12)
+        assert _kummer_m_log(a, b, x).log_mag == pytest.approx(expected, abs=1e-12)
 
     def test_excluded_b(self):
         for b in (0.0, -1.0, -5.0):
             with pytest.raises(DomainError):
-                kummer_m_log(1.0, b, 1.0)
+                _kummer_m_log(1.0, b, 1.0)
 
 
 class TestDualFormulaIdentity:
@@ -363,21 +364,17 @@ class TestDualFormulaIdentity:
 class TestLogScaledValue:
     def test_zero(self):
         z = LogScaledValue.zero()
-        assert z.sign == 0 and z.value() == 0.0
+        assert z.sign == 0 and z.log_mag == -math.inf
         assert LogScaledValue.from_value(0.0).sign == 0
 
     def test_round_trip(self):
         # exp(log x) round-trips to ~|log x| ulps.
         for x in (3.5, -1e-200, 2e250, -7.25):
-            assert LogScaledValue.from_value(x).value() == pytest.approx(x, rel=1e-12, abs=0.0)
+            assert plain(LogScaledValue.from_value(x)) == pytest.approx(x, rel=1e-12, abs=0.0)
 
     def test_scaled(self):
         v = LogScaledValue.from_value(2.0).scaled(math.log(3.0))
-        assert v.value() == pytest.approx(6.0, rel=1e-14, abs=0.0)
-
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            LogScaledValue(1, 800.0).value()
+        assert plain(v) == pytest.approx(6.0, rel=1e-14, abs=0.0)
 
     def test_is_an_immutable_tuple(self):
         value = LogScaledValue(-1, 2.5)
@@ -400,10 +397,10 @@ class TestLogScaledValue:
     def test_methods(self):
         assert LogScaledValue.from_value(-4.0) == LogScaledValue(-1, math.log(4.0))
         assert LogScaledValue.from_value(0.5) == LogScaledValue(1, math.log(0.5))
-        assert LogScaledValue(-1, math.log(4.0)).value() == -4.0
+        assert plain(LogScaledValue(-1, math.log(4.0))) == -4.0
         assert LogScaledValue(1, 1.5).scaled(2.0) == LogScaledValue(1, 3.5)
         assert LogScaledValue.zero().scaled(5.0) == LogScaledValue.zero()
-        assert LogScaledValue.zero().value() == 0.0
+        assert LogScaledValue.zero() == (0, -math.inf)
 
     def test_returned_by_both_routes(self):
         for route in (i_n_combo, i_n_combo_kummer):

@@ -8,12 +8,23 @@ from catphase import (
     QuasiBellState,
     make_preset,
     normalization_constant,
+    params_from_descriptor,
     state_from_descriptor,
-    state_to_descriptor,
     validate_params,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def renormalized(mu: complex, nu: complex) -> dict:
+    """Descriptor of alpha = beta = 1 with weights (mu, nu) to be rescaled to unit norm."""
+    return {
+        "alpha": {"abs": 1.0, "arg": 0.0},
+        "beta": {"abs": 1.0, "arg": 0.0},
+        "mu": {"re": mu.real, "im": mu.imag},
+        "nu": {"re": nu.real, "im": nu.imag},
+        "renormalize": True,
+    }
 
 
 class TestNormalizationConstant:
@@ -83,7 +94,7 @@ class TestConstruction:
             QuasiBellState(1.0, 1.0, INV_SQRT2 * (1 + 1e-10), INV_SQRT2)
 
     def test_renormalize_option(self):
-        state = QuasiBellState(1.0, 1.0, 3.0, 4.0j, renormalize=True)
+        state = state_from_descriptor(renormalized(3.0, 4.0j))
         assert abs(state.mu) ** 2 + abs(state.nu) ** 2 == pytest.approx(1.0, abs=1e-15)
         assert state.mu == pytest.approx(0.6)
         assert state.nu == pytest.approx(0.8j)
@@ -91,7 +102,7 @@ class TestConstruction:
     def test_renormalize_weight_modulus_past_float_range(self):
         # abs(complex(1.7e308, 1.7e308)) overflows; the norm is not finite.
         with pytest.raises(ValueError, match="cannot renormalize"):
-            QuasiBellState(1.0, 1.0, complex(1.7e308, 1.7e308), 1.0, renormalize=True)
+            params_from_descriptor(renormalized(complex(1.7e308, 1.7e308), 1.0))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
@@ -167,7 +178,14 @@ class TestDescriptor:
 
     def test_explicit_weights_round_trip(self):
         original = QuasiBellState(0.5 + 0.1j, 1.2, 0.6, 0.8j)
-        rebuilt = state_from_descriptor(state_to_descriptor(original))
+        rebuilt = state_from_descriptor(
+            {
+                "alpha": {"abs": 0.5099019513592785, "arg": 0.19739555984988078},
+                "beta": {"abs": 1.2, "arg": 0.0},
+                "mu": {"re": 0.6, "im": 0.0},
+                "nu": {"re": 0.0, "im": 0.8},
+            }
+        )
         assert rebuilt.alpha == pytest.approx(original.alpha)
         assert rebuilt.beta == pytest.approx(original.beta)
         assert rebuilt.mu == pytest.approx(original.mu)

@@ -28,9 +28,11 @@ The configs:
 - 1 more: ``validate --renormalize`` with a weight whose modulus passes the
   float range;
 - 2 more: ``phase-dist`` calls whose Bessel argument is about 1e-308, from
-  a tiny |alpha| and from a huge negative s.
+  a tiny |alpha| and from a huge negative s;
+- 2 more: abbreviated flags (``oracle-compare --s``, ``phase-dist --n-ph``),
+  which argparse refuses rather than reading as a longer flag.
 
-The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055 and 1,056, keep
+The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055, 1,056 and 1,058, keep
 their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
 argparse wraps help text to the terminal width.
 
@@ -195,6 +197,8 @@ FLAG_CONFIGS = (
 # 1,052: a state whose |alpha|^2 passes the float range, on validate and on
 # phase-dist, and a Bessel argument |alpha|^2/(1-s) that does.  Then, after
 # the first 1,055: renormalizing a weight whose modulus passes the float range.
+# Then, after the first 1,056: Bessel arguments near 1e-308; and after the
+# first 1,058: abbreviated flags.
 LATER_CONFIGS = (
     ("validate", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
     ("validate", "--mu", "0", "0", "--nu", "0", "0", "--renormalize"),
@@ -219,6 +223,8 @@ LATER_CONFIGS = (
         "--s", "0", "--n-phi", "3",
     ),
     ("phase-dist", "--preset", "odd_cat", "--s", "-1e307", "--n-phi", "3"),
+    ("oracle-compare", "--s", "3", "--n-chi-points", "0", "--n-radial", "16", "--n-angular", "32"),
+    ("phase-dist", "--n-ph", "3"),
 )
 NATIVE_FORMATS = (
     ("validate", "json"),
