@@ -88,8 +88,8 @@ class LogScaledValue(NamedTuple):
 
 def _check_half_order(order: float) -> int:
     """Validate an integer-or-half-integer order >= 0; return 2*order."""
-    twice = round(2.0 * order)
-    if not math.isfinite(order) or abs(2.0 * order - twice) > 1e-12 or twice < 0:
+    twice = round(2.0 * order) if math.isfinite(order) else -1
+    if abs(2.0 * order - twice) > 1e-12 or twice < 0:
         raise DomainError(f"order must be a non-negative integer or half-integer, got {order!r}")
     return int(twice)
 

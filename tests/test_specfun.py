@@ -19,7 +19,7 @@ from catphase import (
     one_mode_coefficients,
     specfun,
 )
-from catphase.specfun import _kummer_m_log, _log_ive
+from catphase.specfun import _check_half_order, _kummer_m_log, _log_ive
 
 mpmath.mp.dps = 40
 
@@ -94,6 +94,19 @@ class TestBesselScaled:
         # Both evaluation paths meet near x = 40; no seam is visible.
         expected = mp_log_ive(order, x)
         assert _log_ive(round(2 * order), x) == pytest.approx(expected, rel=0.0, abs=1e-13)
+
+    def test_domain_errors(self):
+        # Orders reach _log_ive as 2*order through _check_half_order.
+        assert _check_half_order(0) == 0
+        assert _check_half_order(2.5) == 5
+        with pytest.raises(DomainError):
+            _check_half_order(-0.5)
+        with pytest.raises(DomainError):
+            _check_half_order(0.3)
+        with pytest.raises(DomainError):
+            _check_half_order(math.nan)
+        with pytest.raises(DomainError):
+            bessel_i_ratio(math.inf, 1.0)
 
 
 class TestBesselRatio:
