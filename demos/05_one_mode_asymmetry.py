@@ -17,9 +17,9 @@ for preset in ("even_cat", "yurke_stoler_plus"):
     state = make_preset(preset, 1.0, 1.0)
     spectrum = one_mode_coefficients(state, -1.0, 1)
     print(f"{preset}: n_used = {spectrum.n_used}")
-    print(f"  c_odd  = {np.array2string(spectrum.c_odd[:3], precision=5)}")
-    print(f"  c_even = {np.array2string(spectrum.c_even[:3], precision=5)}")
-    print(f"  d_odd  = {np.array2string(spectrum.d_odd[:3], precision=5)}")
+    print(f"  c_odd  = {np.array2string(np.array(spectrum.c_odd[:3]), precision=5)}")
+    print(f"  c_even = {np.array2string(np.array(spectrum.c_even[:3]), precision=5)}")
+    print(f"  d_odd  = {np.array2string(np.array(spectrum.d_odd[:3]), precision=5)}")
     left = eval_one_mode_dist(spectrum, spectrum.phi_ref - math.pi / 4)
     right = eval_one_mode_dist(spectrum, spectrum.phi_ref + math.pi / 4)
     print(f"  P(phi_ref - pi/4) = {left:.6f}   P(phi_ref + pi/4) = {right:.6f}")
@@ -34,8 +34,8 @@ print(
     "  max coefficient change under phi_beta -> phi_beta + 1.9:",
     float(
         max(
-            np.max(np.abs(base.cos_coeffs - rotated.cos_coeffs)),
-            np.max(np.abs(base.sin_coeffs - rotated.sin_coeffs)),
+            np.max(np.abs(np.subtract(base.cos_coeffs, rotated.cos_coeffs))),
+            np.max(np.abs(np.subtract(base.sin_coeffs, rotated.sin_coeffs))),
         )
     ),
 )

@@ -9,6 +9,9 @@ configurations produce byte-identical output.
 
 Exit status: 0 success, 2 configuration/parse errors, 3 domain errors,
 4 convergence/cutoff errors.
+
+NumPy and the oracle module are imported inside the handlers that make
+arrays, so ``coeffs`` and ``moments`` run without loading NumPy.
 """
 
 from __future__ import annotations
@@ -20,16 +23,7 @@ import re
 import sys
 from itertools import zip_longest
 
-import numpy as np
-
 from .errors import CutoffTooSmallError, DomainError, NoConvergenceError, NullStateError
-from .oracle import (
-    QuadratureSpec,
-    fock_chi_oracle,
-    quadrature_normalization,
-    quadrature_one_mode,
-    quadrature_phase_dist,
-)
 from .phasedist import (
     TruncationPolicy,
     build_spectrum,
@@ -89,7 +83,7 @@ _NUMBERS = {
 # The settings each checked parameter object is built from, in field order.
 _TRUNCATION = ("eps_tail", "n_min", "n_max")
 _POLICY = (TruncationPolicy, *_TRUNCATION)
-_QUADRATURE = (QuadratureSpec, "n_radial", "n_angular", "radial_sigma")
+_QUADRATURE = ("n_radial", "n_angular", "radial_sigma")  # of oracle.QuadratureSpec
 
 
 class ConfigError(ValueError):
@@ -187,7 +181,9 @@ def _checked(args, config: dict, cls, *names: str):
         raise ConfigError(str(exc)) from exc
 
 
-def _phi_grid(args, config: dict) -> np.ndarray:
+def _phi_grid(args, config: dict):
+    import numpy as np
+
     return np.linspace(-math.pi, math.pi, _number(args, config, "n_phi"))
 
 
@@ -342,6 +338,8 @@ _CURVE_S_VALUES = (-1.0, 0.0, 0.4)
 
 
 def _cmd_figure(args, config: dict) -> str:
+    import numpy as np
+
     branch, preset, kind = _FIGURE_PANELS[args.id]
     offsets = _phi_grid(args, config)
     policy = _checked(args, config, *_POLICY)
@@ -411,6 +409,8 @@ def _cmd_moments(args, config: dict) -> str:
 
 
 def _cmd_wigner_slice(args, config: dict) -> str:
+    import numpy as np
+
     state, s, header = _resolve(args, config)
     x_axis = _setting(args, config, "x_axis", "gamma_re")
     y_axis = _setting(args, config, "y_axis", "gamma_im")
@@ -457,9 +457,13 @@ def _cmd_wigner_slice(args, config: dict) -> str:
 
 
 def _cmd_oracle_compare(args, config: dict) -> str:
+    import numpy as np
+
+    from . import oracle
+
     seed = _number(args, config, "seed")
     n_points = _number(args, config, "n_chi_points")
-    spec = _checked(args, config, *_QUADRATURE)
+    spec = _checked(args, config, oracle.QuadratureSpec, *_QUADRATURE)
     policy = _checked(args, config, *_POLICY)
     rng = np.random.default_rng(seed)
 
@@ -471,25 +475,25 @@ def _cmd_oracle_compare(args, config: dict) -> str:
                 xi = complex(*rng.uniform(-1.4, 1.4, 2))
                 eta = complex(*rng.uniform(-1.4, 1.4, 2))
                 closed = chi(state, xi, eta, s)
-                traced = fock_chi_oracle(state, xi, eta, s, n_cut=40).value
+                traced = oracle.fock_chi_oracle(state, xi, eta, s, n_cut=40).value
                 chi_dev = max(chi_dev, abs(closed - traced))
             for branch in ("plus", "minus"):
                 spectrum = build_spectrum(state, s, branch, policy)
                 phis = spectrum.phi_prime + np.array([0.0, 0.5, -1.2, math.pi])
                 analytic = eval_phase_dist(spectrum, phis)
-                quad = quadrature_phase_dist(state, s, branch, phis, spec)
+                quad = oracle.quadrature_phase_dist(state, s, branch, phis, spec)
                 phase_dev = max(phase_dev, float(np.max(np.abs(analytic - quad))))
             spectrum = one_mode_coefficients(state, s, 1, policy)
             phis = spectrum.phi_ref + np.array([0.0, 0.8, -0.8])
             analytic = eval_one_mode_dist(spectrum, phis)
-            quad = quadrature_one_mode(state, s, 1, phis, spec)
+            quad = oracle.quadrature_one_mode(state, s, 1, phis, spec)
             one_mode_dev = max(one_mode_dev, float(np.max(np.abs(analytic - quad))))
 
     norm_dev = 0.0
     for preset in ("even_cat", "odd_cat"):
         state = make_preset(preset, 1.0, 1.0)
         for s in (-1.0, 0.4):
-            norm_dev = max(norm_dev, abs(quadrature_normalization(state, s, spec) - 1.0))
+            norm_dev = max(norm_dev, abs(oracle.quadrature_normalization(state, s, spec) - 1.0))
 
     payload = {
         "chi_vs_fock_max_abs_dev": chi_dev,
@@ -543,6 +547,20 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser: it refuses an argument it does not know with its own usage."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs, allow_abbrev=False)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _add_number(parser, name: str, help: str | None = None) -> None:
     """The flag of numeric setting ``name``: ``--name-with-dashes`` of its kind."""
     flag = "--" + name.replace("_", "-")
@@ -555,10 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phase distributions of entangled two-mode coherent states",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, (help_text, _, _, takes_state, extras) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; inline flags override it")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument(

@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import CutoffTooSmallError, DomainError
 from .quasiprob import (
@@ -48,7 +47,7 @@ from .quasiprob import (
     w,
     w_symmetrized,
 )
-from .specfun import _branch_sign, _positive_int
+from .specfun import _branch_sign, _integer, _positive_int
 from .states import QuasiBellState, _require_mode, _sq_sum, normalization_constant
 
 __all__ = [
@@ -82,6 +81,8 @@ class QuadratureSpec:
     radial_cutoff_sigma: float = 8.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_radial", _integer(self.n_radial, "n_radial"))
+        object.__setattr__(self, "n_angular", _integer(self.n_angular, "n_angular"))
         if self.n_radial < 16:
             raise ValueError(f"n_radial must be >= 16, got {self.n_radial!r}")
         if self.n_angular < 32:
@@ -102,6 +103,8 @@ def _read_only(*arrays):
 @lru_cache(maxsize=8, typed=True)
 def _legendre_rule(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1] for n nodes, as read-only arrays."""
+    from numpy.polynomial.legendre import leggauss  # about 1 MiB, loaded for quadrature only
+
     return _read_only(*leggauss(n))
 
 

@@ -14,9 +14,11 @@ table), the rest straight from that table.  A row generator per spectrum
 fuses one row of each reader into (c_n,) for a pair branch or (c_n, d_n) for
 a mode; one truncation loop draws rows until two consecutive ones drop below
 ``eps_tail`` (the decay is super-geometric, so a two-term test is safe
-against even/odd alternation) and makes one array per column.  Spectra
-carry their construction context so moments can recompute coefficients on
-demand.
+against even/odd alternation) and keeps each column as a list of floats.
+Spectra carry their construction context so moments can recompute
+coefficients on demand.  Coefficients and moments are plain Python floats;
+NumPy is imported on first use by the array functions, ``wrap_angle`` and
+the series evaluators.
 
 One complex Horner pass sums either series: with a_n = c_n - i d_n (d_n = 0
 for a pair branch) and z = e^(i delta), delta the wrapped offset of phi,
@@ -35,14 +37,13 @@ from dataclasses import dataclass
 from itertools import count, repeat
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError, NoConvergenceError
 from .quasiprob import _finite_array, _require_s_below_one
 from .specfun import (
     LogScaledValue,
     _branch_sign,
     _combo_table,
+    _integer,
     _positive_int,
     _table_top,
     i_n_combo,
@@ -78,6 +79,8 @@ class TruncationPolicy:
     n_max: int = 512
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_min", _integer(self.n_min, "n_min"))
+        object.__setattr__(self, "n_max", _integer(self.n_max, "n_max"))
         if not (self.eps_tail > 0.0 and math.isfinite(self.eps_tail)):
             raise ValueError(f"eps_tail must be positive, got {self.eps_tail!r}")
         if not (1 <= self.n_min <= self.n_max):
@@ -90,15 +93,15 @@ class TruncationPolicy:
 class FourierSpectrum:
     """Truncated cosine spectrum of a phase-sum/difference distribution.
 
-    ``coeffs[n-1]`` is c_n for n = 1..n_used; ``phi_prime`` is the reference
-    phase phi_beta +/- phi_alpha reduced to [0, 2pi).  The construction
-    context (state, s) is kept so higher coefficients can be recomputed on
-    demand by :func:`trig_moments`.
+    ``coeffs[n-1]`` is c_n for n = 1..n_used, in a list of floats;
+    ``phi_prime`` is the reference phase phi_beta +/- phi_alpha reduced to
+    [0, 2pi).  The construction context (state, s) is kept so higher
+    coefficients can be recomputed on demand by :func:`trig_moments`.
     """
 
     branch: str
     phi_prime: float
-    coeffs: np.ndarray
+    coeffs: list[float]
     n_used: int
     tail_bound: float
     state: QuasiBellState
@@ -110,29 +113,29 @@ class OneModeSpectrum:
     """Truncated cosine+sine spectrum of a one-mode phase distribution.
 
     ``cos_coeffs[n-1]`` and ``sin_coeffs[n-1]`` hold c_n and d_n for
-    n = 1..n_used; d_n vanishes identically for even n.
+    n = 1..n_used, as lists of floats; d_n vanishes identically for even n.
     """
 
     mode: int
     phi_ref: float
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
+    cos_coeffs: list[float]
+    sin_coeffs: list[float]
     n_used: int
     state: QuasiBellState
     s: float
 
     @property
-    def c_even(self) -> np.ndarray:
+    def c_even(self) -> list[float]:
         """Coefficients c_2, c_4, ..."""
         return self.cos_coeffs[1::2]
 
     @property
-    def c_odd(self) -> np.ndarray:
+    def c_odd(self) -> list[float]:
         """Coefficients c_1, c_3, ..."""
         return self.cos_coeffs[0::2]
 
     @property
-    def d_odd(self) -> np.ndarray:
+    def d_odd(self) -> list[float]:
         """Coefficients d_1, d_3, ..."""
         return self.sin_coeffs[0::2]
 
@@ -151,6 +154,8 @@ class PhaseStats(NamedTuple):
 
 def wrap_angle(phi):
     """Reduce angles to (-pi, pi]; DomainError names the first angle that is not finite."""
+    import numpy as np
+
     out = np.mod(_finite_array(phi, float, "angle"), _TWO_PI)
     out = np.where(out > math.pi, out - _TWO_PI, out)
     return out if out.ndim else float(out)
@@ -245,8 +250,8 @@ def _one_mode_rows(state: QuasiBellState, s: float, amp: complex):
             )
 
 
-def _truncate(rows, policy: TruncationPolicy | None) -> tuple[list[np.ndarray], float]:
-    """One array per column of the rows drawn from ``rows`` for n = 1..n_used, and the tail there.
+def _truncate(rows, policy: TruncationPolicy | None) -> tuple[list[list[float]], float]:
+    """One list per column of the rows drawn from ``rows`` for n = 1..n_used, and the tail there.
 
     They stop at the first n >= max(n_min, 2) where every entry of rows n - 1
     and n is below eps_tail in magnitude, or raise NoConvergenceError by n_max.
@@ -259,7 +264,7 @@ def _truncate(rows, policy: TruncationPolicy | None) -> tuple[list[np.ndarray], 
         kept.append(next(rows))
         tail = max(map(abs, kept[-2] + kept[-1]))
         if n >= policy.n_min and tail < policy.eps_tail:
-            return [np.array(column) for column in zip(*kept)], tail
+            return [list(column) for column in zip(*kept)], tail
     raise NoConvergenceError(
         f"spectrum tail still {tail:.3e} "
         f"above eps_tail={policy.eps_tail:g} at n_max={policy.n_max}"
@@ -309,16 +314,18 @@ def build_spectrum(
     )
 
 
-def _horner(coeffs, z: np.ndarray) -> np.ndarray:
-    """sum_n coeffs[n-1] z^n, n >= 1, by Horner's rule: one add and one multiply per term.
+def _horner(coeffs, z):
+    """sum_n coeffs[n-1] z^n, n >= 1, on the array z by Horner's rule: one add, one multiply a term.
 
     The product goes to a second buffer, not back into its operand: numpy
     runs an in-place multiply of one element as a reduction, which rounds
     differently from its multiply on longer arrays, and a scalar phi is
     summed as a one-element array.
     """
+    import numpy as np
+
     acc, spare = np.zeros_like(z), np.empty_like(z)
-    for a in coeffs[::-1].tolist():
+    for a in reversed(coeffs):
         acc += a
         np.multiply(acc, z, out=spare)
         acc, spare = spare, acc
@@ -330,6 +337,8 @@ def _eval_series(coeffs, phi_ref: float, phi):
 
     With a_n = c_n - i d_n the real part is sum_n (c_n cos n delta + d_n sin n delta).
     """
+    import numpy as np
+
     phi = np.asarray(phi, dtype=float)
     # Summed as a 1-d array whatever phi's shape: numpy's complex multiply
     # rounds differently on 0-d operands.
@@ -377,12 +386,13 @@ def one_mode_coefficients(
 
 def eval_one_mode_dist(spectrum: OneModeSpectrum, phi):
     """Evaluate the one-mode distribution at phi (scalar or array)."""
-    return _eval_series(spectrum.cos_coeffs - 1j * spectrum.sin_coeffs, spectrum.phi_ref, phi)
+    column = [complex(c, -d) for c, d in zip(spectrum.cos_coeffs, spectrum.sin_coeffs)]
+    return _eval_series(column, spectrum.phi_ref, phi)
 
 
 def _coefficient(spectrum: FourierSpectrum, k: int) -> float:
     if k <= spectrum.n_used:
-        return float(spectrum.coeffs[k - 1])
+        return spectrum.coeffs[k - 1]
     return fourier_coefficient(spectrum.state, spectrum.s, k, spectrum.branch)
 
 
@@ -410,22 +420,24 @@ def phase_mean_var(spectrum: FourierSpectrum, phi0: float) -> PhaseStats:
     variance = pi^2/3 - (mean - phi0)^2
                + 4 sum_n ((-1)^n / n^2) c_n cos n(phi0 - phi_prime)
 
-    OverflowError, naming phi0, if either is not finite.
+    Each sum is taken by ``math.fsum``, correctly rounded.  OverflowError,
+    naming phi0, if either result is not finite.
     """
     phi0 = float(phi0)
     if not math.isfinite(phi0):
         raise DomainError(f"window center must be finite, got {phi0!r}")
-    n = np.arange(1, spectrum.n_used + 1)
-    signs = np.where(n % 2 == 0, 1.0, -1.0)
     delta0 = phi0 - spectrum.phi_prime
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_shift = 2.0 * np.sum(signs / n * spectrum.coeffs * np.sin(n * delta0))
+    terms = [(-1.0 if n % 2 else 1.0, n, c) for n, c in enumerate(spectrum.coeffs, start=1)]
+    try:
+        shift = 2.0 * math.fsum(sign / n * c * math.sin(n * delta0) for sign, n, c in terms)
         variance = (
             math.pi**2 / 3.0
-            - mean_shift**2
-            + 4.0 * np.sum(signs / n**2 * spectrum.coeffs * np.cos(n * delta0))
+            - shift * shift
+            + 4.0 * math.fsum(sign / n**2 * c * math.cos(n * delta0) for sign, n, c in terms)
         )
-    mean, variance = phi0 + float(mean_shift), float(variance)
+    except OverflowError:  # a partial sum in fsum passed the float range
+        shift = variance = math.inf
+    mean = phi0 + shift
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise OverflowError(
             f"phase mean {mean!r}, variance {variance!r} not finite at window center {phi0!r}"

@@ -2,16 +2,17 @@
 
 All evaluators broadcast over NumPy arrays of phase-space points and return
 scalars for scalar input; a point, radius or angle that is not finite is a
-DomainError naming the argument.  The ordering parameter s is real
-throughout the public API; the quasi-probability exists for s < 1 only,
-with a guard band below 1 to keep the 1/(1-s) factors finite.
+DomainError naming the argument.  A finite point so far out that
+|xi|^2 + |eta|^2 (or |gamma|^2 + |delta|^2) passes the float range, where
+chi (for s < 1) and W underflow, gives exactly 0.  The ordering parameter s
+is real throughout the public API; the quasi-probability exists for s < 1
+only, with a guard band below 1 to keep the 1/(1-s) factors finite.  NumPy
+is imported on the first call, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError
 from .states import QuasiBellState, normalization_constant
@@ -22,7 +23,7 @@ __all__ = ["S_UPPER", "chi", "w", "w_symmetrized"]
 # keeps 1/(1-s) from blowing up catastrophically.
 S_UPPER = 1.0 - 1e-9
 
-# Largest exponent handed to np.exp before the evaluation refuses to proceed.
+# Largest exponent handed to numpy's exp before the evaluation refuses to proceed.
 _EXP_LIMIT = 700.0
 
 
@@ -43,13 +44,31 @@ def _require_s_below_one(s: float) -> float:
     return s
 
 
-def _finite_array(values, dtype, what: str) -> np.ndarray:
+def _finite_array(values, dtype, what: str):
     """``values`` as an array of ``dtype``; DomainError names the first entry that is not finite."""
+    import numpy as np
+
     values = np.asarray(values, dtype=dtype)
     finite = np.isfinite(values)
     if not (finite.all() if finite.ndim else finite):  # a 0-d check skips the reduction
         raise DomainError(f"{what} must be finite, got {values[~finite][0].item()!r}")
     return values
+
+
+def _clear_far(p, q):
+    """(p, q, |p|^2 + |q|^2, far): ``far`` marks where that sum passes the float range, or is None.
+
+    At those points p, q and the sum are set to 0, so that no term of chi or
+    W forms inf - inf; the caller puts its exact 0 there.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        rsq = np.abs(p) ** 2 + np.abs(q) ** 2
+    far = np.isinf(rsq)
+    if not (far.any() if far.ndim else far):  # a 0-d check skips the reduction
+        return p, q, rsq, None
+    return np.where(far, 0j, p), np.where(far, 0j, q), np.where(far, 0.0, rsq), far
 
 
 def _square_of_spread(value: float, s: float) -> float:
@@ -72,14 +91,20 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     of the four terms, so no term meets an overflow where chi underflows.
     A xi or eta that is not finite is a DomainError.
     """
+    import numpy as np
+
     s = _require_real_s(s)
     xi = _finite_array(xi, complex, "xi")
     eta = _finite_array(eta, complex, "eta")
     scalar = xi.ndim == 0 and eta.ndim == 0
+    if s < 1.0:  # chi decays as a Gaussian in |xi|^2 + |eta|^2
+        xi, eta, rsq, far = _clear_far(xi, eta)
+    else:  # and grows or oscillates, so a far point keeps its overflow
+        rsq, far = np.abs(xi) ** 2 + np.abs(eta) ** 2, None
     alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
     asq = state.amplitude_sq_sum
 
-    gauss = -0.5 * (1.0 - s) * (np.abs(xi) ** 2 + np.abs(eta) ** 2)
+    gauss = -0.5 * (1.0 - s) * rsq
     # xi alpha* - xi* alpha is purely imaginary; xi alpha* + xi* alpha is real.
     g = 2j * ((xi * np.conj(alpha)).imag + (eta * np.conj(beta)).imag)
     h = 2.0 * ((xi * np.conj(alpha)).real + (eta * np.conj(beta)).real)
@@ -90,6 +115,8 @@ def chi(state: QuasiBellState, xi, eta, s: float):
         + np.conj(cross) * np.exp(gauss + h - 2.0 * asq)
         + cross * np.exp(gauss - h - 2.0 * asq)
     )
+    if far is not None:
+        out = np.where(far, 0j, out)
     return complex(out) if scalar else out
 
 
@@ -105,10 +132,13 @@ def w(state: QuasiBellState, gamma, delta, s: float):
     the float range (s below about -1.3e154), DomainError names s; a gamma
     or delta that is not finite is a DomainError too.
     """
+    import numpy as np
+
     s = _require_s_below_one(s)
     gamma = _finite_array(gamma, complex, "gamma")
     delta = _finite_array(delta, complex, "delta")
     scalar = gamma.ndim == 0 and delta.ndim == 0
+    gamma, delta, rsq, far = _clear_far(gamma, delta)
 
     alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
     one_minus = 1.0 - s
@@ -116,10 +146,12 @@ def w(state: QuasiBellState, gamma, delta, s: float):
     spread = _square_of_spread(one_minus, s)
     pref = 4.0 * normalization_constant(state) ** 2 / (math.pi**2 * spread)
 
-    e_gauss1 = -2.0 * (np.abs(gamma - alpha) ** 2 + np.abs(delta - beta) ** 2) / one_minus
-    e_gauss2 = -2.0 * (np.abs(gamma + alpha) ** 2 + np.abs(delta + beta) ** 2) / one_minus
-    rsq = np.abs(gamma) ** 2 + np.abs(delta) ** 2
-    e_interf = 2.0 * (s * asq - rsq) / one_minus
+    # An exponent that passes the float range here is -inf, whose exp is the right 0;
+    # +inf is refused below.
+    with np.errstate(over="ignore"):
+        e_gauss1 = -2.0 * (np.abs(gamma - alpha) ** 2 + np.abs(delta - beta) ** 2) / one_minus
+        e_gauss2 = -2.0 * (np.abs(gamma + alpha) ** 2 + np.abs(delta + beta) ** 2) / one_minus
+        e_interf = 2.0 * (s * asq - rsq) / one_minus
     max_exp = float(np.max(e_interf, initial=-math.inf))
     if max_exp > _EXP_LIMIT:
         raise OverflowError(
@@ -140,6 +172,8 @@ def w(state: QuasiBellState, gamma, delta, s: float):
     out = pref * (
         abs(mu) ** 2 * np.exp(e_gauss1) + abs(nu) ** 2 * np.exp(e_gauss2) + interference
     )
+    if far is not None:
+        out = np.where(far, 0.0, out)
     return float(out) if scalar else out
 
 
@@ -152,6 +186,8 @@ def w_symmetrized(state: QuasiBellState, r_gamma, r_delta, phi_plus, phi_minus, 
     Angles are reduced to [0, 2pi) first; radii must be non-negative, and
     radii and angles finite.
     """
+    import numpy as np
+
     r_gamma = _finite_array(r_gamma, float, "r_gamma")
     r_delta = _finite_array(r_delta, float, "r_delta")
     if np.any(r_gamma < 0.0) or np.any(r_delta < 0.0):

@@ -201,6 +201,16 @@ def _log_ive(two_nu: int, x: float) -> float:
     return _log_ive_series(nu, x)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int: any integer type but bool, else DomainError (a ValueError)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
 def _positive_int(value, what: str) -> int:
     """``value`` as a Python int >= 1: any integer type but bool, else DomainError."""
     if not isinstance(value, bool):

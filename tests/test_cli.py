@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ class TestCoeffsCommand:
         assert spectrum.n_used % 2 == 1
         assert rows[-1][1] == ""
         cos = [float(c) for r in rows for c in (r[2], r[1]) if c]
-        assert cos == spectrum.cos_coeffs.tolist()
-        assert [float(r[3]) for r in rows] == spectrum.d_odd.tolist()
+        assert cos == spectrum.cos_coeffs
+        assert [float(r[3]) for r in rows] == spectrum.d_odd
         assert [r[0] for r in rows] == [str(k) for k in range(1, len(rows) + 1)]
 
     @pytest.mark.parametrize("selector", [("--branch", "minus"), ("--mode", "1")])
@@ -574,6 +575,16 @@ class TestConfigAndFormat:
         assert refused.value.code == 2
         assert f"unrecognized arguments: {argv[1]} 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["phase-dist", "--n-ph", "3"], ["coeffs", "--bogus"]])
+    def test_unknown_flag_prints_the_commands_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        captured = capsys.readouterr()
+        assert refused.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: catphase {argv[0]} [-h]")
+        assert f"catphase {argv[0]}: error: unrecognized arguments: " in captured.err
+
     def test_negative_values_in_exponent_notation(self, capsys):
         code, out = run_cli(
             capsys,
@@ -795,3 +806,43 @@ def test_import_leaves_scipy_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+# Run in a fresh interpreter, since this one has imported numpy already.
+_NUMPY_FREE = textwrap.dedent(
+    """
+    import contextlib, io, sys
+    import catphase
+    import catphase.cli
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert catphase.cli.main(list(argv)) == 0, argv
+        return out.getvalue()
+
+    for argv in (
+        ["coeffs", "--branch", "minus", "--s", "0.4"],
+        ["coeffs", "--mode", "1", "--preset", "yurke_stoler_plus"],
+        ["moments", "--n", "2", "--phi0", "0.3", "--s", "0.9"],
+    ):
+        run(*argv)
+        assert "numpy" not in sys.modules, argv
+    assert "n_used=" in run("phase-dist", "--n-phi", "5")
+    assert "numpy" in sys.modules
+    assert catphase.quadrature_normalization is catphase.oracle.quadrature_normalization
+    print("ok")
+    """
+)
+
+
+def test_coeffs_and_moments_run_without_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catphase.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"

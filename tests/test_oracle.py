@@ -149,6 +149,19 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(radial_cutoff_sigma=0.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_angular", 40.5), ("n_radial", 16.5), ("n_radial", True), ("n_angular", 64.0)],
+    )
+    def test_node_counts_must_be_integers(self, field, value):
+        # n_angular = 40.5 gave a normalization of 1.0248; n_radial = 16.5 a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            QuadratureSpec(**{field: value})
+
+    def test_numpy_node_counts_are_stored_as_int(self):
+        spec = QuadratureSpec(n_radial=np.int64(16), n_angular=np.int64(32))
+        assert (type(spec.n_radial), type(spec.n_angular)) == (int, int)
+
     @pytest.mark.parametrize("sigma", [math.inf, math.nan])
     def test_radial_cutoff_must_be_finite(self, sigma):
         # An infinite cutoff made every quadrature node sum nan.

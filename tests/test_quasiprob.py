@@ -277,6 +277,37 @@ class TestWSymmetrized:
             w_symmetrized(preset_state("even_cat"), -0.1, 0.0, 0.0, 0.0, 0.0)
 
 
+class TestFarPoints:
+    """Finite points so far out that |xi|^2 or |gamma|^2 passes the float range give exactly 0."""
+
+    STATE = make_preset("odd_cat", 1.0, 1.0)
+
+    def test_w_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert w(self.STATE, 1e154 + 1e154j, 0, -3.0) == 0.0
+            assert w(self.STATE, 0.3, -1e200j, 0.5) == 0.0
+            # |gamma|^2 fits a float but the exponent -2|gamma|^2/(1-s) does not.
+            assert w(self.STATE, 1e154, 0, 0.9) == 0.0
+
+    def test_chi_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chi(self.STATE, 1e200, 0, 0.0) == 0j
+            assert chi(self.STATE, 1e154, 1e154j, -2.0) == 0j
+
+    def test_near_points_in_the_same_array_keep_their_bits(self):
+        near = np.array([[0.5 - 0.2j, 1.1j], [-0.7, 0.0]])
+        far = near.copy()
+        far[0, 1] = 1e154 + 1e154j
+        for evaluate in (w, chi):
+            got = evaluate(self.STATE, far, 0.3, 0.2)
+            want = evaluate(self.STATE, near, 0.3, 0.2)
+            assert got[0, 1] == 0.0
+            got[0, 1] = want[0, 1]
+            assert got.tobytes() == want.tobytes()
+
+
 class TestNonFinitePoints:
     """A point, radius or angle that is not finite is a DomainError naming the argument."""
 
