@@ -7,14 +7,14 @@ cosine series
 
 with coefficients built from the scaled Bessel combinations of
 :mod:`catphase.specfun`; the one-mode distributions add odd-index sine
-terms.  One row reader per Bessel argument x reads the combinations table
-segment by table segment: the first n of each cached table comes through the
-scalar :func:`~catphase.specfun.i_n_combo` (which checks it and picks the
-table), the rest straight from that table.  A row generator per spectrum
-fuses one row of each reader into (c_n,) for a pair branch or (c_n, d_n) for
-a mode; one truncation loop draws rows until two consecutive ones drop below
-``eps_tail`` (the decay is super-geometric, so a two-term test is safe
-against even/odd alternation) and keeps each column as a list of floats.
+terms.  One generator per spectrum kind walks the cached combinations tables
+a segment (n = 1..64, 65..128, 129..256, ...) at a time: the first n of each
+comes through :func:`~catphase.specfun.i_n_combo`, which checks it and picks
+the table, the rest straight from that table.  It appends each fused c_n (and
+d_n) to the spectrum's lists of floats and yields the row's magnitude, which
+one truncation loop draws until two consecutive rows drop below ``eps_tail``
+(the decay is super-geometric, so a two-term test is safe against even/odd
+alternation).
 Spectra carry their construction context so moments can recompute
 coefficients on demand.  Coefficients and moments are plain Python floats;
 NumPy is imported on first use by the array functions, ``wrap_angle`` and
@@ -34,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergenceError
@@ -156,30 +155,31 @@ def wrap_angle(phi):
     """Reduce angles to (-pi, pi]; DomainError names the first angle that is not finite."""
     import numpy as np
 
-    out = np.mod(_finite_array(phi, float, "angle"), _TWO_PI)
-    out = np.where(out > math.pi, out - _TWO_PI, out)
+    out = np.asarray(np.mod(_finite_array(phi, float, "angle"), _TWO_PI))  # 0-d stays an array
+    np.subtract(out, _TWO_PI, out, where=out > math.pi)
     return out if out.ndim else float(out)
 
 
 def _fused(sign_a, log_a, sign_b, log_b, log_scale: float, label: str, n: int) -> float:
     """exp(log_scale) * (sign_a e^log_a + sign_b e^log_b), exponentiating only fused exponents.
 
-    A term whose sign is 0 is absent.  The sum of two terms, each at most 1 in
-    magnitude after the peak is taken out, is one correctly rounded float
-    addition, the value ``math.fsum`` gives.  ``label.format(n=n)`` names the
-    coefficient in the OverflowError.
+    A term whose sign is 0 is absent.  One term is copysign(exp(log_a + log_scale), sign_a),
+    the two-term route's bits: its peak is log_a, and e^0 = 1 and log(1) = 0 add nothing.
+    Two terms, each at most 1 after the peak is taken out, are summed by one correctly
+    rounded float addition (``math.fsum``'s value).  ``label.format(n=n)`` names c_n.
     """
     if sign_a == 0:
         sign_a, log_a, sign_b = sign_b, log_b, 0
     if sign_a == 0:
         return 0.0
-    peak = log_b if sign_b != 0 and log_b > log_a else log_a
-    acc = sign_a * math.exp(log_a - peak)
-    if sign_b != 0:
-        acc += sign_b * math.exp(log_b - peak)
-    if acc == 0.0:
-        return 0.0
-    total_log = peak + log_scale + math.log(abs(acc))
+    if sign_b == 0:
+        acc, total_log = sign_a, log_a + log_scale
+    else:
+        peak = log_b if log_b > log_a else log_a
+        acc = sign_a * math.exp(log_a - peak) + sign_b * math.exp(log_b - peak)
+        if acc == 0.0:
+            return 0.0
+        total_log = peak + log_scale + math.log(abs(acc))
     if total_log > _LOG_MAX:
         raise OverflowError(
             f"{label.format(n=n)}: fused exponent {total_log:.6g} exceeds the float range; "
@@ -188,47 +188,40 @@ def _fused(sign_a, log_a, sign_b, log_b, log_scale: float, label: str, n: int) -
     return math.copysign(math.exp(total_log), acc)
 
 
-def _combo_rows(x: float, n: int):
-    """Rows (sign_plus, log_plus, sign_minus, log_minus) of the combinations at x, for n, n + 1, ...
+def _segment(x: float, n: int):
+    """(sign_plus, logs_plus, sign_minus, logs_minus) at x, from n to the top of n's table segment.
 
-    Each row comes from the table that i_n_combo reads for its n, so it has
-    i_n_combo's bits.  i_n_combo serves the first n of every table, which
-    applies its checks (x >= 0, n <= 2**16) and gives the zeros at x = 0; the
-    rest of that table is read straight from the cache.
+    i_n_combo serves n and checks it (x >= 0, n <= 2**16); its table, or its 0 at x = 0, the rest.
     """
-    while True:
-        first = (*i_n_combo(n, x, "plus"), *i_n_combo(n, x, "minus"))
-        yield first
-        top = _table_top(n)
-        if x == 0.0:
-            yield from repeat(first, top - n)
-        else:
-            plus, minus = _combo_table(x, top)
-            yield from zip(repeat(1), plus[n:], repeat(1), minus[n:])
-        n = top + 1
+    sign_p, log_p = i_n_combo(n, x, "plus")
+    sign_m, log_m = i_n_combo(n, x, "minus")
+    top = _table_top(n)
+    plus, minus = _combo_table(x, top) if x else ((log_p,) * top, (log_m,) * top)
+    return sign_p, plus[n - 1 :], sign_m, minus[n - 1 :]
 
 
-def _pair_rows(state: QuasiBellState, s: float, branch: str, sign: int, n: int = 1):
-    """Rows (c_n,) of the phase-sum (plus, sign 1) or difference (minus, sign -1) series from n."""
-    x_a = abs(state.alpha) ** 2 / (1.0 - s)
-    x_b = abs(state.beta) ** 2 / (1.0 - s)
+def _pair_rows(state: QuasiBellState, s: float, branch: str, sign: int, coeffs, n: int = 1):
+    """Append c_n of the sum (plus, sign 1) or difference (minus, -1) series from n; yield |c_n|."""
+    x_a, x_b = abs(state.alpha) ** 2 / (1.0 - s), abs(state.beta) ** 2 / (1.0 - s)
     shift = -2.0 * state.amplitude_sq_sum
     w_sign, log_w = LogScaledValue.from_value(2.0 * state.weight_overlap.real)
     log_scale = 2.0 * math.log(normalization_constant(state)) + math.log(0.5 * math.pi)
     label = f"c_{{n}}^({branch}) at s={s!r}"
-    for n, (sign_pa, log_pa, sign_ma, log_ma), (sign_pb, log_pb, sign_mb, log_mb) in zip(
-        count(n), _combo_rows(x_a, n), _combo_rows(x_b, n)
-    ):
-        interf_sign = sign**n * w_sign * sign_ma * sign_mb
-        interf_log = log_w + log_ma + log_mb + shift
-        c_n = _fused(
-            sign_pa * sign_pb, log_pa + log_pb, interf_sign, interf_log, log_scale, label, n
-        )
-        yield (c_n,)
+    while True:
+        sign_pa, plus_a, sign_ma, minus_a = _segment(x_a, n)
+        sign_pb, plus_b, sign_mb, minus_b = _segment(x_b, n)
+        gauss_sign, interf_sign = sign_pa * sign_pb, sign**n * w_sign * sign_ma * sign_mb
+        for log_pa, log_ma, log_pb, log_mb in zip(plus_a, minus_a, plus_b, minus_b):
+            interf_log = log_w + log_ma + log_mb + shift
+            c_n = _fused(gauss_sign, log_pa + log_pb, interf_sign, interf_log, log_scale, label, n)
+            coeffs.append(c_n)
+            yield abs(c_n)
+            interf_sign *= sign
+            n += 1
 
 
-def _one_mode_rows(state: QuasiBellState, s: float, amp: complex):
-    """Rows (c_n, d_n) of the one-mode series of the mode of amplitude ``amp``, for n = 1, 2, ..."""
+def _one_mode_rows(state: QuasiBellState, s: float, amp: complex, cos_coeffs, sin_coeffs):
+    """Append the one-mode c_n and d_n of the mode of amplitude ``amp``; yield max(|c_n|, |d_n|)."""
     x_m = abs(amp) ** 2 / (1.0 - s)
     shift = -2.0 * state.amplitude_sq_sum
     log_scale = 2.0 * math.log(normalization_constant(state)) + 0.5 * math.log(0.5 * math.pi)
@@ -236,38 +229,42 @@ def _one_mode_rows(state: QuasiBellState, s: float, amp: complex):
     re_sign, log_re = LogScaledValue.from_value(2.0 * cross.real)
     im_sign, log_im = LogScaledValue.from_value(2.0 * cross.imag)
     imb_sign, log_imb = LogScaledValue.from_value(abs(state.mu) ** 2 - abs(state.nu) ** 2)
-    c_label = f"one-mode c_{{n}} at s={s!r}"
-    d_label = f"one-mode d_{{n}} at s={s!r}"
-    for n, (sign_p, log_p, sign_m, log_m) in enumerate(_combo_rows(x_m, 1), start=1):
-        if n % 2 == 0:
-            interf_log = log_re + log_m + shift
-            c_n = _fused(sign_p, log_p, re_sign * sign_m, interf_log, log_scale, c_label, n)
-            yield c_n, 0.0
-        else:
-            yield (
-                _fused(imb_sign * sign_p, log_imb + log_p, 0, 0.0, log_scale, c_label, n),
-                _fused(im_sign * sign_m, log_im + log_m + shift, 0, 0.0, log_scale, d_label, n),
-            )
+    c_label, d_label = f"one-mode c_{{n}} at s={s!r}", f"one-mode d_{{n}} at s={s!r}"
+    n = 1
+    while True:
+        sign_p, plus, sign_m, minus = _segment(x_m, n)
+        for log_p, log_m in zip(plus, minus):
+            if n % 2 == 0:
+                interf_log = log_re + log_m + shift
+                c_n = _fused(sign_p, log_p, re_sign * sign_m, interf_log, log_scale, c_label, n)
+                d_n = 0.0
+            else:
+                c_n = _fused(imb_sign * sign_p, log_imb + log_p, 0, 0.0, log_scale, c_label, n)
+                d_log = log_im + log_m + shift
+                d_n = _fused(im_sign * sign_m, d_log, 0, 0.0, log_scale, d_label, n)
+            cos_coeffs.append(c_n)
+            sin_coeffs.append(d_n)
+            yield max(abs(c_n), abs(d_n))
+            n += 1
 
 
-def _truncate(rows, policy: TruncationPolicy | None) -> tuple[list[list[float]], float]:
-    """One list per column of the rows drawn from ``rows`` for n = 1..n_used, and the tail there.
+def _truncate(magnitudes, policy: TruncationPolicy | None) -> float:
+    """Draw each row's max(|c_n|, |d_n|) for n = 1, 2, ... from ``magnitudes``; return the tail.
 
-    They stop at the first n >= max(n_min, 2) where every entry of rows n - 1
-    and n is below eps_tail in magnitude, or raise NoConvergenceError by n_max.
+    It stops at the first n >= max(n_min, 2) where the larger of rows n - 1
+    and n, the tail, is below eps_tail, or raises NoConvergenceError by n_max.
     """
     policy = policy or TruncationPolicy()
     if policy.n_max < 2:
         raise NoConvergenceError(f"the two-term tail test needs n_max >= 2, got {policy.n_max}")
-    kept = [next(rows)]
-    for n in range(2, policy.n_max + 1):
-        kept.append(next(rows))
-        tail = max(map(abs, kept[-2] + kept[-1]))
-        if n >= policy.n_min and tail < policy.eps_tail:
-            return [list(column) for column in zip(*kept)], tail
+    prev = next(magnitudes)
+    for n, mag in zip(range(2, policy.n_max + 1), magnitudes):
+        tail = mag if mag > prev else prev
+        if tail < policy.eps_tail and n >= policy.n_min:
+            return tail
+        prev = mag
     raise NoConvergenceError(
-        f"spectrum tail still {tail:.3e} "
-        f"above eps_tail={policy.eps_tail:g} at n_max={policy.n_max}"
+        f"spectrum tail still {tail:.3e} above eps_tail={policy.eps_tail:g} at n_max={policy.n_max}"
     )
 
 
@@ -285,7 +282,9 @@ def fourier_coefficient(state: QuasiBellState, s: float, n: int, branch: str) ->
     sign = _branch_sign(branch)
     s = _require_s_below_one(s)
     n = _positive_int(n, "coefficient index n")
-    return next(_pair_rows(state, s, branch, sign, n))[0]
+    coeffs: list[float] = []
+    next(_pair_rows(state, s, branch, sign, coeffs, n))
+    return coeffs[0]
 
 
 def build_spectrum(
@@ -302,7 +301,8 @@ def build_spectrum(
     sign = _branch_sign(branch)
     s = _require_s_below_one(s)
     phi_prime = (cmath.phase(state.beta) + sign * cmath.phase(state.alpha)) % _TWO_PI
-    (coeffs,), tail = _truncate(_pair_rows(state, s, branch, sign), policy)
+    coeffs: list[float] = []
+    tail = _truncate(_pair_rows(state, s, branch, sign, coeffs), policy)
     return FourierSpectrum(
         branch=branch,
         phi_prime=phi_prime,
@@ -326,8 +326,8 @@ def _horner(coeffs, z):
 
     acc, spare = np.zeros_like(z), np.empty_like(z)
     for a in reversed(coeffs):
-        acc += a
-        np.multiply(acc, z, out=spare)
+        np.add(acc, a, acc)
+        np.multiply(acc, z, spare)
         acc, spare = spare, acc
     return acc
 
@@ -343,7 +343,8 @@ def _eval_series(coeffs, phi_ref: float, phi):
     # Summed as a 1-d array whatever phi's shape: numpy's complex multiply
     # rounds differently on 0-d operands.
     z = np.exp(1j * wrap_angle(phi.reshape(-1) - phi_ref))
-    out = ((1.0 + 2.0 * _horner(coeffs, z).real) / _TWO_PI).reshape(phi.shape)
+    out = 2.0 * _horner(coeffs, z).real
+    out = np.divide(np.add(out, 1.0, out), _TWO_PI, out).reshape(phi.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -372,7 +373,8 @@ def one_mode_coefficients(
     s = _require_s_below_one(s)
     mode = _require_mode(mode)
     amp = state.alpha if mode == 1 else state.beta
-    (cos_coeffs, sin_coeffs), _ = _truncate(_one_mode_rows(state, s, amp), policy)
+    cos_coeffs, sin_coeffs = [], []
+    _truncate(_one_mode_rows(state, s, amp, cos_coeffs, sin_coeffs), policy)
     return OneModeSpectrum(
         mode=mode,
         phi_ref=cmath.phase(amp) % _TWO_PI,
@@ -421,12 +423,15 @@ def phase_mean_var(spectrum: FourierSpectrum, phi0: float) -> PhaseStats:
                + 4 sum_n ((-1)^n / n^2) c_n cos n(phi0 - phi_prime)
 
     Each sum is taken by ``math.fsum``, correctly rounded.  OverflowError,
-    naming phi0, if either result is not finite.
+    naming phi0, if either result is not finite; DomainError if phi0 is not
+    finite, or so large that n (phi0 - phi_prime) passes the float range.
     """
     phi0 = float(phi0)
     if not math.isfinite(phi0):
         raise DomainError(f"window center must be finite, got {phi0!r}")
     delta0 = phi0 - spectrum.phi_prime
+    if math.isinf(len(spectrum.coeffs) * delta0):
+        raise DomainError(f"window center {phi0!r} is so large that n (phi0 - phi_prime) overflows")
     terms = [(-1.0 if n % 2 else 1.0, n, c) for n, c in enumerate(spectrum.coeffs, start=1)]
     try:
         shift = 2.0 * math.fsum(sign / n * c * math.sin(n * delta0) for sign, n, c in terms)

@@ -89,7 +89,9 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     ``eta`` may be complex scalars or broadcastable arrays.  The Gaussian
     factor exp(-(1-s)(|xi|^2+|eta|^2)/2) is fused into the exponent of each
     of the four terms, so no term meets an overflow where chi underflows.
-    A xi or eta that is not finite is a DomainError.
+    At s = 1 that factor is exactly 1, however far out the point.  For
+    s >= 1, a point where a term passes the float range is an OverflowError
+    naming xi, eta and s.  A xi or eta that is not finite is a DomainError.
     """
     import numpy as np
 
@@ -99,25 +101,38 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     scalar = xi.ndim == 0 and eta.ndim == 0
     if s < 1.0:  # chi decays as a Gaussian in |xi|^2 + |eta|^2
         xi, eta, rsq, far = _clear_far(xi, eta)
-    else:  # and grows or oscillates, so a far point keeps its overflow
-        rsq, far = np.abs(xi) ** 2 + np.abs(eta) ** 2, None
+        out = _chi_terms(state, xi, eta, -0.5 * (1.0 - s) * rsq)
+        if far is not None:
+            out = np.where(far, 0j, out)
+    else:  # and grows (s > 1) or keeps a unit Gaussian factor (s = 1): refuse an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            gauss = -0.5 * (1.0 - s) * (np.abs(xi) ** 2 + np.abs(eta) ** 2) if s > 1.0 else -0.0
+            out = _chi_terms(state, xi, eta, gauss)
+        finite = np.isfinite(out)
+        if not (finite.all() if finite.ndim else finite):
+            xi, eta = (np.broadcast_to(a, out.shape)[~finite][0].item() for a in (xi, eta))
+            raise OverflowError(
+                f"a term of chi passes the float range at xi = {xi!r}, eta = {eta!r}, s = {s!r}"
+            )
+    return complex(out) if scalar else out
+
+
+def _chi_terms(state: QuasiBellState, xi, eta, gauss):
+    """N^2 times chi's four terms, each with the Gaussian exponent ``gauss`` fused in."""
+    import numpy as np
+
     alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
     asq = state.amplitude_sq_sum
-
-    gauss = -0.5 * (1.0 - s) * rsq
     # xi alpha* - xi* alpha is purely imaginary; xi alpha* + xi* alpha is real.
     g = 2j * ((xi * np.conj(alpha)).imag + (eta * np.conj(beta)).imag)
     h = 2.0 * ((xi * np.conj(alpha)).real + (eta * np.conj(beta)).real)
     cross = state.weight_overlap  # mu nu*
-    out = normalization_constant(state) ** 2 * (
+    return normalization_constant(state) ** 2 * (
         abs(mu) ** 2 * np.exp(gauss + g)
         + abs(nu) ** 2 * np.exp(gauss - g)
         + np.conj(cross) * np.exp(gauss + h - 2.0 * asq)
         + cross * np.exp(gauss - h - 2.0 * asq)
     )
-    if far is not None:
-        out = np.where(far, 0j, out)
-    return complex(out) if scalar else out
 
 
 def w(state: QuasiBellState, gamma, delta, s: float):

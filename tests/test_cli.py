@@ -319,6 +319,22 @@ class TestMomentsCommand:
         assert error["type"] == "OverflowError"
         assert error["message"].endswith("window center 3.0")
 
+    def test_window_center_past_the_sine_range_exits_3(self):
+        # n (phi0 - phi_prime) passes the float range, where math.sin would raise.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(catphase.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "catphase.cli", "moments", "--preset", "odd_cat",
+             "--phi0", "1e308"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        error = json.loads(result.stdout)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith("window center 1e+308 is so large")
+
 
 class TestWignerSliceCommand:
     def test_grid_and_values(self, capsys):

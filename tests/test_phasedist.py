@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import warnings
 from itertools import count
 
@@ -32,8 +33,9 @@ from catphase import (
     trig_moments,
     wrap_angle,
 )
+from catphase import phasedist
 from catphase.cli import main
-from catphase.phasedist import _fused, _horner, _truncate
+from catphase.phasedist import _fused, _horner
 from catphase.states import _unit_weights
 
 from conftest import preset_state
@@ -567,6 +569,20 @@ class TestPhaseMeanVar:
         with pytest.raises(OverflowError, match=r"not finite at window center"):
             phase_mean_var(spectrum, spectrum.phi_prime + math.pi / 3)
 
+    def test_window_center_past_the_sine_range_is_domain_error(self):
+        # n (phi0 - phi_prime) passes the float range from n = 2 on, where
+        # math.sin would raise a bare ValueError.
+        spectrum = build_spectrum(preset_state("odd_cat"), 0.0, "minus")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phi0 in (1e308, -1e308, 1.7e308):
+                message = rf"^window center {re.escape(repr(phi0))} is so large"
+                with pytest.raises(DomainError, match=message):
+                    phase_mean_var(spectrum, phi0)
+            # The largest center whose n_used (phi0 - phi_prime) is finite still works.
+            largest = math.nextafter(sys.float_info.max / spectrum.n_used, 0.0)
+            assert math.isfinite(phase_mean_var(spectrum, largest).variance)
+
     @pytest.mark.parametrize("preset", ["even_cat", "odd_cat"])
     @pytest.mark.parametrize("s", [-1.0, 0.4, 0.9])
     def test_finite_bits_match_the_unguarded_formula(self, preset, s):
@@ -643,7 +659,41 @@ class TestDomainEdges:
         assert json.loads(capsys.readouterr().out)["error"]["type"] == error
 
 
+def _where_wrap(phi):
+    """wrap_angle as np.where over a shifted copy, the form it had before its masked subtract."""
+    out = np.mod(np.asarray(phi, dtype=float), TWO_PI)
+    out = np.where(out > math.pi, out - TWO_PI, out)
+    return out if out.ndim else float(out)
+
+
+_EDGE_ANGLES = [
+    0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, 3.0 * math.pi, -3.0 * math.pi,
+    math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 0.0),
+    math.nextafter(TWO_PI, 7.0), math.nextafter(TWO_PI, 0.0), 1e17, -1e17, 1e300, -1e300,
+]
+
+
 class TestWrapAngle:
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            *_EDGE_ANGLES,
+            np.float64(-math.pi),
+            np.array(math.pi),
+            np.array(-1e300),
+            np.array(_EDGE_ANGLES),
+            np.concatenate([np.geomspace(1e-3, 1e300, 301), -np.geomspace(1e-3, 1e300, 301)]),
+            np.array(_EDGE_ANGLES).reshape(4, 4),
+        ],
+    )
+    def test_bytes_match_the_where_form(self, phi):
+        before = np.array(phi, copy=True)
+        got, want = wrap_angle(phi), _where_wrap(phi)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(phi).tobytes() == before.tobytes()  # the input is left alone
+
     def test_range(self):
         grid = np.linspace(-30.0, 30.0, 1001)
         wrapped = wrap_angle(grid)
@@ -751,6 +801,23 @@ def _old_one_mode_terms(state, s, mode):
     return terms
 
 
+def _old_truncate(rows, policy):
+    """The row-tuple truncation loop the library used before it walked table segments."""
+    policy = policy or TruncationPolicy()
+    if policy.n_max < 2:
+        raise NoConvergenceError(f"the two-term tail test needs n_max >= 2, got {policy.n_max}")
+    kept = [next(rows)]
+    for n in range(2, policy.n_max + 1):
+        kept.append(next(rows))
+        tail = max(map(abs, kept[-2] + kept[-1]))
+        if n >= policy.n_min and tail < policy.eps_tail:
+            return [list(column) for column in zip(*kept)], tail
+    raise NoConvergenceError(
+        f"spectrum tail still {tail:.3e} "
+        f"above eps_tail={policy.eps_tail:g} at n_max={policy.n_max}"
+    )
+
+
 def _outcome(compute):
     """('ok', bytes of the result) or (error type, message)."""
     try:
@@ -818,18 +885,90 @@ class TestFusionMatchesLogScaledRoute:
             return  # no normalizable state
         policy = TruncationPolicy(n_min=2, n_max=n_max)
         for branch in ("plus", "minus"):
-            new = _outcome(lambda: build_spectrum(state, s, branch, policy).coeffs)
-            old_rows = map(_old_pair_terms(state, s, branch), count(1))
-            old = _outcome(lambda: _truncate(old_rows, policy)[0][0])
-            assert new == old, branch
+            def new_pair():
+                spectrum = build_spectrum(state, s, branch, policy)
+                return [*spectrum.coeffs, spectrum.tail_bound, spectrum.n_used]
+
+            def old_pair():
+                old_rows = map(_old_pair_terms(state, s, branch), count(1))
+                (coeffs, _), tail = _old_truncate(old_rows, policy)
+                return [*coeffs, tail, len(coeffs)]
+
+            assert _outcome(new_pair) == _outcome(old_pair), branch
         for mode in (1, 2):
             def new_rows():
                 spectrum = one_mode_coefficients(state, s, mode, policy)
-                return np.column_stack([spectrum.cos_coeffs, spectrum.sin_coeffs])
+                rows = np.column_stack([spectrum.cos_coeffs, spectrum.sin_coeffs])
+                return [*rows.ravel(), spectrum.n_used]
 
-            old_rows = map(_old_one_mode_terms(state, s, mode), count(1))
-            old = _outcome(lambda: np.column_stack(_truncate(old_rows, policy)[0]))
-            assert _outcome(new_rows) == old, mode
+            def old_rows():
+                rows = map(_old_one_mode_terms(state, s, mode), count(1))
+                rows = np.column_stack(_old_truncate(rows, policy)[0])
+                return [*rows.ravel(), len(rows)]
+
+            assert _outcome(new_rows) == _outcome(old_rows), mode
+
+
+class TestBindings:
+    """Spectra call i_n_combo and normalization_constant through catphase.phasedist's names.
+
+    i_n_combo is called once per branch and Bessel argument at the first n of
+    each table segment (1, 65, 129, 257, ...), and normalization_constant
+    once per spectrum, so a wrapper bound there sees every spectrum's checks.
+    """
+
+    STATE = QuasiBellState(2.2, 1.5 * cmath.exp(0.3j), 0.6, 0.8)  # 256 < n_used at s = 0.95
+    ZERO_ALPHA = QuasiBellState(0.0, 1.5 * cmath.exp(0.3j), 0.6, 0.8)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        combo, norm = phasedist.i_n_combo, phasedist.normalization_constant
+
+        def traced_combo(n, x, branch):
+            seen.append((n, x, branch))
+            return combo(n, x, branch)
+
+        def traced_norm(state):
+            seen.append("norm")
+            return norm(state)
+
+        monkeypatch.setattr(phasedist, "i_n_combo", traced_combo)
+        monkeypatch.setattr(phasedist, "normalization_constant", traced_norm)
+        return seen
+
+    @staticmethod
+    def _expected(xs, n_first, n_used):
+        starts = [n_first] + [n for n in (65, 129, 257, 513) if n_first < n <= n_used]
+        return ["norm"] + [(n, x, b) for n in starts for x in xs for b in ("plus", "minus")]
+
+    @pytest.mark.parametrize("state", [STATE, ZERO_ALPHA], ids=["deep", "alpha0"])
+    def test_calls_per_segment_and_spectrum(self, calls, state):
+        s, policy = 0.95, TruncationPolicy(n_min=300)
+        x_a, x_b = abs(state.alpha) ** 2 / (1.0 - s), abs(state.beta) ** 2 / (1.0 - s)
+        for branch in ("plus", "minus"):
+            calls.clear()
+            spectrum = build_spectrum(state, s, branch, policy)
+            assert spectrum.n_used > 256
+            assert calls == self._expected((x_a, x_b), 1, spectrum.n_used), branch
+        for mode, x in ((1, x_a), (2, x_b)):
+            calls.clear()
+            spectrum = one_mode_coefficients(state, s, mode, policy)
+            assert calls == self._expected((x,), 1, spectrum.n_used), mode
+        for n in (1, 64, 65, 300):
+            calls.clear()
+            fourier_coefficient(state, s, n, "minus")
+            assert calls == self._expected((x_a, x_b), n, n), n
+
+    def test_a_segment_is_entered_only_when_its_first_row_is_drawn(self, calls):
+        # n_max = n_min = 64 and 65: the second segment is reached only by the second.
+        s = 0.95
+        x_a, x_b = abs(self.STATE.alpha) ** 2 / (1.0 - s), abs(self.STATE.beta) ** 2 / (1.0 - s)
+        for n_used in (64, 65):
+            calls.clear()
+            policy = TruncationPolicy(eps_tail=1e300, n_min=n_used, n_max=n_used)
+            assert build_spectrum(self.STATE, s, "plus", policy).n_used == n_used
+            assert calls == self._expected((x_a, x_b), 1, n_used), n_used
 
 
 class TestTableEdges:
@@ -857,16 +996,19 @@ class TestTableEdges:
         for branch in ("plus", "minus"):
             spectrum = build_spectrum(state, s, branch, policy)
             old_terms = _old_pair_terms(state, s, branch)
-            old = _truncate(map(old_terms, count(1)), policy)[0][0]
+            (old, _), tail = _old_truncate(map(old_terms, count(1)), policy)
             assert spectrum.n_used > 256
             assert [c.hex() for c in spectrum.coeffs] == [c.hex() for c in old], branch
+            assert spectrum.tail_bound.hex() == tail.hex(), branch
+            assert spectrum.n_used == len(old), branch
             for n in (1, 64, 65, 128, 129, 256, 257, spectrum.n_used):
                 new = fourier_coefficient(state, s, n, branch)
                 assert new.hex() == old_terms(n)[0].hex(), (branch, n)
         for mode in (1, 2):
             spectrum = one_mode_coefficients(state, s, mode, policy)
             old_rows = map(_old_one_mode_terms(state, s, mode), count(1))
-            old = np.column_stack(_truncate(old_rows, policy)[0])
+            old = np.column_stack(_old_truncate(old_rows, policy)[0])
             new = np.column_stack([spectrum.cos_coeffs, spectrum.sin_coeffs])
             assert spectrum.n_used > 128  # mode 2 of DEEP stops at 224
             assert new.tobytes() == old.tobytes(), mode
+            assert spectrum.n_used == len(old), mode

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -289,6 +290,35 @@ class TestFarPoints:
             assert w(self.STATE, 0.3, -1e200j, 0.5) == 0.0
             # |gamma|^2 fits a float but the exponent -2|gamma|^2/(1-s) does not.
             assert w(self.STATE, 1e154, 0, 0.9) == 0.0
+
+    def test_chi_at_s_one_keeps_its_unit_gaussian(self):
+        # At s = 1 the Gaussian factor is exactly 1 however far out xi is, and
+        # a point on the imaginary axis leaves every term of unit size.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near = chi(self.STATE, 1e100j, 0, 1.0)
+            far = chi(self.STATE, 1e200j, 0, 1.0)
+            both = chi(self.STATE, np.array([1e100j, 1e200j]), 0, 1.0)
+        assert near == pytest.approx(0.7048234890883932, rel=1e-12, abs=0.0)
+        # With h = 0 every term has its weight as its magnitude.
+        st = self.STATE
+        weights = abs(st.mu) ** 2 + abs(st.nu) ** 2 + 2.0 * abs(st.weight_overlap) * math.exp(
+            -2.0 * st.amplitude_sq_sum
+        )
+        assert abs(far) <= normalization_constant(st) ** 2 * weights
+        assert both.tobytes() == np.array([near, far]).tobytes()
+
+    @pytest.mark.parametrize(
+        "xi,s",
+        [(1e200, 1.0), (1e200, 2.0), (30.0, 3.0), (1.0, 1e308), (np.array([0.1, 30.0]), 3.0)],
+    )
+    def test_chi_past_the_float_range_at_s_one_or_above_is_overflow_error(self, xi, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shown = re.escape(repr(s))
+            message = rf"^a term of chi passes the float range at xi = .*, eta = 0j, s = {shown}$"
+            with pytest.raises(OverflowError, match=message):
+                chi(self.STATE, xi, 0, s)
 
     def test_chi_is_zero_without_warning(self):
         with warnings.catch_warnings():

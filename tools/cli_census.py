@@ -30,10 +30,12 @@ The configs:
 - 2 more: ``phase-dist`` calls whose Bessel argument is about 1e-308, from
   a tiny |alpha| and from a huge negative s;
 - 2 more: abbreviated flags (``oracle-compare --s``, ``phase-dist --n-ph``),
-  which argparse refuses rather than reading as a longer flag.
+  which argparse refuses rather than reading as a longer flag;
+- 1 more: a ``moments`` window center so large that n (phi0 - phi_prime)
+  passes the float range.
 
-The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055, 1,056 and 1,058, keep
-their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
+The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055, 1,056, 1,058 and 1,060
+keep their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
 argparse wraps help text to the terminal width.
 
 Usage, from the repository root:
@@ -197,8 +199,9 @@ FLAG_CONFIGS = (
 # 1,052: a state whose |alpha|^2 passes the float range, on validate and on
 # phase-dist, and a Bessel argument |alpha|^2/(1-s) that does.  Then, after
 # the first 1,055: renormalizing a weight whose modulus passes the float range.
-# Then, after the first 1,056: Bessel arguments near 1e-308; and after the
-# first 1,058: abbreviated flags.
+# Then, after the first 1,056: Bessel arguments near 1e-308; after the first
+# 1,058: abbreviated flags; and after the first 1,060: a window center whose
+# multiples pass the float range.
 LATER_CONFIGS = (
     ("validate", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
     ("validate", "--mu", "0", "0", "--nu", "0", "0", "--renormalize"),
@@ -225,6 +228,7 @@ LATER_CONFIGS = (
     ("phase-dist", "--preset", "odd_cat", "--s", "-1e307", "--n-phi", "3"),
     ("oracle-compare", "--s", "3", "--n-chi-points", "0", "--n-radial", "16", "--n-angular", "32"),
     ("phase-dist", "--n-ph", "3"),
+    ("moments", "--preset", "odd_cat", "--phi0", "1e308"),
 )
 NATIVE_FORMATS = (
     ("validate", "json"),
