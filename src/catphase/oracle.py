@@ -13,17 +13,26 @@ Two oracle families live here:
   at the innermost radial node pair, where the interference exponent peaks;
   and
 * a truncated-Fock-basis trace of the displacement operator, checking the
-  closed-form characteristic function.  The number-basis displacement
-  matrices are built from log-factorials and the forward three-term
-  recurrence of the generalized Laguerre polynomials in the degree, one
-  recurrence for both modes' matrices; the truncation bound uses the
-  Poisson tail, summed by its upward series (or as one minus its head once
-  the mean passes the cutoff).
+  closed-form characteristic function.  D(xi) = E (M + P S^T P) E* with
+  E = diag(e^(i m arg xi)), P = diag((-1)^m), M the lower triangle of D
+  with its phases e^(i (m-n) arg xi) taken out (real) and S the strict
+  lower part of M.  M is built from log-factorials and the
+  forward three-term recurrence of the generalized Laguerre polynomials in
+  the degree, one recurrence for both modes; the phases go into the
+  coherent columns, so each overlap block takes two real matrix products.
+  The truncation bound uses the Poisson tail, summed by its upward series
+  (or as one minus its head once the mean passes the cutoff).
+
+Each mode's quadrature factors take their trigonometry on the angle axis
+only: with psi the angle from the amplitude, |z -+ amp|^2 is
+(r -+ |amp| cos psi)^2 + (|amp| sin psi)^2, which leaves two real
+exponentials, one cosine and one sine per grid point.
 
 What depends only on an integer is built once and kept read-only in a
 small bounded cache: the Gauss-Legendre rule per radial node count, and per
-Fock cutoff the index grids, log-factorial base and recurrence denominators
-of the displacement matrices.  Nothing that depends on the state is cached.
+Fock cutoff the Laguerre step rows, square roots, signs and the
+log-factorial base of the triangles.  Nothing that depends on the state is
+cached.
 
 Node sums use NumPy's pairwise summation on fixed shapes, so results are
 bit-stable across runs for a fixed spec.
@@ -31,6 +40,7 @@ bit-stable across runs for a fixed spec.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -151,16 +161,26 @@ def _mode_factors(amp: complex, r, angles, s: float, log_gauss: float, log_inter
     """Factors of W for one mode at z = r e^(i angle), on angles.shape + r.shape.
 
     Returns e^(log_gauss) times each Gaussian e^(-2|z -+ amp|^2/(1-s)), and
-    e^(log_interf) e^(2(s|amp|^2 - |z|^2)/(1-s)) e^(i theta_z) with
-    theta_z = 4 Im(amp* z)/(1-s).
+    e^(log_interf) e^(2(s|amp|^2 - r^2)/(1-s)) e^(i theta_z) with
+    theta_z = 4 Im(amp* z)/(1-s).  With psi = angle - arg amp, the parts of amp
+    along and across z, |amp| cos psi and |amp| sin psi, are taken on the
+    angle axis only; then |z -+ amp|^2 = (r -+ along)^2 + across^2 and
+    theta_z = 4 r across/(1-s).  The expanded r^2 + |amp|^2 -+ 2 r along would
+    cancel, and near s = 1 form inf - inf.
     """
     one_minus = 1.0 - s
-    z = r * np.exp(1j * np.asarray(angles, dtype=float)[..., None])
-    gauss_minus = np.exp(log_gauss - 2.0 * np.abs(z - amp) ** 2 / one_minus)
-    gauss_plus = np.exp(log_gauss - 2.0 * np.abs(z + amp) ** 2 / one_minus)
+    psi = np.asarray(angles, dtype=float)[..., None] - cmath.phase(amp)
+    along = abs(amp) * np.cos(psi)
+    across = abs(amp) * np.sin(psi)
+    rest = log_gauss - 2.0 * across**2 / one_minus
+    gauss_minus = np.exp(rest - 2.0 * (r - along) ** 2 / one_minus)
+    gauss_plus = np.exp(rest - 2.0 * (r + along) ** 2 / one_minus)
     modulus = np.exp(log_interf + 2.0 * (s * abs(amp) ** 2 - r**2) / one_minus)
-    theta = 4.0 * (np.conj(amp) * z).imag / one_minus
-    return gauss_minus, gauss_plus, modulus * np.exp(1j * theta)
+    theta = across * (4.0 * r / one_minus)
+    interference = np.empty(theta.shape, dtype=complex)
+    np.multiply(modulus, np.cos(theta), out=interference.real)
+    np.multiply(modulus, np.sin(theta), out=interference.imag)
+    return gauss_minus, gauss_plus, interference
 
 
 def _factors(state: QuasiBellState, s: float, r_nodes, gamma_angles, delta_angles):
@@ -295,68 +315,97 @@ class FockChiResult(NamedTuple):
     bound: float
 
 
-def _coherent_pair(alpha: complex, n_cut: int) -> np.ndarray:
-    """Number-basis coefficients of |alpha> and |-alpha> up to n_cut, as two columns."""
-    coeffs = np.empty(n_cut + 1, dtype=complex)
-    coeffs[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, n_cut + 1):
-        coeffs[n] = coeffs[n - 1] * alpha / math.sqrt(n)
-    return np.column_stack([coeffs, np.where(np.arange(n_cut + 1) % 2, -coeffs, coeffs)])
-
-
 @lru_cache(maxsize=8)
 def _fock_tables(dim: int):
-    """The parts of the displacement matrices in a dim-state basis that do not depend on xi.
+    """The parts of the number-basis triangles in a dim-state basis that do not depend on xi.
 
-    Returns the Laguerre step denominators j + 1 + k (row j), the column grid,
-    diff = max(rows - cols, 0) and the log-factorial base
-    log(sqrt(m!/n!) / (m-n)!) on the lower triangle, all read-only.
+    Returns the Laguerre step rows j/(j+1+k) and 1/(j+1+k) (row j, for
+    j = 0 .. dim-2), sqrt(n) for n = 1 .. dim-1, the signs (-1)^n, and the
+    log-factorial base log(sqrt(m!/n!) / (m-n)!) with -inf above the diagonal,
+    all read-only.
     """
     k = np.arange(dim)
+    denominators = np.arange(1, dim)[:, None] + k
     rows, cols = k[:, None], k[None, :]
-    diff = np.maximum(rows - cols, 0)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
-    base = 0.5 * (log_fact[rows] - log_fact[cols]) - log_fact[diff]
-    return _read_only(np.arange(1, dim)[:, None] + k, cols, diff, base)
+    base = 0.5 * (log_fact[rows] - log_fact[cols]) - log_fact[np.maximum(rows - cols, 0)]
+    base[rows < cols] = -math.inf
+    return _read_only(
+        np.arange(dim - 1)[:, None] / denominators,
+        1.0 / denominators,
+        np.sqrt(np.arange(1.0, dim)),
+        np.where(k % 2, -1.0, 1.0),
+        base,
+    )
 
 
-def _displacement_matrices(xis, n_cut: int) -> np.ndarray:
-    """Number-basis matrices of the one-mode displacement operators D(xi), one per xi.
+def _laguerre_triangles(xis, n_cut: int) -> np.ndarray:
+    """The real lower triangles M of the one-mode displacement operators D(xi), one per xi.
 
-    For m >= n:  D_mn = sqrt(m!/n!) / (m-n)! xi^(m-n) e^(-|xi|^2/2) p_n^(m-n)(|xi|^2),
-    with log-factorials by cumulative sum and p_j^(k) = L_j^(k) / C(j+k, j) from the
-    forward three-term Laguerre recurrence in the degree, run on the steps p_(j+1) - p_j
-    so that small |xi| does not cancel; one recurrence serves every nonzero xi.  The
-    upper triangle follows from D(xi)^dagger = D(-xi), which has the same magnitudes.
-    xi = 0 gives the exact identity.
+    For m >= n:  M_mn = sqrt(m!/n!) / (m-n)! |xi|^(m-n) e^(-|xi|^2/2) p_n^(m-n)(|xi|^2),
+    and 0 above the diagonal, so that D(xi) = E (M + P S^T P) E* with
+    E = diag(e^(i m arg xi)), P = diag((-1)^m) and S the strict lower part of M
+    (the upper triangle follows from D(xi)^dagger = D(-xi)).  Here
+    p_j^(k) = L_j^(k) / C(j+k, j) comes from the forward three-term Laguerre
+    recurrence in the degree, run on the steps p_(j+1) - p_j so that small
+    |xi| does not cancel.  The recurrence is linear, so it carries the power
+    |xi|^k from its start p_0^(k) = 1; xi = 0 then needs no log and gives the
+    exact identity.  One recurrence serves every xi.
     """
     dim = n_cut + 1
-    out = np.empty((len(xis), dim, dim), dtype=complex)
-    out[:] = np.eye(dim)
-    live = [i for i, xi in enumerate(xis) if xi != 0]
-    if not live:
-        return out
-    xis = [xis[i] for i in live]
-    denominators, cols, diff, base = _fock_tables(dim)
-    x = np.array([abs(xi) ** 2 for xi in xis])[:, None]
-    # p[j, i, k] = p_j^(k) at the i-th |xi|^2.
-    p = np.ones((dim, len(xis), dim))
+    ratios, inverses, _, _, base = _fock_tables(dim)
+    mods = np.array([abs(xi) for xi in xis])
+    x = mods * mods
+    x_inverses = inverses[:, None, :] * x[:, None]
+    # p[j, i, j + k] = |xi_i|^k p_j^(k): row j starts at column j, so M_mn = p[n, i, m].
+    p = np.zeros((dim, len(xis), 2 * dim - 1))
+    row = p[0, :, :dim]
+    np.power(mods[:, None], np.arange(dim), out=row)
     step = np.zeros((len(xis), dim))
-    for j in range(dim - 1):
-        step *= j
-        step -= x * p[j]
-        step /= denominators[j]
-        np.add(p[j], step, out=p[j + 1])
-    log_mag = base + diff * np.array([math.log(abs(xi)) for xi in xis])[:, None, None]
-    p_lower = p.transpose(1, 0, 2)[:, cols, diff]
-    magnitude = np.tril(np.exp(log_mag - 0.5 * x[:, :, None]) * p_lower)
-    # e^(i arg(+-xi) d) for d = 0 .. n_cut, looked up at d = m - n.
-    angles = np.array([[1j * np.angle(xi), 1j * np.angle(-xi)] for xi in xis])
-    phases = np.exp(angles[:, :, None] * np.arange(dim))
-    low = magnitude * phases[:, 0, diff]
-    upp = magnitude * phases[:, 1, diff]
-    out[live] = low + np.tril(upp, -1).conj().transpose(0, 2, 1)
+    term = np.empty_like(step)
+    for j in range(n_cut):
+        np.multiply(step, ratios[j], out=step)
+        np.multiply(row, x_inverses[j], out=term)
+        np.subtract(step, term, out=step)
+        row, previous = p[j + 1, :, j + 1 : j + 1 + dim], row
+        np.add(previous, step, out=row)
+    out = np.exp(base - 0.5 * x[:, None, None])
+    out *= p[:, :, :dim].transpose(1, 2, 0)
     return out
+
+
+def _coherent_columns(amps, n_cut: int) -> np.ndarray:
+    """Number-basis coefficients of |amp> and |-amp> up to n_cut, as two columns per amp."""
+    dim = n_cut + 1
+    _, _, roots, signs, _ = _fock_tables(dim)
+    terms = np.empty((len(amps), dim), dtype=complex)
+    terms[:, 0] = [math.exp(-0.5 * abs(amp) ** 2) for amp in amps]
+    np.divide(np.array(amps, dtype=complex)[:, None], roots, out=terms[:, 1:])
+    out = np.empty((len(amps), dim, 2), dtype=complex)
+    np.cumprod(terms, axis=1, out=out[..., 0])
+    np.multiply(out[..., 0], signs, out=out[..., 1])
+    return out
+
+
+def _overlaps(amps, xis, n_cut: int) -> np.ndarray:
+    """<a|D(xi)|b> for a, b in (|amp>, |-amp>), truncated at n_cut: a 2 x 2 block per pair.
+
+    With D(xi) = E (M + P S^T P) E* (see _laguerre_triangles), the phases go
+    into the columns: V = E* (|amp>, |-amp>) holds the coherent columns of
+    amp e^(-i arg xi), and P V is V with its columns swapped, so the block is
+    V^dagger M V + J (V^dagger S^T V) J with J the swap.  The two products
+    with the real M and S^T = M^T - diag(M) are taken on V's real and
+    imaginary parts.
+    """
+    turned = [amp * (xi.conjugate() / abs(xi)) if xi else amp for amp, xi in zip(amps, xis)]
+    cols = _coherent_columns(turned, n_cut)
+    m = _laguerre_triangles(xis, n_cut)
+    parts = cols.view(float)  # (re, im) of each column
+    lower = m @ parts
+    upper = m.transpose(0, 2, 1) @ parts
+    upper -= m.diagonal(axis1=1, axis2=2)[..., None] * parts
+    adjoint = cols.conj().transpose(0, 2, 1)
+    return adjoint @ lower.view(complex) + (adjoint @ upper.view(complex))[:, ::-1, ::-1]
 
 
 def _poisson_tail(mean: float, n_cut: int) -> float:
@@ -389,13 +438,14 @@ def fock_chi_oracle(
     """Characteristic function via a truncated number-basis trace of rho D(xi, eta).
 
     The four pure-state overlap terms <+-alpha, +-beta| D |+-alpha, +-beta>
-    are assembled from truncated coherent vectors and the exact number-basis
-    displacement matrices, then multiplied by the s-ordering factor
-    exp(s(|xi|^2+|eta|^2)/2).  A rigorous truncation bound (driven by the
-    coherent tails beyond n_cut; take n_cut >= 4 max(|alpha|^2, |beta|^2) + 20
-    for comfortable margins) is returned alongside and must stay below
-    ``FOCK_BOUND_TOL``.  DomainError if |xi|^2 + |eta|^2, the s-ordering factor
-    or the trace is not finite.
+    are products of one 2 x 2 overlap block per mode, each taken from the
+    truncated coherent columns and the real triangle of the exact
+    number-basis displacement matrix (see _overlaps), then multiplied by the
+    s-ordering factor exp(s(|xi|^2+|eta|^2)/2).  A rigorous truncation bound
+    (driven by the coherent tails beyond n_cut; take
+    n_cut >= 4 max(|alpha|^2, |beta|^2) + 20 for comfortable margins) is
+    returned alongside and must stay below ``FOCK_BOUND_TOL``.  DomainError
+    if |xi|^2 + |eta|^2, the s-ordering factor or the trace is not finite.
     """
     n_cut = _positive_int(n_cut, "n_cut")
     s = _require_real_s(s)
@@ -412,16 +462,12 @@ def fock_chi_oracle(
             f"xi={xi!r}, eta={eta!r}, s={s!r}"
         ) from None
 
-    vec_a = _coherent_pair(state.alpha, n_cut)
-    vec_b = _coherent_pair(state.beta, n_cut)
     mu, nu = state.mu, state.nu
     weights = np.outer(np.conj([mu, nu]), [mu, nu])
     n2 = normalization_constant(state) ** 2
     # A trace that leaves the float range is refused below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        disp_a, disp_b = _displacement_matrices((xi, eta), n_cut)
-        overlap_a = vec_a.conj().T @ disp_a @ vec_a
-        overlap_b = vec_b.conj().T @ disp_b @ vec_b
+        overlap_a, overlap_b = _overlaps((state.alpha, state.beta), (xi, eta), n_cut)
         value = prefactor * n2 * complex(np.sum(weights * overlap_a * overlap_b))
 
     err_a = 2.0 * math.sqrt(_poisson_tail(abs(state.alpha) ** 2, n_cut))

@@ -89,9 +89,11 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     ``eta`` may be complex scalars or broadcastable arrays.  The Gaussian
     factor exp(-(1-s)(|xi|^2+|eta|^2)/2) is fused into the exponent of each
     of the four terms, so no term meets an overflow where chi underflows.
-    At s = 1 that factor is exactly 1, however far out the point.  For
-    s >= 1, a point where a term passes the float range is an OverflowError
-    naming xi, eta and s.  A xi or eta that is not finite is a DomainError.
+    At s = 1 that factor is exactly 1, however far out the point.  A point
+    where a term of chi passes the float range (for s < 1, an interference
+    term close to s = 1) is an OverflowError naming xi, eta and s; where
+    mu nu* = 0 the interference terms add exact zeros.  A xi or eta that is
+    not finite is a DomainError.
     """
     import numpy as np
 
@@ -99,34 +101,42 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     xi = _finite_array(xi, complex, "xi")
     eta = _finite_array(eta, complex, "eta")
     scalar = xi.ndim == 0 and eta.ndim == 0
-    if s < 1.0:  # chi decays as a Gaussian in |xi|^2 + |eta|^2
-        xi, eta, rsq, far = _clear_far(xi, eta)
-        out = _chi_terms(state, xi, eta, -0.5 * (1.0 - s) * rsq)
-        if far is not None:
-            out = np.where(far, 0j, out)
-    else:  # and grows (s > 1) or keeps a unit Gaussian factor (s = 1): refuse an overflow
-        with np.errstate(over="ignore", invalid="ignore"):
+    far = None
+    # A term past the float range is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if s < 1.0:  # chi decays as a Gaussian in |xi|^2 + |eta|^2
+            xi, eta, rsq, far = _clear_far(xi, eta)
+            gauss = -0.5 * (1.0 - s) * rsq
+        else:  # and grows (s > 1) or keeps a unit Gaussian factor (s = 1)
             gauss = -0.5 * (1.0 - s) * (np.abs(xi) ** 2 + np.abs(eta) ** 2) if s > 1.0 else -0.0
-            out = _chi_terms(state, xi, eta, gauss)
-        finite = np.isfinite(out)
-        if not (finite.all() if finite.ndim else finite):
-            xi, eta = (np.broadcast_to(a, out.shape)[~finite][0].item() for a in (xi, eta))
-            raise OverflowError(
-                f"a term of chi passes the float range at xi = {xi!r}, eta = {eta!r}, s = {s!r}"
-            )
+        out = _chi_terms(state, xi, eta, gauss)
+    finite = np.isfinite(out)
+    if not (finite.all() if finite.ndim else finite):
+        xi, eta = (np.broadcast_to(a, out.shape)[~finite][0].item() for a in (xi, eta))
+        raise OverflowError(
+            f"a term of chi passes the float range at xi = {xi!r}, eta = {eta!r}, s = {s!r}"
+        )
+    if far is not None:
+        out = np.where(far, 0j, out)
     return complex(out) if scalar else out
 
 
 def _chi_terms(state: QuasiBellState, xi, eta, gauss):
-    """N^2 times chi's four terms, each with the Gaussian exponent ``gauss`` fused in."""
+    """N^2 times chi's four terms, each with the Gaussian exponent ``gauss`` fused in.
+
+    Where mu nu* = 0 the interference terms are signed zeros whatever their
+    exponent, so h is dropped from it: e^(gauss - 2(|alpha|^2+|beta|^2)) is
+    finite wherever e^gauss, the modulus of the other two terms, is, and
+    0 * inf cannot arise.
+    """
     import numpy as np
 
     alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
     asq = state.amplitude_sq_sum
+    cross = state.weight_overlap  # mu nu*
     # xi alpha* - xi* alpha is purely imaginary; xi alpha* + xi* alpha is real.
     g = 2j * ((xi * np.conj(alpha)).imag + (eta * np.conj(beta)).imag)
-    h = 2.0 * ((xi * np.conj(alpha)).real + (eta * np.conj(beta)).real)
-    cross = state.weight_overlap  # mu nu*
+    h = 2.0 * ((xi * np.conj(alpha)).real + (eta * np.conj(beta)).real) if cross else 0.0
     return normalization_constant(state) ** 2 * (
         abs(mu) ** 2 * np.exp(gauss + g)
         + abs(nu) ** 2 * np.exp(gauss - g)

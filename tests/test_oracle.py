@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import warnings
@@ -5,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catphase import (
     CutoffTooSmallError,
@@ -25,14 +28,17 @@ from catphase import (
 
 from catphase.oracle import (
     _angular_rule,
+    _coherent_columns,
     _combine,
-    _displacement_matrices,
     _factors,
     _fock_tables,
+    _laguerre_triangles,
     _legendre_rule,
+    _overlaps,
     _poisson_tail,
     _radial_rule,
 )
+from catphase.states import _unit_weights
 
 from conftest import PRESETS, preset_state
 
@@ -238,6 +244,47 @@ class TestSeparableIntegrand:
             ref = w_symmetrized(state, r[k], r[:, None], a[:, None, None], a, s)
             pairs.append((_combine(state, g_k, d, True), ref))
         self._assert_close(pairs)
+
+
+# Random states in the validated box: any amplitude phases, renormalized
+# complex weights, |alpha|, |beta| <= sqrt(3).
+_BOX_AMPLITUDES = st.builds(
+    cmath.rect, st.floats(0.0, math.sqrt(3.0)), st.floats(-math.pi, math.pi)
+)
+_ANY_WEIGHT = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_RANDOM_STATES = st.builds(
+    lambda alpha, beta, mu, nu: QuasiBellState(alpha, beta, *_unit_weights(mu, nu)),
+    _BOX_AMPLITUDES,
+    _BOX_AMPLITUDES,
+    _ANY_WEIGHT.filter(lambda z: abs(z) > 1e-3),
+    _ANY_WEIGHT,
+)
+_BOX_POINTS = st.builds(cmath.rect, st.floats(0.0, 2.0), st.floats(-math.pi, math.pi))
+
+
+class TestRandomStates:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(state=_RANDOM_STATES, xi=_BOX_POINTS, eta=_BOX_POINTS, s=st.floats(-1.0, 0.4))
+    def test_fock_trace_matches_chi(self, state, xi, eta, s):
+        # |xi|, |eta| <= 2 and s in [-1, 0.4], as in validate.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traced = fock_chi_oracle(state, xi, eta, s, n_cut=40)
+            assert abs(traced.value - chi(state, xi, eta, s)) < 1e-8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(state=_RANDOM_STATES, s=st.floats(-1.0, 0.97))
+    def test_factors_rebuild_w(self, state, s):
+        # Both angles on the angular nodes, gamma on axes 0-1 and delta on axes 2-3.
+        spec = QuadratureSpec(n_radial=16, n_angular=32)
+        r, a = _radial_rule(state, s, spec)[0], _angular_rule(spec)[0]
+        z = np.exp(1j * a)[:, None] * r
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, d = _factors(state, s, r, a, a)
+            fast = _combine(state, [x[:, :, None, None] for x in g], d, False)
+            ref = w(state, z[:, :, None, None], z, s)
+        assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestAgainstBruteForce:
@@ -518,29 +565,27 @@ def _mp_displacement(xi: complex, n_cut: int) -> np.ndarray:
     return out
 
 
-def _per_xi_displacement(xi: complex, n_cut: int) -> np.ndarray:
-    """D(xi) built for one xi at a time, with every table rebuilt per call.
+def _rebuilt_displacement(xi: complex, m: np.ndarray) -> np.ndarray:
+    """D(xi) from its real lower triangle M: D = E (M + P S^T P) E*, S the strict lower part."""
+    k = np.arange(m.shape[0])
+    sign = np.where(k % 2, -1.0, 1.0)
+    turn = np.exp(1j * np.angle(xi) * k)
+    strict = np.tril(m, -1)
+    return turn[:, None] * (m + sign[:, None] * strict.T * sign) * turn.conj()
 
-    The earlier form of oracle._displacement_matrices, kept as the bit reference.
-    """
-    dim = n_cut + 1
-    if xi == 0:
-        return np.eye(dim, dtype=complex)
-    x = abs(xi) ** 2
-    k = np.arange(dim)
-    p = np.ones((dim, dim))
-    step = np.zeros(dim)
-    for j in range(dim - 1):
-        step = (j * step - x * p[j]) / (j + 1 + k)
-        p[j + 1] = p[j] + step
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
-    rows, cols = k[:, None], k[None, :]
-    diff = np.maximum(rows - cols, 0)
-    log_mag = 0.5 * (log_fact[rows] - log_fact[cols]) - log_fact[diff] + diff * math.log(abs(xi))
-    magnitude = np.tril(np.exp(log_mag - 0.5 * x) * p[cols, diff])
-    low = magnitude * np.exp(1j * np.angle(xi) * diff)
-    upp = np.tril(magnitude * np.exp(1j * np.angle(-xi) * diff), -1).conj().T
-    return low + upp
+
+def _mp_overlap(a: complex, b: complex, xi: complex) -> complex:
+    """<a|D(xi)|b> for coherent states, in mpmath: D(xi)|b> = e^((xi b* - xi* b)/2) |b + xi>."""
+    a, b, xi = (mpmath.mpc(z.real, z.imag) for z in (a, b, xi))
+    c = b + xi
+    return complex(
+        mpmath.exp(
+            (xi * mpmath.conj(b) - mpmath.conj(xi) * b) / 2
+            - abs(a) ** 2 / 2
+            - abs(c) ** 2 / 2
+            + mpmath.conj(a) * c
+        )
+    )
 
 
 _RNG_PAIR = tuple(complex(*v) for v in np.random.default_rng(15).normal(size=(2, 2)))
@@ -549,11 +594,24 @@ _RNG_PAIR = tuple(complex(*v) for v in np.random.default_rng(15).normal(size=(2,
 class TestFockPieces:
     @pytest.mark.parametrize("xi", [0.05j, 0.7 + 0.2j, -1.2 + 0.9j, 2.0j, 2.8])
     def test_displacement_matrix_matches_mpmath(self, xi):
+        # D rebuilt from the triangle M, element by element.
         n_cut = 60
         with mpmath.workdps(30):
             ref = _mp_displacement(xi, n_cut)
-        (got,) = _displacement_matrices((xi,), n_cut)
-        assert np.max(np.abs(got - ref)) < 1e-13
+        (m,) = _laguerre_triangles((xi,), n_cut)
+        assert np.all(np.triu(m, 1) == 0.0)
+        assert np.max(np.abs(_rebuilt_displacement(xi, m) - ref)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "amp, xi",
+        [(0.0, 0.7 - 0.4j), (1.0, 0.05j), (0.9 + 0.4j, -1.2 + 0.9j), (-1.1 + 1.2j, 2.0j),
+         (1.7j, 2.8), (-0.6 - 1.0j, 0.0)],
+    )
+    def test_overlaps_match_mpmath(self, amp, xi):
+        with mpmath.workdps(30):
+            ref = [[_mp_overlap(a, b, xi) for b in (amp, -amp)] for a in (amp, -amp)]
+        (got,) = _overlaps((amp,), (xi,), 60)
+        assert np.max(np.abs(got - np.array(ref))) < 1e-13
 
     @pytest.mark.parametrize("n_cut", [1, 40, 80])
     @pytest.mark.parametrize(
@@ -562,15 +620,21 @@ class TestFockPieces:
         ids=["zero-first", "zero-second", "random", "real-imaginary"],
     )
     def test_displacement_matrices_match_per_xi_bits(self, n_cut, xis):
-        got = _displacement_matrices(xis, n_cut)
+        # The triangles of one recurrence over both xi against one recurrence per xi.
+        got = _laguerre_triangles(xis, n_cut)
         assert got.shape == (2, n_cut + 1, n_cut + 1)
-        for matrix, xi in zip(got, xis):
-            assert matrix.tobytes() == _per_xi_displacement(xi, n_cut).tobytes()
+        for m, xi in zip(got, xis):
+            assert m.tobytes() == _laguerre_triangles((xi,), n_cut)[0].tobytes()
 
     def test_zero_displacement_is_exact_identity(self):
-        eye = np.eye(41, dtype=complex).tobytes()
-        assert all(m.tobytes() == eye for m in _displacement_matrices((0.0, 0j), 40))
-        assert _displacement_matrices((0j, 0.5), 40)[0].tobytes() == eye
+        eye = np.eye(41).tobytes()
+        assert all(m.tobytes() == eye for m in _laguerre_triangles((0.0, 0j), 40))
+        assert _laguerre_triangles((0j, 0.5), 40)[0].tobytes() == eye
+        # So the overlaps at xi = 0 are exactly V^dagger V.
+        amps = (0.9 + 0.4j, -1.3j)
+        cols = _coherent_columns(amps, 40)
+        gram = cols.conj().transpose(0, 2, 1) @ cols
+        assert np.array_equal(_overlaps(amps, (0.0, 0j), 40), gram)
 
     def test_cached_tables_are_read_only(self):
         for array in (*_legendre_rule(40), *_fock_tables(41)):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import warnings
@@ -319,6 +320,34 @@ class TestFarPoints:
             message = rf"^a term of chi passes the float range at xi = .*, eta = 0j, s = {shown}$"
             with pytest.raises(OverflowError, match=message):
                 chi(self.STATE, xi, 0, s)
+
+    @pytest.mark.parametrize("xi", [2e6, np.array([0.1, 2e6])])
+    def test_chi_interference_past_the_float_range_below_s_one_is_overflow_error(self, xi):
+        # e^(gauss + h - 2(|alpha|^2+|beta|^2)) passes the float range though
+        # |xi|^2 does not: the same refusal as at s >= 1, not NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = (
+                r"^a term of chi passes the float range at xi = \(2000000\+0j\), eta = 0j, "
+                r"s = 0.999999$"
+            )
+            with pytest.raises(OverflowError, match=message):
+                chi(self.STATE, xi, 0, 0.999999)
+
+    @pytest.mark.parametrize("s", [0.999999, 1.0])
+    def test_chi_with_zero_interference_weight_keeps_its_gaussian_terms(self, s):
+        # mu nu* = 0: the interference terms weigh 0 and add an exact 0, however
+        # far their exponent passes the float range.
+        state = QuasiBellState(1.0, 1.0, 1.0, 0.0)
+        xi, eta = 1e100 if s == 1.0 else 2e6, 0.5j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chi(state, xi, eta, s)
+            both = chi(state, np.array([xi, 0.3]), eta, s)
+        gauss = -0.5 * (1.0 - s) * (abs(xi) ** 2 + abs(eta) ** 2)
+        phase = 2j * ((xi * state.alpha.conjugate()).imag + (eta * state.beta.conjugate()).imag)
+        assert got == pytest.approx(cmath.exp(gauss + phase), rel=1e-12, abs=0.0)
+        assert both[0] == got
 
     def test_chi_is_zero_without_warning(self):
         with warnings.catch_warnings():
