@@ -20,13 +20,13 @@ header = "  ".join(f"{x:7.2f}" for x in offsets)
 print(f"{'s':>5s}   {header}")
 for s in (-1.0, 0.0, 0.4):
     spectrum = build_spectrum(state, s, "minus")
-    vals = eval_phase_dist(spectrum, spectrum.phi_prime + offsets)
+    vals = eval_phase_dist(spectrum, spectrum.phi_ref + offsets)
     print(f"{s:5.1f}   " + "  ".join(f"{v:7.3f}" for v in vals))
 
 print("\nSpectrum size and leading coefficients (phase-difference):")
 for s in (-1.0, 0.0, 0.4):
     spectrum = build_spectrum(state, s, "minus")
-    lead = ", ".join(f"{c:+.4f}" for c in spectrum.coeffs[:4])
+    lead = ", ".join(f"{c:+.4f}" for c in spectrum.cos_coeffs[:4])
     print(f"  s = {s:5.1f}: n_used = {spectrum.n_used:3d}, c_1..c_4 = {lead}")
 
 print("\nTrigonometric moments at s = -1 (genuine distribution, |c_n| < 1):")
@@ -41,7 +41,7 @@ for n in (1, 2, 3):
 print("\nWindowed phase statistics (window centered on phi'):")
 for s in (-1.0, 0.0):
     spectrum = build_spectrum(state, s, "minus")
-    stats = phase_mean_var(spectrum, spectrum.phi_prime)
+    stats = phase_mean_var(spectrum, spectrum.phi_ref)
     print(
         f"  s = {s:5.1f}: <phi> = {stats.mean:.6f}, (Delta phi)^2 = {stats.variance:.6f}"
         f"   (uniform would be {math.pi ** 2 / 3:.6f})"
@@ -51,6 +51,6 @@ print("\nSmall-amplitude limits: finite-norm states flatten, the odd cat does no
 for preset, amp in (("even_cat", 1e-4), ("odd_cat", 1e-3)):
     st = make_preset(preset, amp, amp)
     spectrum = build_spectrum(st, 0.0, "minus")
-    grid = spectrum.phi_prime + np.linspace(-math.pi, math.pi, 361)
+    grid = spectrum.phi_ref + np.linspace(-math.pi, math.pi, 361)
     dev = np.max(np.abs(eval_phase_dist(spectrum, grid) - 1 / (2 * math.pi)))
     print(f"  {preset} at |alpha| = {amp:g}: max |P - 1/2pi| = {dev:.2e}")

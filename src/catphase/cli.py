@@ -252,21 +252,15 @@ def _resolve(args, config: dict) -> tuple[QuasiBellState, float, dict]:
 
 
 def _spectrum(args, state: QuasiBellState, s: float, policy: TruncationPolicy):
-    """The pair spectrum of --branch or the one-mode spectrum of --mode.
-
-    Returns the spectrum, its reference phase, the function that evaluates
-    its density, and its header fields.
-    """
+    """The pair spectrum of --branch or the one-mode spectrum of --mode, and its header fields."""
     branch, mode = getattr(args, "branch", None), getattr(args, "mode", None)
     if (branch is None) == (mode is None):
         raise ConfigError(f"{args.command} needs exactly one of --branch or --mode")
     if branch is not None:
         spectrum = build_spectrum(state, s, branch, policy)
-        fields = {"branch": branch, "phi_prime": _fmt(spectrum.phi_prime)}
-        return spectrum, spectrum.phi_prime, eval_phase_dist, fields
+        return spectrum, {"branch": branch, "phi_prime": _fmt(spectrum.phi_ref)}
     spectrum = one_mode_coefficients(state, s, mode, policy)
-    fields = {"mode": str(mode), "phi_ref": _fmt(spectrum.phi_ref)}
-    return spectrum, spectrum.phi_ref, eval_one_mode_dist, fields
+    return spectrum, {"mode": str(mode), "phi_ref": _fmt(spectrum.phi_ref)}
 
 
 def _cmd_validate(args, config: dict) -> str:
@@ -294,10 +288,10 @@ def _cmd_validate(args, config: dict) -> str:
 def _cmd_coeffs(args, config: dict) -> str:
     state, s, header = _resolve(args, config)
     policy = _checked(args, config, *_POLICY)
-    spectrum, _, _, fields = _spectrum(args, state, s, policy)
+    spectrum, fields = _spectrum(args, state, s, policy)
     header.update(fields, command="coeffs", s=_fmt(s), eps_tail=_fmt(policy.eps_tail))
     if args.branch is not None:
-        rows = [(str(n + 1), spectrum.coeffs[n]) for n in range(spectrum.n_used)]
+        rows = [(str(n + 1), spectrum.cos_coeffs[n]) for n in range(spectrum.n_used)]
         return _csv_text(header, ["n", "c_n"], rows)
 
     columns = zip_longest(spectrum.c_even, spectrum.c_odd, spectrum.d_odd, fillvalue="")
@@ -310,8 +304,8 @@ def _cmd_density(args, config: dict) -> str:
     state, s, header = _resolve(args, config)
     offsets = _phi_grid(args, config)
     policy = _checked(args, config, *_POLICY)
-    spectrum, reference, evaluate, fields = _spectrum(args, state, s, policy)
-    density = evaluate(spectrum, reference + offsets)
+    spectrum, fields = _spectrum(args, state, s, policy)
+    density = eval_phase_dist(spectrum, spectrum.phi_ref + offsets)
     header.update(
         fields,
         command=args.command,
@@ -357,7 +351,7 @@ def _cmd_figure(args, config: dict) -> str:
         series = []
         for s in _CURVE_S_VALUES:
             spectrum = build_spectrum(state, s, branch, policy)
-            series.append(eval_phase_dist(spectrum, spectrum.phi_prime + offsets))
+            series.append(eval_phase_dist(spectrum, spectrum.phi_ref + offsets))
         rows = zip(offsets, *series)
         return _csv_text(
             header, ["phi_offset", "density_s_m1", "density_s_0", "density_s_0p4"], rows
@@ -376,7 +370,7 @@ def _cmd_figure(args, config: dict) -> str:
         amp = math.sqrt(max(alpha_sq, _ALPHA_SQ_FLOOR))
         state = make_preset(preset, amp, amp)
         spectrum = build_spectrum(state, 0.0, branch, policy)
-        density = eval_phase_dist(spectrum, spectrum.phi_prime + offsets)
+        density = eval_phase_dist(spectrum, spectrum.phi_ref + offsets)
         rows.extend((alpha_sq, off, den) for off, den in zip(offsets, density))
     return _csv_text(header, ["alpha_sq", "phi_offset", "density"], rows)
 
@@ -387,7 +381,7 @@ def _cmd_moments(args, config: dict) -> str:
     spectrum = build_spectrum(state, s, args.branch, _checked(args, config, *_POLICY))
     phi0 = _number(args, config, "phi0")
     if phi0 is None:
-        phi0 = spectrum.phi_prime
+        phi0 = spectrum.phi_ref
     moments = trig_moments(spectrum, n)
     stats = phase_mean_var(spectrum, phi0)
     payload = {
@@ -399,7 +393,7 @@ def _cmd_moments(args, config: dict) -> str:
         "phase_mean": stats.mean,
         "phase_variance": stats.variance,
         "phi0": phi0,
-        "phi_prime": spectrum.phi_prime,
+        "phi_prime": spectrum.phi_ref,
         "s": s,
         "state": header,
         "var_cos": moments.var_cos,
@@ -479,7 +473,7 @@ def _cmd_oracle_compare(args, config: dict) -> str:
                 chi_dev = max(chi_dev, abs(closed - traced))
             for branch in ("plus", "minus"):
                 spectrum = build_spectrum(state, s, branch, policy)
-                phis = spectrum.phi_prime + np.array([0.0, 0.5, -1.2, math.pi])
+                phis = spectrum.phi_ref + np.array([0.0, 0.5, -1.2, math.pi])
                 analytic = eval_phase_dist(spectrum, phis)
                 quad = oracle.quadrature_phase_dist(state, s, branch, phis, spec)
                 phase_dev = max(phase_dev, float(np.max(np.abs(analytic - quad))))

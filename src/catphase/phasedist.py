@@ -1,32 +1,45 @@
 """Analytic s-ordered phase distributions and their moments.
 
-The phase-sum (plus) and phase-difference (minus) distributions are Fourier
-cosine series
+Each distribution is a line of the joint s-parametrized distribution of the
+two mode phases (Tanas, Miranowicz & Gantsog, Prog. Opt. 35 (1996) 355),
 
-    P(phi) = (1/2pi) [1 + 2 sum_n c_n cos n(phi - phi_prime)],
+    P(phi_a, phi_b) = (1/4pi^2) sum_(k_a, k_b) C(k_a, k_b)
+                      e^(i (k_a (phi_a - arg alpha) + k_b (phi_b - arg beta))),
+    C(k_a, k_b) = N^2 (pi/2) [(|mu|^2 + (-1)^(k_a+k_b) |nu|^2) P_a P_b
+                  + e^(-2(|alpha|^2+|beta|^2))
+                    (mu nu* f(k_a) f(k_b) + mu* nu f(-k_a) f(-k_b)) M_a M_b],
 
-with coefficients built from the scaled Bessel combinations of
-:mod:`catphase.specfun`; the one-mode distributions add odd-index sine
-terms.  One generator per spectrum kind walks the cached combinations tables
-a segment (n = 1..64, 65..128, 129..256, ...) at a time: the first n of each
-comes through :func:`~catphase.specfun.i_n_combo`, which checks it and picks
-the table, the rest straight from that table.  It appends each fused c_n (and
-d_n) to the spectrum's lists of floats and yields the row's magnitude, which
-one truncation loop draws until two consecutive rows drop below ``eps_tail``
+with P_j = comb_plus(|k_j|, x_j) and M_j = comb_minus(|k_j|, x_j) the scaled
+Bessel combinations of :mod:`catphase.specfun` at x_a = |alpha|^2/(1-s) and
+x_b = |beta|^2/(1-s), comb_plus(0, x) = comb_minus(0, x) = sqrt(2/pi), and
+f(k) = (-1)^k for k > 0, else 1.  The line (p, q) keeps the rows
+a_n = C(pn, qn) = c_n - i d_n and has the density
+
+    P(phi) = (1/2pi) [1 + 2 Re sum_(n>=1) a_n e^(i n (phi - phi_ref))],
+    phi_ref = p arg alpha + q arg beta:
+
+the phase sum "plus" is (1, 1), the phase difference "minus" (-1, 1), and
+modes 1 and 2 are (1, 0) and (0, 1).  The sum and difference lines have
+d_n = 0 and keep only Re(mu nu*) of the weights; that is their loss of
+information about the entangled state.  A mode line keeps |mu|^2 - |nu|^2 in
+its odd c_n and Im(mu nu*) in its odd d_n.
+
+One generator builds every line from the cached combinations tables, a
+segment (n = 1..64, 65..128, 129..256, ...) at a time, the first n of each
+through :func:`~catphase.specfun.i_n_combo`.  A mode off the line gives sign 1
+and log 0.  Each row's two terms are fused in log space into plain floats, and
+one truncation loop stops once two consecutive rows drop below ``eps_tail``
 (the decay is super-geometric, so a two-term test is safe against even/odd
-alternation).
-Spectra carry their construction context so moments can recompute
-coefficients on demand.  Coefficients and moments are plain Python floats;
-NumPy is imported on first use by the array functions, ``wrap_angle`` and
-the series evaluators.
+alternation).  NumPy is imported on first use by ``wrap_angle`` and the
+series evaluator.
 
-One complex Horner pass sums either series: with a_n = c_n - i d_n (d_n = 0
-for a pair branch) and z = e^(i delta), delta the wrapped offset of phi,
-Re sum_n a_n z^n = sum_n (c_n cos n delta + d_n sin n delta).  For |z| = 1 its
-rounding error is at most about gamma_(cN) sum_n |a_n|, gamma_k = ku/(1 - ku),
-N terms and c a small constant (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., 2002, sec. 5.1), so the density's error is about
-gamma_(cN) (2 sum_n |a_n|)/2pi.  A phi that is not finite is a DomainError.
+One complex Horner pass sums the series: with z = e^(i delta), delta the
+wrapped offset of phi, Re sum_n a_n z^n = sum_n (c_n cos n delta + d_n sin n delta).
+For |z| = 1 its rounding error is at most about gamma_(cN) sum_n |a_n|,
+gamma_k = ku/(1 - ku), N terms and c a small constant (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 2002, sec. 5.1), so the density's
+error is about gamma_(cN) (2 sum_n |a_n|)/2pi.  A phi that is not finite is a
+DomainError.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import count, cycle, repeat
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergenceError
@@ -51,8 +65,7 @@ from .states import QuasiBellState, _require_mode, normalization_constant
 
 __all__ = [
     "TruncationPolicy",
-    "FourierSpectrum",
-    "OneModeSpectrum",
+    "Spectrum",
     "TrigMoments",
     "PhaseStats",
     "wrap_angle",
@@ -67,6 +80,11 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _LOG_MAX = 709.0
+
+
+# Each line, by its branch or mode, as (p, q, re, im): row n is C(pn, qn), and at
+# odd n, mu nu* f(pn) f(qn) + mu* nu f(-pn) f(-qn) = re 2 Re(mu nu*) + i im 2 Im(mu nu*).
+_LINES = {"plus": (1, 1, 1, 0), "minus": (-1, 1, -1, 0), 1: (1, 0, 0, -1), 2: (0, 1, 0, -1)}
 
 
 @dataclass(frozen=True)
@@ -89,54 +107,31 @@ class TruncationPolicy:
 
 
 @dataclass(frozen=True)
-class FourierSpectrum:
-    """Truncated cosine spectrum of a phase-sum/difference distribution.
+class Spectrum:
+    """Truncated spectrum a_n = c_n - i d_n, n = 1..n_used, of one line of the joint distribution.
 
-    ``coeffs[n-1]`` is c_n for n = 1..n_used, in a list of floats;
-    ``phi_prime`` is the reference phase phi_beta +/- phi_alpha reduced to
-    [0, 2pi).  The construction context (state, s) is kept so higher
-    coefficients can be recomputed on demand by :func:`trig_moments`.
+    ``line`` is the branch ("plus", "minus") or the mode (1, 2).  ``cos_coeffs``
+    and ``sin_coeffs`` hold c_n and d_n at index n - 1; ``sin_coeffs`` is empty
+    on a branch line, where every d_n vanishes.  ``phi_ref`` is in [0, 2pi);
+    ``tail_bound`` is the larger max(|c_n|, |d_n|) of the last two rows.
+    (state, s) let :func:`trig_moments` recompute past the truncation.
     """
 
-    branch: str
-    phi_prime: float
-    coeffs: list[float]
+    line: str | int
+    phi_ref: float
+    cos_coeffs: list[float]
+    sin_coeffs: list[float]
     n_used: int
     tail_bound: float
     state: QuasiBellState
     s: float
 
-
-@dataclass(frozen=True)
-class OneModeSpectrum:
-    """Truncated cosine+sine spectrum of a one-mode phase distribution.
-
-    ``cos_coeffs[n-1]`` and ``sin_coeffs[n-1]`` hold c_n and d_n for
-    n = 1..n_used, as lists of floats; d_n vanishes identically for even n.
-    """
-
-    mode: int
-    phi_ref: float
-    cos_coeffs: list[float]
-    sin_coeffs: list[float]
-    n_used: int
-    state: QuasiBellState
-    s: float
-
-    @property
-    def c_even(self) -> list[float]:
-        """Coefficients c_2, c_4, ..."""
-        return self.cos_coeffs[1::2]
-
-    @property
-    def c_odd(self) -> list[float]:
-        """Coefficients c_1, c_3, ..."""
-        return self.cos_coeffs[0::2]
-
-    @property
-    def d_odd(self) -> list[float]:
-        """Coefficients d_1, d_3, ..."""
-        return self.sin_coeffs[0::2]
+    c_even = property(lambda self: self.cos_coeffs[1::2], doc="c_2, c_4, ...")
+    c_odd = property(lambda self: self.cos_coeffs[0::2], doc="c_1, c_3, ...")
+    d_odd = property(lambda self: self.sin_coeffs[0::2], doc="d_1, d_3, ... of a mode line")
+    # Read-only aliases of cos_coeffs and phi_ref, kept only for perfbench/jobs.py.
+    coeffs = property(lambda self: self.cos_coeffs)
+    phi_prime = property(lambda self: self.phi_ref)
 
 
 class TrigMoments(NamedTuple):
@@ -169,9 +164,9 @@ def _fused(sign_a, log_a, sign_b, log_b, log_scale: float, label: str, n: int) -
     rounded float addition (``math.fsum``'s value).  ``label.format(n=n)`` names c_n.
     """
     if sign_a == 0:
+        if sign_b == 0:
+            return 0.0
         sign_a, log_a, sign_b = sign_b, log_b, 0
-    if sign_a == 0:
-        return 0.0
     if sign_b == 0:
         acc, total_log = sign_a, log_a + log_scale
     else:
@@ -188,11 +183,14 @@ def _fused(sign_a, log_a, sign_b, log_b, log_scale: float, label: str, n: int) -
     return math.copysign(math.exp(total_log), acc)
 
 
-def _segment(x: float, n: int):
+def _segment(x: float | None, n: int):
     """(sign_plus, logs_plus, sign_minus, logs_minus) at x, from n to the top of n's table segment.
 
     i_n_combo serves n and checks it (x >= 0, n <= 2**16); its table, or its 0 at x = 0, the rest.
+    A mode off the line (x None) has sign 1 and log 0 at every n, and calls nothing.
     """
+    if x is None:
+        return 1, repeat(0.0), 1, repeat(0.0)
     sign_p, log_p = i_n_combo(n, x, "plus")
     sign_m, log_m = i_n_combo(n, x, "minus")
     top = _table_top(n)
@@ -200,52 +198,53 @@ def _segment(x: float, n: int):
     return sign_p, plus[n - 1 :], sign_m, minus[n - 1 :]
 
 
-def _pair_rows(state: QuasiBellState, s: float, branch: str, sign: int, coeffs, n: int = 1):
-    """Append c_n of the sum (plus, sign 1) or difference (minus, -1) series from n; yield |c_n|."""
-    x_a, x_b = abs(state.alpha) ** 2 / (1.0 - s), abs(state.beta) ** 2 / (1.0 - s)
+def _rows(state: QuasiBellState, s: float, line, cos, sin, n: int = 1):
+    """Append C(pn, qn) of ``line`` from row n: c_n to ``cos``, and d_n to ``sin`` on a mode line.
+
+    Yields max(|c_n|, |d_n|).  At even n the weights are 1 and 2 Re(mu nu*); at
+    odd n they are |mu|^2 - |nu|^2 (1 where p + q is even) and those of _LINES.
+    """
+    p, q, odd_re, odd_im = _LINES[line]
+    x_a = abs(state.alpha) ** 2 / (1.0 - s) if p else None  # None: the mode is off the line
+    x_b = abs(state.beta) ** 2 / (1.0 - s) if q else None
     shift = -2.0 * state.amplitude_sq_sum
-    w_sign, log_w = LogScaledValue.from_value(2.0 * state.weight_overlap.real)
-    log_scale = 2.0 * math.log(normalization_constant(state)) + math.log(0.5 * math.pi)
-    label = f"c_{{n}}^({branch}) at s={s!r}"
+    half_log = 0.5 * ((p != 0) + (q != 0))  # each mode on the line carries sqrt(pi/2)
+    log_scale = 2.0 * math.log(normalization_constant(state)) + half_log * math.log(0.5 * math.pi)
+    cross = state.weight_overlap
+    w_sign, log_w = LogScaledValue.from_value(2.0 * cross.real)
+    if odd_im:  # a mode line
+        odd_sign, odd_log = LogScaledValue.from_value(abs(state.mu) ** 2 - abs(state.nu) ** 2)
+        im_sign, log_im = LogScaledValue.from_value(-2.0 * odd_im * cross.imag)
+        c_label, d_label = f"one-mode c_{{n}} at s={s!r}", f"one-mode d_{{n}} at s={s!r}"
+    else:
+        odd_sign, odd_log, im_sign = 1, 0.0, 0
+        c_label = f"c_{{n}}^({line}) at s={s!r}"
+    # (Gaussian sign, Gaussian log weight, interference sign, d_n sign) at even and odd n.
+    even, odd = (1, 0.0, w_sign, 0), (odd_sign, odd_log, odd_re * w_sign, im_sign)
+    if n % 2:
+        even, odd = odd, even
+    append_c, append_d = cos.append, sin.append
     while True:
         sign_pa, plus_a, sign_ma, minus_a = _segment(x_a, n)
         sign_pb, plus_b, sign_mb, minus_b = _segment(x_b, n)
-        gauss_sign, interf_sign = sign_pa * sign_pb, sign**n * w_sign * sign_ma * sign_mb
-        for log_pa, log_ma, log_pb, log_mb in zip(plus_a, minus_a, plus_b, minus_b):
+        sign_p, sign_m = sign_pa * sign_pb, sign_ma * sign_mb
+        weights = [(g * sign_p, log_g, h * sign_m, d * sign_m) for g, log_g, h, d in (even, odd)]
+        for n, (g_sign, log_g, h_sign, d_sign), log_pa, log_ma, log_pb, log_mb in zip(
+            count(n), cycle(weights), plus_a, minus_a, plus_b, minus_b
+        ):
             interf_log = log_w + log_ma + log_mb + shift
-            c_n = _fused(gauss_sign, log_pa + log_pb, interf_sign, interf_log, log_scale, label, n)
-            coeffs.append(c_n)
-            yield abs(c_n)
-            interf_sign *= sign
-            n += 1
-
-
-def _one_mode_rows(state: QuasiBellState, s: float, amp: complex, cos_coeffs, sin_coeffs):
-    """Append the one-mode c_n and d_n of the mode of amplitude ``amp``; yield max(|c_n|, |d_n|)."""
-    x_m = abs(amp) ** 2 / (1.0 - s)
-    shift = -2.0 * state.amplitude_sq_sum
-    log_scale = 2.0 * math.log(normalization_constant(state)) + 0.5 * math.log(0.5 * math.pi)
-    cross = state.weight_overlap
-    re_sign, log_re = LogScaledValue.from_value(2.0 * cross.real)
-    im_sign, log_im = LogScaledValue.from_value(2.0 * cross.imag)
-    imb_sign, log_imb = LogScaledValue.from_value(abs(state.mu) ** 2 - abs(state.nu) ** 2)
-    c_label, d_label = f"one-mode c_{{n}} at s={s!r}", f"one-mode d_{{n}} at s={s!r}"
-    n = 1
-    while True:
-        sign_p, plus, sign_m, minus = _segment(x_m, n)
-        for log_p, log_m in zip(plus, minus):
-            if n % 2 == 0:
-                interf_log = log_re + log_m + shift
-                c_n = _fused(sign_p, log_p, re_sign * sign_m, interf_log, log_scale, c_label, n)
+            c_n = _fused(g_sign, log_g + log_pa + log_pb, h_sign, interf_log, log_scale, c_label, n)
+            append_c(c_n)
+            if odd_im:
                 d_n = 0.0
+                if d_sign:
+                    d_log = log_im + log_ma + log_mb + shift
+                    d_n = _fused(d_sign, d_log, 0, 0.0, log_scale, d_label, n)
+                append_d(d_n)
+                yield max(abs(c_n), abs(d_n))
             else:
-                c_n = _fused(imb_sign * sign_p, log_imb + log_p, 0, 0.0, log_scale, c_label, n)
-                d_log = log_im + log_m + shift
-                d_n = _fused(im_sign * sign_m, d_log, 0, 0.0, log_scale, d_label, n)
-            cos_coeffs.append(c_n)
-            sin_coeffs.append(d_n)
-            yield max(abs(c_n), abs(d_n))
-            n += 1
+                yield abs(c_n)
+        n += 1  # the next segment starts after its last row
 
 
 def _truncate(magnitudes, policy: TruncationPolicy | None) -> float:
@@ -268,23 +267,23 @@ def _truncate(magnitudes, policy: TruncationPolicy | None) -> float:
     )
 
 
+def _spectrum(state: QuasiBellState, s: float, line, policy: TruncationPolicy | None) -> Spectrum:
+    """The truncated spectrum of ``line``, its arguments already checked."""
+    p, q = _LINES[line][:2]
+    phi_ref = (p * cmath.phase(state.alpha) + q * cmath.phase(state.beta)) % _TWO_PI
+    cos, sin = [], []
+    tail = _truncate(_rows(state, s, line, cos, sin), policy)
+    return Spectrum(line, phi_ref, cos, sin, len(cos), tail, state, s)
+
+
 def fourier_coefficient(state: QuasiBellState, s: float, n: int, branch: str) -> float:
-    """Coefficient c_n of the phase-sum (plus) or phase-difference (minus) series.
-
-    c_n = N^2 (pi/2) [comb_plus(n, x_a) comb_plus(n, x_b)
-          + (+-1)^n 2 Re(mu nu*) e^(-2(|alpha|^2+|beta|^2))
-            comb_minus(n, x_a) comb_minus(n, x_b)]
-
-    with x_a = |alpha|^2/(1-s), x_b = |beta|^2/(1-s).  The suppression factor
-    e^(-2(...)) is fused with the log-scaled minus combinations before
-    anything is exponentiated.
-    """
-    sign = _branch_sign(branch)
+    """c_n = C(n, n) of the phase-sum (plus) or C(-n, n) of the phase-difference (minus) line."""
+    _branch_sign(branch)
     s = _require_s_below_one(s)
     n = _positive_int(n, "coefficient index n")
-    coeffs: list[float] = []
-    next(_pair_rows(state, s, branch, sign, coeffs, n))
-    return coeffs[0]
+    cos: list[float] = []
+    next(_rows(state, s, branch, cos, [], n))
+    return cos[0]
 
 
 def build_spectrum(
@@ -292,26 +291,31 @@ def build_spectrum(
     s: float,
     branch: str,
     policy: TruncationPolicy | None = None,
-) -> FourierSpectrum:
-    """Compute c_1..c_N until the two-term tail test passes.
+) -> Spectrum:
+    """The phase-sum (plus) or phase-difference (minus) spectrum c_1..c_N.
 
-    Raises NoConvergenceError if the tail is still above ``eps_tail`` at
-    ``n_max``.
+    It stops when the two-term tail test passes, and raises
+    NoConvergenceError if the tail is still above ``eps_tail`` at ``n_max``.
     """
-    sign = _branch_sign(branch)
+    _branch_sign(branch)
+    return _spectrum(state, _require_s_below_one(s), branch, policy)
+
+
+def one_mode_coefficients(
+    state: QuasiBellState,
+    s: float,
+    mode: int,
+    policy: TruncationPolicy | None = None,
+) -> Spectrum:
+    """The one-mode spectrum of mode 1 or 2: cosine c_n and sine d_n coefficients.
+
+    Even cosine coefficients carry the interference term, odd cosine
+    coefficients the weight imbalance |mu|^2 - |nu|^2, and odd sine
+    coefficients Im(mu nu*); even sine terms are absent.  Truncation uses
+    max(|c_n|, |d_n|).
+    """
     s = _require_s_below_one(s)
-    phi_prime = (cmath.phase(state.beta) + sign * cmath.phase(state.alpha)) % _TWO_PI
-    coeffs: list[float] = []
-    tail = _truncate(_pair_rows(state, s, branch, sign, coeffs), policy)
-    return FourierSpectrum(
-        branch=branch,
-        phi_prime=phi_prime,
-        coeffs=coeffs,
-        n_used=len(coeffs),
-        tail_bound=tail,
-        state=state,
-        s=s,
-    )
+    return _spectrum(state, s, _require_mode(mode), policy)
 
 
 def _horner(coeffs, z):
@@ -332,78 +336,52 @@ def _horner(coeffs, z):
     return acc
 
 
-def _eval_series(coeffs, phi_ref: float, phi):
-    """(1/2pi)[1 + 2 Re sum_n a_n e^(i n delta)], delta = phi - phi_ref wrapped.
+def eval_phase_dist(spectrum: Spectrum, phi):
+    """Evaluate the line's density (1/2pi)[1 + 2 Re sum_n a_n e^(i n delta)], delta = phi - phi_ref.
 
-    With a_n = c_n - i d_n the real part is sum_n (c_n cos n delta + d_n sin n delta).
+    ``phi`` may be any real scalar or array; delta is reduced to (-pi, pi]
+    and the series is summed without per-term trig calls.  A branch line
+    sums its cosine coefficients as they are.
     """
     import numpy as np
 
+    column = spectrum.cos_coeffs
+    if spectrum.sin_coeffs:
+        column = [complex(c, -d) for c, d in zip(column, spectrum.sin_coeffs)]
     phi = np.asarray(phi, dtype=float)
     # Summed as a 1-d array whatever phi's shape: numpy's complex multiply
     # rounds differently on 0-d operands.
-    z = np.exp(1j * wrap_angle(phi.reshape(-1) - phi_ref))
-    out = 2.0 * _horner(coeffs, z).real
+    z = np.exp(1j * wrap_angle(phi.reshape(-1) - spectrum.phi_ref))
+    out = 2.0 * _horner(column, z).real
     out = np.divide(np.add(out, 1.0, out), _TWO_PI, out).reshape(phi.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def eval_phase_dist(spectrum: FourierSpectrum, phi):
-    """Evaluate (1/2pi)[1 + 2 sum_n c_n cos n(phi - phi_prime)].
-
-    ``phi`` may be any real scalar or array; the offset is reduced to
-    (-pi, pi] and the series is summed without per-term trig calls.
-    """
-    return _eval_series(spectrum.coeffs, spectrum.phi_prime, phi)
+eval_one_mode_dist = eval_phase_dist  # the same evaluator, under its one-mode name
 
 
-def one_mode_coefficients(
-    state: QuasiBellState,
-    s: float,
-    mode: int,
-    policy: TruncationPolicy | None = None,
-) -> OneModeSpectrum:
-    """Cosine/sine coefficients of the one-mode phase distribution.
-
-    Even cosine coefficients carry the interference term, odd cosine
-    coefficients the weight imbalance |mu|^2 - |nu|^2, and odd sine
-    coefficients Im(mu nu*); even sine terms are absent.  Truncation uses
-    max(|c_n|, |d_n|).
-    """
-    s = _require_s_below_one(s)
-    mode = _require_mode(mode)
-    amp = state.alpha if mode == 1 else state.beta
-    cos_coeffs, sin_coeffs = [], []
-    _truncate(_one_mode_rows(state, s, amp, cos_coeffs, sin_coeffs), policy)
-    return OneModeSpectrum(
-        mode=mode,
-        phi_ref=cmath.phase(amp) % _TWO_PI,
-        cos_coeffs=cos_coeffs,
-        sin_coeffs=sin_coeffs,
-        n_used=len(cos_coeffs),
-        state=state,
-        s=s,
-    )
+def _branch_line(spectrum: Spectrum, what: str) -> None:
+    if spectrum.line not in ("plus", "minus"):
+        raise DomainError(
+            f"{what} needs a phase-sum or phase-difference spectrum, "
+            f"got the mode {spectrum.line!r} line"
+        )
 
 
-def eval_one_mode_dist(spectrum: OneModeSpectrum, phi):
-    """Evaluate the one-mode distribution at phi (scalar or array)."""
-    column = [complex(c, -d) for c, d in zip(spectrum.cos_coeffs, spectrum.sin_coeffs)]
-    return _eval_series(column, spectrum.phi_ref, phi)
-
-
-def _coefficient(spectrum: FourierSpectrum, k: int) -> float:
+def _coefficient(spectrum: Spectrum, k: int) -> float:
     if k <= spectrum.n_used:
-        return spectrum.coeffs[k - 1]
-    return fourier_coefficient(spectrum.state, spectrum.s, k, spectrum.branch)
+        return spectrum.cos_coeffs[k - 1]
+    return fourier_coefficient(spectrum.state, spectrum.s, k, spectrum.line)
 
 
-def trig_moments(spectrum: FourierSpectrum, n: int) -> TrigMoments:
-    """Central trigonometric moments of order n.
+def trig_moments(spectrum: Spectrum, n: int) -> TrigMoments:
+    """Central trigonometric moments of order n of a phase-sum or phase-difference spectrum.
 
     <cos n(phi-phi')> = c_n and <sin n(phi-phi')> = 0; the variances need
-    c_2n, which is recomputed on demand if it falls past the truncation.
+    c_2n, which is recomputed on demand if it falls past the truncation.  A
+    mode line, whose d_n these ignore, is a DomainError.
     """
+    _branch_line(spectrum, "trig_moments")
     n = _positive_int(n, "moment order")
     c_n = _coefficient(spectrum, n)
     c_2n = _coefficient(spectrum, 2 * n)
@@ -415,7 +393,7 @@ def trig_moments(spectrum: FourierSpectrum, n: int) -> TrigMoments:
     )
 
 
-def phase_mean_var(spectrum: FourierSpectrum, phi0: float) -> PhaseStats:
+def phase_mean_var(spectrum: Spectrum, phi0: float) -> PhaseStats:
     """Mean and variance of the phase over the window [phi0 - pi, phi0 + pi).
 
     mean = phi0 + 2 sum_n ((-1)^n / n) c_n sin n(phi0 - phi_prime)
@@ -424,15 +402,17 @@ def phase_mean_var(spectrum: FourierSpectrum, phi0: float) -> PhaseStats:
 
     Each sum is taken by ``math.fsum``, correctly rounded.  OverflowError,
     naming phi0, if either result is not finite; DomainError if phi0 is not
-    finite, or so large that n (phi0 - phi_prime) passes the float range.
+    finite, or so large that n (phi0 - phi_prime) passes the float range, or
+    if the spectrum is a mode line, whose d_n these sums ignore.
     """
+    _branch_line(spectrum, "phase_mean_var")
     phi0 = float(phi0)
     if not math.isfinite(phi0):
         raise DomainError(f"window center must be finite, got {phi0!r}")
-    delta0 = phi0 - spectrum.phi_prime
-    if math.isinf(len(spectrum.coeffs) * delta0):
+    delta0 = phi0 - spectrum.phi_ref
+    if math.isinf(len(spectrum.cos_coeffs) * delta0):
         raise DomainError(f"window center {phi0!r} is so large that n (phi0 - phi_prime) overflows")
-    terms = [(-1.0 if n % 2 else 1.0, n, c) for n, c in enumerate(spectrum.coeffs, start=1)]
+    terms = [(-1.0 if n % 2 else 1.0, n, c) for n, c in enumerate(spectrum.cos_coeffs, start=1)]
     try:
         shift = 2.0 * math.fsum(sign / n * c * math.sin(n * delta0) for sign, n, c in terms)
         variance = (

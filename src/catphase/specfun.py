@@ -75,8 +75,11 @@ class LogScaledValue(NamedTuple):
 
     @classmethod
     def from_value(cls, value: float) -> "LogScaledValue":
+        """(sign, log |value|); DomainError if ``value`` is NaN or infinite."""
         if value == 0.0:
             return cls.zero()
+        if not math.isfinite(value):
+            raise DomainError(f"log-scaled value must be finite, got {value!r}")
         return cls(1 if value > 0 else -1, math.log(abs(value)))
 
     def scaled(self, log_factor: float) -> "LogScaledValue":

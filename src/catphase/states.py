@@ -146,6 +146,8 @@ class QuasiBellState:
 
     Raises
     ------
+    DomainError
+        A parameter that is a bool (Python's or NumPy's) or not a number.
     ValueError
         Non-finite parameters, |alpha|^2 + |beta|^2 past the float range,
         or weight norm off by more than the tolerance.
@@ -161,6 +163,11 @@ class QuasiBellState:
     nu: complex
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "mu", "nu"):
+            value = getattr(self, name)
+            # complex() would read a bool as 0 or 1 and parse a string.
+            if isinstance(value, bool) or not isinstance(value, numbers.Number):
+                raise DomainError(f"{name} must be a number and not a bool, got {value!r}")
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "mu", complex(self.mu))
@@ -209,6 +216,8 @@ def _complex_from_polar(entry: dict, key: str) -> complex:
         arg = float(entry["arg"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{key!r} must be an object with numeric 'abs' and 'arg'") from exc
+    if math.isinf(arg):  # cmath.rect raises a bare "math domain error" here
+        raise ValueError(f"{key} is not finite: arg {arg!r}")
     return cmath.rect(mag, arg)
 
 

@@ -102,7 +102,7 @@ def test_criterion_4_series_vs_quadrature_marginals():
                 state = _state(preset, amp)
                 for branch in ("plus", "minus"):
                     spectrum = build_spectrum(state, s, branch)
-                    phis = spectrum.phi_prime + offsets
+                    phis = spectrum.phi_ref + offsets
                     dev = np.max(
                         np.abs(
                             eval_phase_dist(spectrum, phis)
@@ -135,10 +135,10 @@ def test_criterion_5_positivity_vs_ordering():
     worst_min = 0.0
     for preset in PRESETS:
         spectrum = build_spectrum(_state(preset, 1.0), -1.0, "minus")
-        values = eval_phase_dist(spectrum, spectrum.phi_prime + PHI_GRID_361)
+        values = eval_phase_dist(spectrum, spectrum.phi_ref + PHI_GRID_361)
         worst_min = min(worst_min, float(np.min(values)))
     spectrum = build_spectrum(_state("odd_cat", 1.0), 0.4, "minus")
-    odd_min = float(np.min(eval_phase_dist(spectrum, spectrum.phi_prime + PHI_GRID_361)))
+    odd_min = float(np.min(eval_phase_dist(spectrum, spectrum.phi_ref + PHI_GRID_361)))
     ok = worst_min >= -1e-12 and odd_min < 0.0
     _report(
         5,
@@ -155,8 +155,8 @@ def test_criterion_6_symmetry_and_information_loss():
         for branch in ("plus", "minus"):
             spectrum = build_spectrum(_state(preset, 1.0), 0.0, branch)
             deltas = np.linspace(0.0, math.pi, 181)
-            left = eval_phase_dist(spectrum, spectrum.phi_prime - deltas)
-            right = eval_phase_dist(spectrum, spectrum.phi_prime + deltas)
+            left = eval_phase_dist(spectrum, spectrum.phi_ref - deltas)
+            right = eval_phase_dist(spectrum, spectrum.phi_ref + deltas)
             sym_dev = max(sym_dev, float(np.max(np.abs(left - right))))
 
     # Same Re(mu nu*) = 0.3 with different |mu|^2 - |nu|^2 and Im(mu nu*).
@@ -167,10 +167,10 @@ def test_criterion_6_symmetry_and_information_loss():
             1.0, 1.0, math.sqrt(0.5), math.sqrt(0.5) * np.exp(-1j * math.acos(0.6))
         ),
     ]
-    reference = build_spectrum(shared[0], 0.0, "minus").coeffs
+    reference = build_spectrum(shared[0], 0.0, "minus").cos_coeffs
     info_dev = 0.0
     for state in shared[1:]:
-        coeffs = build_spectrum(state, 0.0, "minus").coeffs
+        coeffs = build_spectrum(state, 0.0, "minus").cos_coeffs
         assert len(coeffs) == len(reference)
         info_dev = max(info_dev, float(np.max(np.abs(np.subtract(coeffs, reference)))))
 
@@ -204,14 +204,14 @@ def test_criterion_7_uniform_limits():
     for s in S_VALUES:
         for branch in ("plus", "minus"):
             spectrum = build_spectrum(state, s, branch)
-            values = eval_phase_dist(spectrum, spectrum.phi_prime + PHI_GRID_361)
+            values = eval_phase_dist(spectrum, spectrum.phi_ref + PHI_GRID_361)
             even_dev = max(even_dev, float(np.max(np.abs(values - 1.0 / TWO_PI))))
 
     odd = make_preset("odd_cat", 1e-3, 1e-3)
     spectrum = build_spectrum(odd, 0.0, "minus")
-    values = eval_phase_dist(spectrum, spectrum.phi_prime + PHI_GRID_361)
+    values = eval_phase_dist(spectrum, spectrum.phi_ref + PHI_GRID_361)
     odd_dev = float(np.max(np.abs(values - 1.0 / TWO_PI)))
-    check = spectrum.phi_prime + np.array([0.0, 1.2, 2.9])
+    check = spectrum.phi_ref + np.array([0.0, 1.2, 2.9])
     oracle_dev = float(
         np.max(
             np.abs(
@@ -254,13 +254,13 @@ def test_criterion_8_moments():
     centered_ok = True
     for preset in PRESETS:
         spectrum = build_spectrum(_state(preset, 1.0), -1.0, "minus")
-        centered_ok &= phase_mean_var(spectrum, spectrum.phi_prime).mean == spectrum.phi_prime
+        centered_ok &= phase_mean_var(spectrum, spectrum.phi_ref).mean == spectrum.phi_ref
     details.append(f"<phi> == phi0 at phi0 == phi': {centered_ok}")
 
     state = _state("even_cat", 1.0)
     spectrum = build_spectrum(state, 0.0, "minus")
     grid = np.linspace(0.0, TWO_PI, 128, endpoint=False)
-    density = quadrature_phase_dist(state, 0.0, "minus", spectrum.phi_prime + grid)
+    density = quadrature_phase_dist(state, 0.0, "minus", spectrum.phi_ref + grid)
     moment_dev = 0.0
     for n in (1, 2, 3):
         quadrature_moment = float(np.mean(density * np.cos(n * grid))) * TWO_PI

@@ -556,6 +556,11 @@ class TestConfigAndFormat:
                 '{"preset": "nope", "alpha": {"abs": 1, "arg": 0}, "beta": {"abs": 1, "arg": 0}}',
                 "invalid state: unknown preset 'nope'",
             ),
+            (
+                '{"preset": "odd_cat", "alpha": {"abs": 1, "arg": Infinity},'
+                ' "beta": {"abs": 1, "arg": 0}}',
+                "invalid state: alpha is not finite: arg inf",
+            ),
         ],
     )
     def test_bad_state_flag_reads_alike_on_every_command(self, capsys, command, state, message):

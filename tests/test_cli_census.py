@@ -14,8 +14,8 @@ _SPEC.loader.exec_module(cli_census)
 
 def test_configs_are_fixed_and_distinct():
     keys = [" ".join(argv) for argv in cli_census.configs()]
-    assert len(keys) == 1061
-    assert len(set(keys)) == 1061
+    assert len(keys) == 1064
+    assert len(set(keys)) == 1064
     assert keys == [" ".join(argv) for argv in cli_census.configs()]
 
 

@@ -14,10 +14,13 @@ from catphase import (
     DomainError,
     QuadratureSpec,
     QuasiBellState,
+    build_spectrum,
     chi,
     eval_one_mode_dist,
     fock_chi_oracle,
+    i_n_combo,
     make_preset,
+    normalization_constant,
     one_mode_coefficients,
     quadrature_normalization,
     quadrature_one_mode,
@@ -28,12 +31,14 @@ from catphase import (
 
 from catphase.oracle import (
     _angular_rule,
+    _checked_rules,
     _coherent_columns,
     _combine,
     _factors,
     _fock_tables,
     _laguerre_triangles,
     _legendre_rule,
+    _mode_sums,
     _overlaps,
     _poisson_tail,
     _radial_rule,
@@ -285,6 +290,75 @@ class TestRandomStates:
             fast = _combine(state, [x[:, :, None, None] for x in g], d, False)
             ref = w(state, z[:, :, None, None], z, s)
         assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _joint_terms(state, s, k_a, k_b):
+    """The Gaussian and interference terms of C(k_a, k_b), as in the phasedist docstring."""
+
+    def comb(k, x, branch):
+        if k == 0:
+            return math.sqrt(2.0 / math.pi)
+        sign, log_mag = i_n_combo(abs(k), x, branch)
+        return sign * math.exp(log_mag)
+
+    def f(k):
+        return (-1) ** k if k > 0 else 1
+
+    x_a, x_b = abs(state.alpha) ** 2 / (1.0 - s), abs(state.beta) ** 2 / (1.0 - s)
+    scale = normalization_constant(state) ** 2 * math.pi / 2.0
+    cross = state.mu * state.nu.conjugate()
+    weight = abs(state.mu) ** 2 + (-1) ** (k_a + k_b) * abs(state.nu) ** 2
+    gauss = scale * weight * comb(k_a, x_a, "plus") * comb(k_b, x_b, "plus")
+    mix = cross * f(k_a) * f(k_b) + cross.conjugate() * f(-k_a) * f(-k_b)
+    interf = scale * math.exp(-2.0 * state.amplitude_sq_sum) * mix
+    return gauss, interf * comb(k_a, x_a, "minus") * comb(k_b, x_b, "minus")
+
+
+_JOINT_K = 40  # |k_a|, |k_b| <= 40 in the joint series
+
+
+class TestJointCoefficients:
+    """C(k_a, k_b) of the phasedist docstring, against the quadrature joint density and the lines."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        state=_RANDOM_STATES,
+        s=st.floats(-1.0, 0.4),
+        phis=st.lists(
+            st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_joint_series_matches_quadrature_and_lines(self, state, s, phis):
+        k = range(-_JOINT_K, _JOINT_K + 1)
+        table = np.array([[sum(_joint_terms(state, s, k_a, k_b)) for k_b in k] for k_a in k])
+        phi_a, phi_b = np.array(phis).T
+        phase_a = np.exp(1j * np.outer(phi_a - cmath.phase(state.alpha), k))
+        phase_b = np.exp(1j * np.outer(phi_b - cmath.phase(state.beta), k))
+        series = np.einsum("pi,ij,pj->p", phase_a, table, phase_b).real / (4.0 * math.pi**2)
+        r_nodes, r_weights, _, _ = _checked_rules(state, s, QuadratureSpec(), False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = _mode_sums(state, s, r_nodes, r_weights, phi_a, phi_b)
+            joint = _combine(state, *sums, False)
+        assert np.max(np.abs(series - joint)) < 1e-6
+
+        # Each line (p, q) is the row C(pn, qn), a_n = c_n - i d_n.
+        lines = {"plus": (1, 1), "minus": (-1, 1), 1: (1, 0), 2: (0, 1)}
+        for line, (p, q) in lines.items():
+            if line in (1, 2):
+                spectrum = one_mode_coefficients(state, s, line)
+                sines = spectrum.sin_coeffs
+            else:
+                spectrum = build_spectrum(state, s, line)
+                sines = [0.0] * spectrum.n_used
+            for n, c_n, d_n in zip(range(1, spectrum.n_used + 1), spectrum.cos_coeffs, sines):
+                gauss, interf = _joint_terms(state, s, p * n, q * n)
+                # Relative to the two terms: where they cancel, C's own rounding
+                # in plain floats is relative to them, not to their sum.
+                bound = 1e-13 * (abs(gauss) + abs(interf))
+                assert abs(complex(c_n, -d_n) - (gauss + interf)) <= bound, (line, n)
 
 
 class TestAgainstBruteForce:

@@ -110,21 +110,21 @@ class TestBuildSpectrum:
         plus = build_spectrum(state, -1.0, "plus")
         assert minus.n_used == 4
         assert plus.n_used == 5
-        assert np.max(np.abs(minus.coeffs)) < 1e-4
-        assert np.max(np.abs(plus.coeffs)) < 1e-4
+        assert np.max(np.abs(minus.cos_coeffs)) < 1e-4
+        assert np.max(np.abs(plus.cos_coeffs)) < 1e-4
 
     def test_unit_even_cat_decays(self):
         spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")
-        assert spectrum.coeffs[0] > spectrum.coeffs[1] > spectrum.coeffs[2]
-        assert abs(spectrum.coeffs[-1]) < spectrum.tail_bound + 1e-300
+        assert spectrum.cos_coeffs[0] > spectrum.cos_coeffs[1] > spectrum.cos_coeffs[2]
+        assert abs(spectrum.cos_coeffs[-1]) < spectrum.tail_bound + 1e-300
         assert spectrum.tail_bound < TruncationPolicy().eps_tail
 
     def test_phi_prime_records_phase_combination(self):
         alpha = cmath.rect(1.0, 0.3)
         beta = cmath.rect(1.0, 1.1)
         state = QuasiBellState(alpha, beta, *_weights("even_cat"))
-        assert build_spectrum(state, 0.0, "plus").phi_prime == pytest.approx(1.4)
-        assert build_spectrum(state, 0.0, "minus").phi_prime == pytest.approx(0.8)
+        assert build_spectrum(state, 0.0, "plus").phi_ref == pytest.approx(1.4)
+        assert build_spectrum(state, 0.0, "minus").phi_ref == pytest.approx(0.8)
 
     def test_s_out_of_range(self):
         with pytest.raises(DomainError):
@@ -172,13 +172,13 @@ class TestEvalPhaseDist:
     def test_symmetric_about_reference(self, any_preset):
         spectrum = build_spectrum(preset_state(any_preset), 0.0, "minus")
         for delta in np.linspace(0.0, math.pi, 17):
-            left = eval_phase_dist(spectrum, spectrum.phi_prime - delta)
-            right = eval_phase_dist(spectrum, spectrum.phi_prime + delta)
+            left = eval_phase_dist(spectrum, spectrum.phi_ref - delta)
+            right = eval_phase_dist(spectrum, spectrum.phi_ref + delta)
             assert abs(left - right) < 1e-13
 
     def test_odd_cat_negative_at_s04(self):
         spectrum = build_spectrum(preset_state("odd_cat"), 0.4, "minus")
-        grid = spectrum.phi_prime + np.linspace(-math.pi, math.pi, 361)
+        grid = spectrum.phi_ref + np.linspace(-math.pi, math.pi, 361)
         assert float(np.min(eval_phase_dist(spectrum, grid))) < 0.0
 
     def test_normalized_over_any_period(self, any_preset):
@@ -186,8 +186,8 @@ class TestEvalPhaseDist:
             spectrum = build_spectrum(preset_state(any_preset), s, "plus")
             integral = series_integral(
                 lambda p: eval_phase_dist(spectrum, p),
-                spectrum.phi_prime - math.pi,
-                spectrum.phi_prime + math.pi,
+                spectrum.phi_ref - math.pi,
+                spectrum.phi_ref + math.pi,
             )
             assert integral == pytest.approx(1.0, abs=1e-10)
 
@@ -198,11 +198,11 @@ class TestEvalPhaseDist:
         phis = np.linspace(-math.pi, math.pi, 101)
         naive = np.array(
             [
-                sum(c * math.cos((k + 1) * p) for k, c in enumerate(spectrum.coeffs))
+                sum(c * math.cos((k + 1) * p) for k, c in enumerate(spectrum.cos_coeffs))
                 for p in phis
             ]
         )
-        got = _horner(spectrum.coeffs, np.exp(1j * phis)).real
+        got = _horner(spectrum.cos_coeffs, np.exp(1j * phis)).real
         assert np.max(np.abs(got - naive)) < 1e-12
 
         rng = np.random.default_rng(31)
@@ -221,7 +221,7 @@ class TestEvalPhaseDist:
             return acc
 
         rng = np.random.default_rng(37)
-        long_series = build_spectrum(QuasiBellState(1.5, 1.2, 0.6, 0.8), 0.95, "plus").coeffs
+        long_series = build_spectrum(QuasiBellState(1.5, 1.2, 0.6, 0.8), 0.95, "plus").cos_coeffs
         assert len(long_series) > 100
         synthetic = rng.uniform(-1.0, 1.0, 300) * 0.97 ** np.arange(300)
         # The 1-element array is how a scalar phi is summed; the complex
@@ -277,8 +277,8 @@ class TestPhaseCovariance:
             cmath.rect(1.0, 0.7), cmath.rect(1.0, -1.2), *_weights("even_cat")
         )
         rotated = build_spectrum(rotated_state, 0.2, "minus")
-        assert np.allclose(rotated.coeffs, base.coeffs, rtol=1e-13, atol=1e-300)
-        assert rotated.phi_prime == pytest.approx((-1.2 - 0.7) % TWO_PI, abs=1e-14)
+        assert np.allclose(rotated.cos_coeffs, base.cos_coeffs, rtol=1e-13, atol=1e-300)
+        assert rotated.phi_ref == pytest.approx((-1.2 - 0.7) % TWO_PI, abs=1e-14)
 
     def test_distribution_shifts_rigidly(self):
         theta1, theta2 = 0.9, -0.4
@@ -292,8 +292,8 @@ class TestPhaseCovariance:
         )
         offsets = np.linspace(-math.pi, math.pi, 41)
         assert np.allclose(
-            eval_phase_dist(rotated, rotated.phi_prime + offsets),
-            eval_phase_dist(base, base.phi_prime + offsets),
+            eval_phase_dist(rotated, rotated.phi_ref + offsets),
+            eval_phase_dist(base, base.phi_ref + offsets),
             rtol=1e-12,
             atol=1e-14,
         )
@@ -316,9 +316,9 @@ class TestInformationLoss:
         ]
         for state in candidates:
             assert (state.mu * state.nu.conjugate()).real == pytest.approx(target, abs=1e-15)
-        reference = build_spectrum(candidates[0], 0.0, "minus").coeffs
+        reference = build_spectrum(candidates[0], 0.0, "minus").cos_coeffs
         for state in candidates[1:]:
-            other = build_spectrum(state, 0.0, "minus").coeffs
+            other = build_spectrum(state, 0.0, "minus").cos_coeffs
             assert len(other) == len(reference)
             assert np.allclose(other, reference, rtol=1e-13, atol=1e-300)
 
@@ -345,8 +345,8 @@ class TestRandomStates:
     def test_antinormal_spectra_are_bounded_and_densities_nonnegative(self, state):
         for branch in ("plus", "minus"):
             spectrum = build_spectrum(state, -1.0, branch)
-            assert np.max(np.abs(spectrum.coeffs)) <= 1.0, branch
-            grid = spectrum.phi_prime + _ABSOLUTE_PHASES
+            assert np.max(np.abs(spectrum.cos_coeffs)) <= 1.0, branch
+            grid = spectrum.phi_ref + _ABSOLUTE_PHASES
             assert float(np.min(eval_phase_dist(spectrum, grid))) >= -1e-12, branch
         for mode in (1, 2):
             spectrum = one_mode_coefficients(state, -1.0, mode)
@@ -382,8 +382,8 @@ class TestRandomStates:
 class TestGenuineDistributionBound:
     def test_coefficients_below_unity_for_antinormal(self, any_preset):
         spectrum = build_spectrum(preset_state(any_preset), -1.0, "minus")
-        assert np.max(np.abs(spectrum.coeffs)) < 1.0
-        grid = spectrum.phi_prime + np.linspace(-math.pi, math.pi, 361)
+        assert np.max(np.abs(spectrum.cos_coeffs)) < 1.0
+        grid = spectrum.phi_ref + np.linspace(-math.pi, math.pi, 361)
         assert float(np.min(eval_phase_dist(spectrum, grid))) >= -1e-12
 
 
@@ -460,6 +460,18 @@ class TestOneMode:
         )
         assert integral == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_tail_bound_is_reported(self, mode):
+        # The larger of max(|c_n|, |d_n|) over the last two rows, below eps_tail.
+        policy = TruncationPolicy()
+        spectrum = one_mode_coefficients(preset_state("yurke_stoler_plus"), 0.4, mode, policy)
+        rows = [
+            max(abs(c), abs(d)) for c, d in zip(spectrum.cos_coeffs, spectrum.sin_coeffs)
+        ][-2:]
+        assert spectrum.tail_bound == max(rows)
+        assert 0.0 < spectrum.tail_bound < policy.eps_tail
+        assert spectrum.n_used == len(spectrum.sin_coeffs) > 2
+
     def test_bad_mode(self):
         for mode in (3, True, 1.0, "1"):
             with pytest.raises(DomainError, match="mode must be 1 or 2"):
@@ -467,10 +479,21 @@ class TestOneMode:
 
     def test_numpy_integer_mode_is_stored_as_int(self):
         spectrum = one_mode_coefficients(preset_state("even_cat"), 0.0, np.int64(2))
-        assert type(spectrum.mode) is int and spectrum.mode == 2
+        assert type(spectrum.line) is int and spectrum.line == 2
 
 
 class TestTrigMoments:
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_mode_line_is_domain_error(self, mode):
+        # Both read c_n alone; on a mode line they would ignore d_n and give
+        # wrong moments without a word.
+        spectrum = one_mode_coefficients(preset_state("yurke_stoler_plus"), 0.0, mode)
+        message = f"needs a phase-sum or phase-difference spectrum, got the mode {mode} line$"
+        with pytest.raises(DomainError, match="^trig_moments " + message):
+            trig_moments(spectrum, 1)
+        with pytest.raises(DomainError, match="^phase_mean_var " + message):
+            phase_mean_var(spectrum, spectrum.phi_ref)
+
     def test_uniform_case(self):
         state = QuasiBellState(0.0, 1.0, *_weights("even_cat"))
         spectrum = build_spectrum(state, 0.0, "minus")
@@ -488,7 +511,7 @@ class TestTrigMoments:
     def test_mean_cos_is_coefficient(self):
         spectrum = build_spectrum(preset_state("even_cat"), -1.0, "minus")
         for n in (1, 2, 3):
-            assert trig_moments(spectrum, n).mean_cos == spectrum.coeffs[n - 1]
+            assert trig_moments(spectrum, n).mean_cos == spectrum.cos_coeffs[n - 1]
 
     def test_recomputes_past_truncation(self):
         spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")
@@ -503,7 +526,7 @@ class TestTrigMoments:
         state = preset_state("even_cat")
         spectrum = build_spectrum(state, -1.0, "minus")
         grid = np.linspace(0.0, TWO_PI, 128, endpoint=False)
-        density = quadrature_phase_dist(state, -1.0, "minus", spectrum.phi_prime + grid)
+        density = quadrature_phase_dist(state, -1.0, "minus", spectrum.phi_ref + grid)
         moment = float(np.mean(density * np.cos(grid))) * TWO_PI
         assert trig_moments(spectrum, 1).mean_cos == pytest.approx(moment, abs=1e-6)
 
@@ -518,8 +541,8 @@ class TestTrigMoments:
 class TestPhaseMeanVar:
     def test_centered_window_mean_is_reference(self, any_preset):
         spectrum = build_spectrum(preset_state(any_preset), -1.0, "minus")
-        stats = phase_mean_var(spectrum, spectrum.phi_prime)
-        assert stats.mean == spectrum.phi_prime
+        stats = phase_mean_var(spectrum, spectrum.phi_ref)
+        assert stats.mean == spectrum.phi_ref
 
     def test_uniform_variance(self):
         state = QuasiBellState(0.0, 1.0, *_weights("even_cat"))
@@ -530,13 +553,13 @@ class TestPhaseMeanVar:
 
     def test_peaked_distribution_beats_uniform(self):
         spectrum = build_spectrum(preset_state("even_cat"), -1.0, "minus")
-        stats = phase_mean_var(spectrum, spectrum.phi_prime)
+        stats = phase_mean_var(spectrum, spectrum.phi_ref)
         assert stats.variance < math.pi**2 / 3.0
 
     def test_against_direct_window_quadrature(self):
         # Mean and variance recomputed as integrals of the series density.
         spectrum = build_spectrum(preset_state("even_cat"), -1.0, "minus")
-        phi0 = spectrum.phi_prime + 0.35
+        phi0 = spectrum.phi_ref + 0.35
         stats = phase_mean_var(spectrum, phi0)
         lo, hi = phi0 - math.pi, phi0 + math.pi
         mean = series_integral(lambda p: p * eval_phase_dist(spectrum, p), lo, hi)
@@ -548,8 +571,8 @@ class TestPhaseMeanVar:
 
     def test_off_center_window_shifts_mean(self):
         spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")
-        stats = phase_mean_var(spectrum, spectrum.phi_prime + 0.5)
-        assert stats.mean != pytest.approx(spectrum.phi_prime + 0.5)
+        stats = phase_mean_var(spectrum, spectrum.phi_ref + 0.5)
+        assert stats.mean != pytest.approx(spectrum.phi_ref + 0.5)
 
     def test_not_finite_is_overflow_error_without_warning(self):
         # c_1 = -3.3e152 here: off centre the mean shift squares past the
@@ -560,14 +583,14 @@ class TestPhaseMeanVar:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=r"window center 3\.0$"):
                 phase_mean_var(spectrum, 3.0)
-            assert math.isfinite(phase_mean_var(spectrum, spectrum.phi_prime).variance)
+            assert math.isfinite(phase_mean_var(spectrum, spectrum.phi_ref).variance)
 
     def test_partial_sum_past_the_float_range_is_overflow_error(self):
         # The two mean terms, 1.47e308 and 0.74e308, overflow inside math.fsum.
         spectrum = build_spectrum(preset_state("even_cat"), 0.0, "minus")
-        spectrum = dataclasses.replace(spectrum, coeffs=[-1.7e308, 1.7e308], n_used=2)
+        spectrum = dataclasses.replace(spectrum, cos_coeffs=[-1.7e308, 1.7e308], n_used=2)
         with pytest.raises(OverflowError, match=r"not finite at window center"):
-            phase_mean_var(spectrum, spectrum.phi_prime + math.pi / 3)
+            phase_mean_var(spectrum, spectrum.phi_ref + math.pi / 3)
 
     def test_window_center_past_the_sine_range_is_domain_error(self):
         # n (phi0 - phi_prime) passes the float range from n = 2 on, where
@@ -590,9 +613,9 @@ class TestPhaseMeanVar:
         spectrum = build_spectrum(preset_state(preset), s, "minus")
         n = np.arange(1, spectrum.n_used + 1)
         signs = np.where(n % 2 == 0, 1.0, -1.0)
-        coeffs = np.array(spectrum.coeffs)
-        for phi0 in (spectrum.phi_prime, spectrum.phi_prime + 0.5, -2.0):
-            delta0 = phi0 - spectrum.phi_prime
+        coeffs = np.array(spectrum.cos_coeffs)
+        for phi0 in (spectrum.phi_ref, spectrum.phi_ref + 0.5, -2.0):
+            delta0 = phi0 - spectrum.phi_ref
             shift = 2.0 * math.fsum(signs / n * coeffs * np.sin(n * delta0))
             variance = (
                 math.pi**2 / 3.0
@@ -887,7 +910,7 @@ class TestFusionMatchesLogScaledRoute:
         for branch in ("plus", "minus"):
             def new_pair():
                 spectrum = build_spectrum(state, s, branch, policy)
-                return [*spectrum.coeffs, spectrum.tail_bound, spectrum.n_used]
+                return [*spectrum.cos_coeffs, spectrum.tail_bound, spectrum.n_used]
 
             def old_pair():
                 old_rows = map(_old_pair_terms(state, s, branch), count(1))
@@ -998,7 +1021,7 @@ class TestTableEdges:
             old_terms = _old_pair_terms(state, s, branch)
             (old, _), tail = _old_truncate(map(old_terms, count(1)), policy)
             assert spectrum.n_used > 256
-            assert [c.hex() for c in spectrum.coeffs] == [c.hex() for c in old], branch
+            assert [c.hex() for c in spectrum.cos_coeffs] == [c.hex() for c in old], branch
             assert spectrum.tail_bound.hex() == tail.hex(), branch
             assert spectrum.n_used == len(old), branch
             for n in (1, 64, 65, 128, 129, 256, 257, spectrum.n_used):

@@ -280,7 +280,7 @@ class TestTablePurity:
         one_mode_coefficients(state, 0.95, 1)
         one_mode_coefficients(state, 0.95, 2)
         second = build_spectrum(state, 0.95, branch)
-        assert [c.hex() for c in first.coeffs] == [c.hex() for c in second.coeffs]
+        assert [c.hex() for c in first.cos_coeffs] == [c.hex() for c in second.cos_coeffs]
 
     # The state above, and one at x_a = 900, x_b = 625 (s = 0) where a table's
     # last bits depend on its size more often.
@@ -384,6 +384,11 @@ class TestLogScaledValue:
         # exp(log x) round-trips to ~|log x| ulps.
         for x in (3.5, -1e-200, 2e250, -7.25):
             assert plain(LogScaledValue.from_value(x)) == pytest.approx(x, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_domain_error(self, value):
+        with pytest.raises(DomainError, match=f"^log-scaled value must be finite, got {value!r}$"):
+            LogScaledValue.from_value(value)
 
     def test_scaled(self):
         v = LogScaledValue.from_value(2.0).scaled(math.log(3.0))

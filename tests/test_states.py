@@ -1,9 +1,12 @@
 import cmath
 import math
+import re
 
+import numpy as np
 import pytest
 
 from catphase import (
+    DomainError,
     NullStateError,
     QuasiBellState,
     make_preset,
@@ -109,6 +112,16 @@ class TestConstruction:
             QuasiBellState(math.inf, 1.0, INV_SQRT2, INV_SQRT2)
         with pytest.raises(ValueError, match="not finite"):
             QuasiBellState(1.0, 1.0, complex(math.nan, 0.0), INV_SQRT2)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "mu", "nu"])
+    def test_bool_or_string_parameter_is_domain_error(self, field):
+        # complex(True) is 1 and complex("1") parses: each would pass as a weight or amplitude.
+        params = {"alpha": 1.0, "beta": 1.0, "mu": 1.0, "nu": 0.0}
+        for value in (True, False, np.True_, "1"):
+            message = f"^{field} must be a number and not a bool, got {re.escape(repr(value))}$"
+            with pytest.raises(DomainError, match=message):
+                QuasiBellState(**{**params, field: value})
+        assert QuasiBellState(**{**params, field: np.float32(params[field])}) is not None
 
     def test_amplitudes_past_float_range_rejected(self):
         for kind in ("even_cat", "odd_cat"):
@@ -223,3 +236,15 @@ class TestDescriptor:
     def test_bad_descriptors(self, bad):
         with pytest.raises(ValueError):
             state_from_descriptor(bad)
+
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    @pytest.mark.parametrize("arg", [math.inf, -math.inf])
+    def test_infinite_polar_arg_names_the_amplitude(self, key, arg):
+        descriptor = {
+            "preset": "odd_cat",
+            "alpha": {"abs": 1.0, "arg": 0.0},
+            "beta": {"abs": 1.0, "arg": 0.0},
+        }
+        descriptor[key] = {"abs": 0.0, "arg": arg}  # even at abs 0, where rect gives 0
+        with pytest.raises(ValueError, match=f"^{key} is not finite: arg {arg!r}$"):
+            params_from_descriptor(descriptor)

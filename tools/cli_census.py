@@ -32,10 +32,14 @@ The configs:
 - 2 more: abbreviated flags (``oracle-compare --s``, ``phase-dist --n-ph``),
   which argparse refuses rather than reading as a longer flag;
 - 1 more: a ``moments`` window center so large that n (phi0 - phi_prime)
-  passes the float range.
+  passes the float range;
+- 3 more: a one-mode d_n past the float range (``coeffs --mode 1`` and
+  ``one-mode --mode 2``, Yurke-Stoler plus state at s = 0.999), and a
+  one-mode spectrum that does not converge by n_max (``coeffs --mode 2``,
+  |alpha| = |beta| = 6, s = 0.9).
 
-The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055, 1,056, 1,058 and 1,060
-keep their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
+The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055, 1,056, 1,058, 1,060 and
+1,061 keep their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
 argparse wraps help text to the terminal width.
 
 Usage, from the repository root:
@@ -200,8 +204,10 @@ FLAG_CONFIGS = (
 # phase-dist, and a Bessel argument |alpha|^2/(1-s) that does.  Then, after
 # the first 1,055: renormalizing a weight whose modulus passes the float range.
 # Then, after the first 1,056: Bessel arguments near 1e-308; after the first
-# 1,058: abbreviated flags; and after the first 1,060: a window center whose
-# multiples pass the float range.
+# 1,058: abbreviated flags; after the first 1,060: a window center whose
+# multiples pass the float range; and after the first 1,061: a one-mode d_n
+# past the float range (coeffs and one-mode), and a one-mode spectrum that
+# does not converge by n_max.
 LATER_CONFIGS = (
     ("validate", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
     ("validate", "--mu", "0", "0", "--nu", "0", "0", "--renormalize"),
@@ -229,6 +235,18 @@ LATER_CONFIGS = (
     ("oracle-compare", "--s", "3", "--n-chi-points", "0", "--n-radial", "16", "--n-angular", "32"),
     ("phase-dist", "--n-ph", "3"),
     ("moments", "--preset", "odd_cat", "--phi0", "1e308"),
+    (
+        "coeffs", "--mode", "1", "--preset", "yurke_stoler_plus", "--alpha", "1", "0",
+        "--beta", "1", "0", "--s", "0.999",
+    ),
+    (
+        "one-mode", "--mode", "2", "--preset", "yurke_stoler_plus", "--alpha", "1", "0",
+        "--beta", "1", "0", "--s", "0.999",
+    ),
+    (
+        "coeffs", "--mode", "2", "--preset", "yurke_stoler_minus", "--alpha", "6", "0",
+        "--beta", "6", "0", "--s", "0.9",
+    ),
 )
 NATIVE_FORMATS = (
     ("validate", "json"),
