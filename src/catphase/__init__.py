@@ -23,8 +23,6 @@ __version__ = "0.1.0"
 # catphase.oracle's __all__, which it must equal (tests/test_api.py checks).
 _ORACLE_NAMES = (
     "QuadratureSpec",
-    "FockChiResult",
-    "FOCK_BOUND_TOL",
     "quadrature_phase_dist",
     "quadrature_normalization",
     "quadrature_one_mode",

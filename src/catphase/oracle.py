@@ -55,15 +55,13 @@ from .quasiprob import (
     _require_s_below_one,
     _square_of_spread,
     w,
-    w_symmetrized,
+    w_symmetrized,  # not called here; perfbench/spans.py binds catphase.oracle.w_symmetrized
 )
 from .specfun import _branch_sign, _integer, _positive_int
 from .states import QuasiBellState, _require_mode, _sq_sum, normalization_constant
 
 __all__ = [
     "QuadratureSpec",
-    "FockChiResult",
-    "FOCK_BOUND_TOL",
     "quadrature_phase_dist",
     "quadrature_normalization",
     "quadrature_one_mode",
@@ -73,7 +71,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 # A reported Fock truncation bound above this raises CutoffTooSmallError.
-FOCK_BOUND_TOL = 1e-6
+_FOCK_BOUND_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -138,22 +136,17 @@ def _angular_rule(spec: QuadratureSpec):
     return nodes, _TWO_PI / spec.n_angular
 
 
-def _checked_rules(
-    state: QuasiBellState, s: float, spec: QuadratureSpec | None, symmetrized: bool
-):
+def _checked_rules(state: QuasiBellState, s: float, spec: QuadratureSpec | None):
     """Radial and angular rules, after the refusal check at the innermost node pair.
 
-    The interference exponent of W peaks at the smallest radii, so W (or W_sym)
-    at the innermost radial node pair raises quasiprob's OverflowError exactly
-    when W on the whole node grid would.
+    The interference exponent of W peaks at the smallest radii, and W's
+    refusal depends on |gamma|^2 + |delta|^2 alone, so one W at the innermost
+    radial node pair raises quasiprob's OverflowError exactly when W (or
+    W_sym) on the whole node grid would.
     """
     spec = spec or QuadratureSpec()
     r_nodes, r_weights = _radial_rule(state, s, spec)
-    r_in = r_nodes[0]
-    if symmetrized:
-        w_symmetrized(state, r_in, r_in, 0.0, 0.0, s)
-    else:
-        w(state, r_in, r_in, s)
+    w(state, r_nodes[0], r_nodes[0], s)
     return (r_nodes, r_weights, *_angular_rule(spec))
 
 
@@ -250,7 +243,7 @@ def quadrature_phase_dist(
     plus = _branch_sign(branch) > 0
     s = _require_s_below_one(s)
     phi = _finite_array(phi, float, "phi")
-    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, True)
+    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec)
     fixed = np.mod(np.atleast_1d(phi), _TWO_PI)[..., None]
     # (phi_plus, phi_minus) is (phi, a_j) on the plus branch and (a_j, phi) on the minus.
     half_diff = 0.5 * (fixed - a_nodes) if plus else 0.5 * (a_nodes - fixed)
@@ -269,7 +262,7 @@ def quadrature_normalization(
     sums are taken once per value and looked up for every node pair.
     """
     s = _require_s_below_one(s)
-    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, True)
+    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec)
     n = a_nodes.size
     half = math.pi * np.arange(1 - n, 2 * n - 1) / n
     g, d = _mode_sums(state, s, r_nodes, r_weights, half, half)
@@ -296,7 +289,7 @@ def quadrature_one_mode(
     mode = _require_mode(mode)
     s = _require_s_below_one(s)
     phi = _finite_array(phi, float, "phi")
-    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec, False)
+    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec)
     own = np.atleast_1d(phi)
     angles = (own, a_nodes) if mode == 1 else (a_nodes, own)
     g, d = _mode_sums(state, s, r_nodes, r_weights, *angles)
@@ -444,7 +437,7 @@ def fock_chi_oracle(
     s-ordering factor exp(s(|xi|^2+|eta|^2)/2).  A rigorous truncation bound
     (driven by the coherent tails beyond n_cut; take
     n_cut >= 4 max(|alpha|^2, |beta|^2) + 20 for comfortable margins) is
-    returned alongside and must stay below ``FOCK_BOUND_TOL``.  DomainError
+    returned alongside; above 1e-6 it is a CutoffTooSmallError.  DomainError
     if |xi|^2 + |eta|^2, the s-ordering factor or the trace is not finite.
     """
     n_cut = _positive_int(n_cut, "n_cut")
@@ -474,9 +467,9 @@ def fock_chi_oracle(
     err_b = 2.0 * math.sqrt(_poisson_tail(abs(state.beta) ** 2, n_cut))
     per_term = err_a + err_b + err_a * err_b
     bound = prefactor * n2 * (abs(mu) + abs(nu)) ** 2 * per_term
-    if not bound <= FOCK_BOUND_TOL:
+    if not bound <= _FOCK_BOUND_TOL:
         raise CutoffTooSmallError(
-            f"Fock truncation bound {bound:.3e} exceeds {FOCK_BOUND_TOL:g} at "
+            f"Fock truncation bound {bound:.3e} exceeds {_FOCK_BOUND_TOL:g} at "
             f"n_cut={n_cut}; increase the cutoff"
         )
     if not np.isfinite(value):

@@ -17,11 +17,11 @@ import math
 from .errors import DomainError
 from .states import QuasiBellState, normalization_constant
 
-__all__ = ["S_UPPER", "chi", "w", "w_symmetrized"]
+__all__ = ["chi", "w", "w_symmetrized"]
 
 # Quasi-probability distributions exist for s < 1 strictly; this guard band
 # keeps 1/(1-s) from blowing up catastrophically.
-S_UPPER = 1.0 - 1e-9
+_S_UPPER = 1.0 - 1e-9
 
 # Largest exponent handed to numpy's exp before the evaluation refuses to proceed.
 _EXP_LIMIT = 700.0
@@ -36,9 +36,9 @@ def _require_real_s(s: float) -> float:
 
 def _require_s_below_one(s: float) -> float:
     s = _require_real_s(s)
-    if s >= S_UPPER:
+    if s >= _S_UPPER:
         raise DomainError(
-            f"quasi-probability requires s < {S_UPPER!r} (got s = {s!r}); "
+            f"quasi-probability requires s < {_S_UPPER!r} (got s = {s!r}); "
             "at s = 1 the distribution is singular"
         )
     return s

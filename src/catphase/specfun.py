@@ -31,6 +31,7 @@ amplified on the way down); the per-n route it replaced measured 9.1e-13 and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import NamedTuple
@@ -129,79 +130,42 @@ def bessel_i_ratio(order: float, x: float) -> float:
     )
 
 
-def _log_ive_series(nu: float, x: float) -> float:
-    """log(e^(-x) I_nu(x)) by the ascending power series, x > 0.
+def _log_seeds(x: float) -> tuple[float, float]:
+    """log(e^(-x) I_0(x)) and log(e^(-x) I_(1/2)(x)) at finite x > 0: the chain seeds.
 
-    All terms are positive, so the sum is computed in plain floats with
-    Neumaier compensation and rescaled on the fly if it threatens overflow.
+    e^(-x) I_(1/2)(x) = (1 - e^(-2x)) / sqrt(2 pi x) is elementary.  For I_0,
+    below x = 40 the ascending series sum_k (x^2/4)^k / k!^2 is summed in
+    plain floats with Neumaier compensation (its partial sums stay under
+    I_0(40) ~ 1.5e16); from x = 40 the asymptotic expansion
+    sqrt(2 pi x) e^(-x) I_0(x) ~ sum_k prod_(j<=k) (2j-1)^2 / (8xj), whose
+    terms fall below rounding within 16 terms, long before they turn to grow
+    (at k ~ 2x).  Each sum stops once _TAIL_RUN terms in a row fail to reach
+    _TAIL_REL of it, so a NaN x ends in NaN seeds rather than looping.
     """
-    log_t0 = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) - x
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    comp = 0.0
-    offset = 0.0
+    log_norm = -0.5 * math.log(2.0 * math.pi * x)
+    log_half = log_norm + math.log(-math.expm1(-2.0 * x))
+    term = total = 1.0
     small_run = 0
-    for k in range(1, _SERIES_CAP + 1):
-        term *= q / (k * (nu + k))
+    if x >= 40.0:
+        for k in itertools.count(1):
+            term *= (2.0 * k - 1.0) ** 2 / (8.0 * x * k)
+            total += term
+            small_run = 0 if term >= _TAIL_REL * total else small_run + 1
+            if small_run >= _TAIL_RUN:
+                return log_norm + math.log(total), log_half
+    q = 0.25 * x * x
+    comp = 0.0
+    for k in itertools.count(1):
+        term *= q / (k * k)
         t = total + term
         if abs(total) >= abs(term):
             comp += (total - t) + term
         else:
             comp += (term - t) + total
         total = t
-        if term < _TAIL_REL * total:
-            small_run += 1
-            if small_run >= _TAIL_RUN:
-                return log_t0 + offset + math.log(total + comp)
-        else:
-            small_run = 0
-        if total > 1e280:
-            total *= 1e-280
-            comp *= 1e-280
-            term *= 1e-280
-            offset += 280.0 * math.log(10.0)
-    raise NoConvergenceError(f"Bessel series for nu={nu}, x={x} exceeded {_SERIES_CAP} terms")
-
-
-def _log_ive_asymptotic(nu: float, x: float) -> float | None:
-    """log(e^(-x) I_nu(x)) by the large-x asymptotic expansion.
-
-    Returns None when the expansion fails to reach full precision before its
-    terms start growing (caller falls back to the series).
-    """
-    mu4 = 4.0 * nu * nu
-    term = 1.0
-    total = 1.0
-    prev_mag = 1.0
-    small_run = 0
-    for k in range(1, 200):
-        term *= -(mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * x * k)
-        mag = abs(term)
-        if mag > prev_mag:
-            return None
-        total += term
-        prev_mag = mag
-        if mag < _TAIL_REL * abs(total):
-            small_run += 1
-            if small_run >= _TAIL_RUN:
-                return -0.5 * math.log(2.0 * math.pi * x) + math.log(total)
-        else:
-            small_run = 0
-    return None
-
-
-def _log_ive(two_nu: int, x: float) -> float:
-    """log(e^(-x) I_(two_nu/2)(x)) for x > 0."""
-    if two_nu == 1:
-        # Elementary: e^(-x) I_(1/2)(x) = (1 - e^(-2x)) / sqrt(2 pi x).
-        return -0.5 * math.log(2.0 * math.pi * x) + math.log(-math.expm1(-2.0 * x))
-    nu = 0.5 * two_nu
-    if x >= 40.0 and x >= 2.0 * nu * nu:
-        res = _log_ive_asymptotic(nu, x)
-        if res is not None:
-            return res
-    return _log_ive_series(nu, x)
+        small_run = 0 if term >= _TAIL_REL * total else small_run + 1
+        if small_run >= _TAIL_RUN:
+            return math.log(total + comp) - x, log_half
 
 
 def _integer(value, what: str) -> int:
@@ -272,7 +236,7 @@ def _combo_table(x: float, top: int) -> tuple[tuple[float, ...], tuple[float, ..
         return row, row
     plus = [0.0] * top  # first r_nu, then log_mag of the plus branch, at index n - 1 = 2 nu
     minus = [0.0] * top  # first u_nu, then log_mag of the minus branch
-    for low in (0, 1):
+    for low, seed in enumerate(_log_seeds(x)):
         r = bessel_i_ratio(0.5 * (top - 2 + low), x)
         u = 1.0 - r
         for two_nu in range(top - 2 + low, -1, -2):
@@ -280,7 +244,7 @@ def _combo_table(x: float, top: int) -> tuple[tuple[float, ...], tuple[float, ..
             a = two_nu / x
             u = (a - u) / (a + r)
             r = 1.0 / (a + r)
-        total, comp = _log_ive(low, x), 0.0  # Neumaier running sum of log r
+        total, comp = seed, 0.0  # Neumaier running sum of log r
         for two_nu in range(low, top, 2):
             r, u = plus[two_nu], minus[two_nu]
             log_ive = total + comp

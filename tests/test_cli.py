@@ -663,7 +663,7 @@ _COMMON_FLAGS = st.one_of(
 _STATE_FLAGS = st.one_of(
     st.tuples(st.just("--s"), st.floats(-3, 3).map(repr)),
     # Domain extremes: s past the quadrature's float range, subnormal, and
-    # just below the guard S_UPPER = 1 - 1e-9.
+    # just below the guard quasiprob._S_UPPER = 1 - 1e-9.
     st.tuples(
         st.just("--s"),
         st.sampled_from(["-1e307", "-1e156", "5e-324", "0.999999998", "0.9999999989"]),

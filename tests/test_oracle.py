@@ -29,6 +29,7 @@ from catphase import (
     w_symmetrized,
 )
 
+from catphase import oracle
 from catphase.oracle import (
     _angular_rule,
     _checked_rules,
@@ -337,7 +338,7 @@ class TestJointCoefficients:
         phase_a = np.exp(1j * np.outer(phi_a - cmath.phase(state.alpha), k))
         phase_b = np.exp(1j * np.outer(phi_b - cmath.phase(state.beta), k))
         series = np.einsum("pi,ij,pj->p", phase_a, table, phase_b).real / (4.0 * math.pi**2)
-        r_nodes, r_weights, _, _ = _checked_rules(state, s, QuadratureSpec(), False)
+        r_nodes, r_weights, _, _ = _checked_rules(state, s, QuadratureSpec())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sums = _mode_sums(state, s, r_nodes, r_weights, phi_a, phi_b)
@@ -458,6 +459,29 @@ class TestRefusalParity:
         with pytest.raises(OverflowError) as info:
             call(self.STATE)
         assert str(info.value) == self.MESSAGE
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda st: quadrature_phase_dist(st, 0.4, "plus", 0.3),
+            lambda st: quadrature_phase_dist(st, 0.4, "minus", np.array([0.3, 1.0])),
+            lambda st: quadrature_one_mode(st, 0.4, 1, 0.3),
+            lambda st: quadrature_one_mode(st, 0.4, 2, np.array([0.3, 1.0])),
+            lambda st: quadrature_normalization(st, 0.4),
+        ],
+        ids=["plus", "minus", "mode1", "mode2", "normalization"],
+    )
+    def test_refusal_probe_is_one_w_call(self, call, monkeypatch):
+        calls = {"w": 0, "w_symmetrized": 0}
+        for name in calls:
+
+            def counted(*args, name=name, inner=getattr(oracle, name)):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        call(preset_state("odd_cat"))
+        assert calls == {"w": 1, "w_symmetrized": 0}
 
     # (pi (1-s))^2 passes the float range from s = -4.3e153, (1-s)^2 in W
     # itself from s = -1.4e154.

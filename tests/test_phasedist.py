@@ -592,6 +592,12 @@ class TestPhaseMeanVar:
         with pytest.raises(OverflowError, match=r"not finite at window center"):
             phase_mean_var(spectrum, spectrum.phi_ref + math.pi / 3)
 
+    @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_window_center_is_domain_error(self, phi0):
+        spectrum = build_spectrum(preset_state("odd_cat"), 0.0, "minus")
+        with pytest.raises(DomainError, match=f"^window center must be finite, got {phi0!r}$"):
+            phase_mean_var(spectrum, phi0)
+
     def test_window_center_past_the_sine_range_is_domain_error(self):
         # n (phi0 - phi_prime) passes the float range from n = 2 on, where
         # math.sin would raise a bare ValueError.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from catphase import (
     DomainError,
     LogScaledValue,
+    NoConvergenceError,
     QuasiBellState,
     bessel_i_ratio,
     build_spectrum,
@@ -19,7 +20,7 @@ from catphase import (
     one_mode_coefficients,
     specfun,
 )
-from catphase.specfun import _check_half_order, _kummer_m_log, _log_ive
+from catphase.specfun import _check_half_order, _kummer_m_log, _log_seeds
 
 mpmath.mp.dps = 40
 
@@ -27,6 +28,23 @@ mpmath.mp.dps = 40
 def mp_log_ive(order: float, x: float) -> float:
     """High-precision log(e^(-x) I_order(x)), independent of the package."""
     return float(mpmath.log(mpmath.besseli(mpmath.mpf(order * 2) / 2, x)) - x)
+
+
+def log_ive(order: float, x: float) -> float:
+    """log(e^(-x) I_order(x)) as the combination tables hold it.
+
+    Orders 0 and 1/2 are the table seeds, _log_seeds.  A higher order nu is
+    read back from row n = 2 nu + 1, whose branches are sqrt(x) e^(-x) I_nu (1 + r)
+    and sqrt(x) e^(+x) I_nu (1 - r) with r = I_(nu+1)/I_nu, so
+    e^(-x) I_nu = (plus + e^(-2x) minus) / (2 sqrt(x)).
+    """
+    two_nu = round(2 * order)
+    if two_nu < 2:
+        return _log_seeds(x)[two_nu]
+    plus = i_n_combo(two_nu + 1, x, "plus").log_mag
+    minus = i_n_combo(two_nu + 1, x, "minus").log_mag - 2.0 * x
+    high, low = max(plus, minus), min(plus, minus)
+    return high + math.log1p(math.exp(low - high)) - math.log(2.0) - 0.5 * math.log(x)
 
 
 def plain(value: LogScaledValue) -> float:
@@ -45,31 +63,25 @@ def mp_combo_log(n: int, x: float, branch: str) -> float:
 
 
 class TestBesselScaled:
-    """log(e^(-x) I_order(x)) from _log_ive, which seeds every combination table.
+    """log(e^(-x) I_order(x)) as the combination tables hold it.
 
-    Each check compares logs at an absolute tolerance equal to a relative
-    tolerance on the value, which is the same to first order.
+    Orders 0 and 1/2 are _log_seeds, which seeds every table; higher orders
+    are read back from the table's two branches (see log_ive).  Each check
+    compares logs at an absolute tolerance equal to a relative tolerance on
+    the value, which is the same to first order.
     """
 
     def test_frozen_values(self):
         # 40-digit oracle values.
-        assert _log_ive(2, 1.0) == pytest.approx(math.log(0.2079104153497084), rel=0.0, abs=1e-14)
-        assert _log_ive(1, 1.0) == pytest.approx(math.log(0.3449513138882446), rel=0.0, abs=1e-14)
-        assert _log_ive(0, 1.0) == pytest.approx(math.log(0.4657596075936404), rel=0.0, abs=1e-14)
+        assert log_ive(1, 1.0) == pytest.approx(math.log(0.2079104153497084), rel=0.0, abs=1e-14)
+        assert log_ive(0.5, 1.0) == pytest.approx(math.log(0.3449513138882446), rel=0.0, abs=1e-14)
+        assert log_ive(0, 1.0) == pytest.approx(math.log(0.4657596075936404), rel=0.0, abs=1e-14)
 
     @pytest.mark.parametrize("order", [0, 0.5, 1, 1.5, 2, 2.5, 5, 7.5, 12, 20.5])
     @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.5, 1.0, 10.0, 100.0, 350.0, 500.0, 700.0])
     def test_against_high_precision(self, order, x):
         expected = mp_log_ive(order, x)
-        assert _log_ive(round(2 * order), x) == pytest.approx(expected, rel=0.0, abs=1e-13)
-
-    @pytest.mark.parametrize("order,x", [(25, 1000.0), (20, 780.0)])
-    def test_series_rescale_past_documented_range(self, order, x):
-        # 2 order^2 > x sends these to the ascending series, whose running sum
-        # passes 1e280 and is rescaled.  x lies past 700, the largest argument
-        # the other checks here reach.
-        expected = mp_log_ive(order, x)
-        assert _log_ive(round(2 * order), x) == pytest.approx(expected, rel=0.0, abs=1e-12)
+        assert log_ive(order, x) == pytest.approx(expected, rel=0.0, abs=1e-13)
 
     @pytest.mark.parametrize("x", [1e-8, 1e-2, 0.5, 2.0, 10.0, 100.0, 500.0])
     def test_half_integer_closed_forms(self, x):
@@ -85,18 +97,22 @@ class TestBesselScaled:
                 * mpmath.exp(-x)
             )
         )
-        assert _log_ive(1, x) == pytest.approx(i_half, rel=0.0, abs=1e-13)
-        assert _log_ive(3, x) == pytest.approx(i_three_half, rel=0.0, abs=1e-13)
+        assert log_ive(0.5, x) == pytest.approx(i_half, rel=0.0, abs=1e-13)
+        assert log_ive(1.5, x) == pytest.approx(i_three_half, rel=0.0, abs=1e-13)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3.5])
     @pytest.mark.parametrize("x", [39.5, 40.0, 40.5])
     def test_series_asymptotic_crossover(self, order, x):
-        # Both evaluation paths meet near x = 40; no seam is visible.
+        # The I_0 seed's series and asymptotic expansion meet at x = 40, and the
+        # integer orders are built on that seed; no seam is visible.
         expected = mp_log_ive(order, x)
-        assert _log_ive(round(2 * order), x) == pytest.approx(expected, rel=0.0, abs=1e-13)
+        assert log_ive(order, x) == pytest.approx(expected, rel=0.0, abs=1e-13)
+
+    def test_nan_argument_ends_the_seed_sums(self):
+        assert all(math.isnan(value) for value in _log_seeds(math.nan))
 
     def test_domain_errors(self):
-        # Orders reach _log_ive as 2*order through _check_half_order.
+        # Orders reach bessel_i_ratio as 2*order through _check_half_order.
         assert _check_half_order(0) == 0
         assert _check_half_order(2.5) == 5
         with pytest.raises(DomainError):
@@ -337,6 +353,13 @@ class TestKummer:
     def test_against_high_precision(self, a, b, x):
         expected = float(mpmath.log(mpmath.hyp1f1(a, b, x)))
         assert _kummer_m_log(a, b, x).log_mag == pytest.approx(expected, abs=1e-12)
+
+    def test_series_cap_is_no_convergence_error(self):
+        # The Kummer series needs about 2x terms, past its 10,000-term cap at
+        # x = 5000; the Bessel route stays finite there.
+        with pytest.raises(NoConvergenceError, match="exceeded 10000 terms"):
+            i_n_combo_kummer(1, 5000.0, "plus")
+        assert math.isfinite(i_n_combo(1, 5000.0, "plus").log_mag)
 
     def test_excluded_b(self):
         for b in (0.0, -1.0, -5.0):

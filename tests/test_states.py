@@ -237,6 +237,24 @@ class TestDescriptor:
         with pytest.raises(ValueError):
             state_from_descriptor(bad)
 
+    @pytest.mark.parametrize("key", ["mu", "nu"])
+    @pytest.mark.parametrize(
+        "entry",
+        [{"re": 1}, {"im": 0}, {"re": "one", "im": 0}, {"re": 1, "im": None}, [1, 0]],
+        ids=["no-im", "no-re", "string-re", "null-im", "list"],
+    )
+    def test_weight_without_numeric_parts_names_the_weight(self, key, entry):
+        descriptor = {
+            "alpha": {"abs": 1.0, "arg": 0.0},
+            "beta": {"abs": 1.0, "arg": 0.0},
+            "mu": {"re": 0.6, "im": 0.0},
+            "nu": {"re": 0.0, "im": 0.8},
+        }
+        descriptor[key] = entry
+        message = f"^'{key}' must be an object with numeric 're' and 'im'$"
+        with pytest.raises(ValueError, match=message):
+            params_from_descriptor(descriptor)
+
     @pytest.mark.parametrize("key", ["alpha", "beta"])
     @pytest.mark.parametrize("arg", [math.inf, -math.inf])
     def test_infinite_polar_arg_names_the_amplitude(self, key, arg):

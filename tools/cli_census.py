@@ -36,10 +36,12 @@ The configs:
 - 3 more: a one-mode d_n past the float range (``coeffs --mode 1`` and
   ``one-mode --mode 2``, Yurke-Stoler plus state at s = 0.999), and a
   one-mode spectrum that does not converge by n_max (``coeffs --mode 2``,
-  |alpha| = |beta| = 6, s = 0.9).
+  |alpha| = |beta| = 6, s = 0.9);
+- 1 more: a ``phase-dist --state`` whose weight ``mu`` has no numeric
+  ``im``, a configuration error (exit 2).
 
-The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055, 1,056, 1,058, 1,060 and
-1,061 keep their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
+The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055, 1,056, 1,058, 1,060,
+1,061 and 1,064 keep their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
 argparse wraps help text to the terminal width.
 
 Usage, from the repository root:
@@ -207,7 +209,8 @@ FLAG_CONFIGS = (
 # 1,058: abbreviated flags; after the first 1,060: a window center whose
 # multiples pass the float range; and after the first 1,061: a one-mode d_n
 # past the float range (coeffs and one-mode), and a one-mode spectrum that
-# does not converge by n_max.
+# does not converge by n_max.  Then, after the first 1,064: a state weight
+# without a numeric "im".
 LATER_CONFIGS = (
     ("validate", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
     ("validate", "--mu", "0", "0", "--nu", "0", "0", "--renormalize"),
@@ -246,6 +249,11 @@ LATER_CONFIGS = (
     (
         "coeffs", "--mode", "2", "--preset", "yurke_stoler_minus", "--alpha", "6", "0",
         "--beta", "6", "0", "--s", "0.9",
+    ),
+    (
+        "phase-dist", "--n-phi", "5", "--state",
+        '{"mu": {"re": 1}, "nu": {"re": 0, "im": 1}, '
+        '"alpha": {"abs": 1, "arg": 0}, "beta": {"abs": 1, "arg": 0}}',
     ),
 )
 NATIVE_FORMATS = (
