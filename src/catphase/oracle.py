@@ -6,11 +6,13 @@ Two oracle families live here:
   radially, uniform trapezoid angularly, which is spectrally accurate for the
   periodic integrands), checking normalization and the phase-distribution
   series.  W is a sum of terms that are each a product of one factor per
-  mode, so the four-variable node sum is computed separably: per angle, one
-  radial sum per mode, combined as W's terms are.  The nodes are those of the
-  direct four-variable sum (default 40 radial x 64 angular), and results
-  differ from it by rounding only.  W's OverflowError comes from W evaluated
-  at the innermost radial node pair, where the interference exponent peaks;
+  mode, so each oracle takes each mode's radial sums once, on the angles that
+  mode needs, and combines them as W's terms are.  Each equals, up to
+  rounding, a node sum (default 40 radial x 64 angular nodes a_j) of r_1 r_2
+  W over both modes' grids (normalization), over the other mode's grid and
+  the own radius (one-mode line), or of r_1 r_2 W_sym over both radii and
+  the complementary angle at phi -+ a_j (phase line).  W's OverflowError
+  comes from W at the innermost radial node pair, where its exponent peaks;
   and
 * a truncated-Fock-basis trace of the displacement operator, checking the
   closed-form characteristic function.  D(xi) = E (M + P S^T P) E* with
@@ -22,11 +24,6 @@ Two oracle families live here:
   coherent columns, so each overlap block takes two real matrix products.
   The truncation bound uses the Poisson tail, summed by its upward series
   (or as one minus its head once the mean passes the cutoff).
-
-Each mode's quadrature factors take their trigonometry on the angle axis
-only: with psi the angle from the amplitude, |z -+ amp|^2 is
-(r -+ |amp| cos psi)^2 + (|amp| sin psi)^2, which leaves two real
-exponentials, one cosine and one sine per grid point.
 
 What depends only on an integer is built once and kept read-only in a
 small bounded cache: the Gauss-Legendre rule per radial node count, and per
@@ -57,8 +54,8 @@ from .quasiprob import (
     w,
     w_symmetrized,  # not called here; perfbench/spans.py binds catphase.oracle.w_symmetrized
 )
-from .specfun import _branch_sign, _integer, _positive_int
-from .states import QuasiBellState, _require_mode, _sq_sum, normalization_constant
+from .specfun import _branch_sign, _integer
+from .states import QuasiBellState, _number, _require_mode, _sq_sum, normalization_constant
 
 __all__ = [
     "QuadratureSpec",
@@ -81,7 +78,7 @@ class QuadratureSpec:
     The radial domain is [0, R] with R = max(|alpha|, |beta|)
     + radial_cutoff_sigma * sqrt((1-s)/2); the Gaussian envelope
     exp(-2 r^2/(1-s)) makes the neglected tail negligible at the default
-    eight sigma.
+    eight sigma.  A bool, a string or a complex field is a DomainError.
     """
 
     n_radial: int = 40
@@ -95,7 +92,8 @@ class QuadratureSpec:
             raise ValueError(f"n_radial must be >= 16, got {self.n_radial!r}")
         if self.n_angular < 32:
             raise ValueError(f"n_angular must be >= 32, got {self.n_angular!r}")
-        sigma = self.radial_cutoff_sigma
+        sigma = _number(self.radial_cutoff_sigma, "radial_cutoff_sigma")
+        object.__setattr__(self, "radial_cutoff_sigma", sigma)
         if not sigma > 0.0:
             raise ValueError(f"radial_cutoff_sigma must be positive, got {sigma!r}")
         if not math.isfinite(sigma):
@@ -210,10 +208,11 @@ def _combine(state: QuasiBellState, g, d, symmetrized: bool):
     """W or W_sym from per-mode factors, or from per-mode sums of them.
 
     W = |mu|^2 a_1 b_1 + |nu|^2 a_2 b_2 + 2 Re(mu* nu f_gamma f_delta) is
-    bilinear in the two modes' parts, so a node sum of W over both radii is
-    this combination of the two radial sums.  In
-    W_sym = (W(gamma, delta) + W(-gamma, -delta))/2 the Gaussians swap and each
-    f turns into its conjugate, so the Im(mu* nu) part cancels.
+    bilinear in the two modes' parts, so a node sum of W over both modes'
+    nodes is this combination of the two modes' sums; the normalization and
+    the one-mode lines take raw W so.  The phase lines take
+    W_sym = (W(gamma, delta) + W(-gamma, -delta))/2, in which the Gaussians
+    swap and each f turns into its conjugate, so the Im(mu* nu) part cancels.
     """
     mu_sq, nu_sq = abs(state.mu) ** 2, abs(state.nu) ** 2
     cross = np.conj(state.mu) * state.nu
@@ -234,20 +233,19 @@ def quadrature_phase_dist(
 
     Integrates |gamma||delta| W_sym over both radii and the complementary
     angle (phi_minus for the plus branch and vice versa), with the fixed
-    angle set to phi.  Per angular node a_j, W_sym sits at
-    phi_gamma = (phi_plus - phi_minus)/2 and phi_delta = (phi_plus + phi_minus)/2,
-    and its radial double sum is a product of one radial sum per mode.
-    ``phi`` may be a scalar or an array of any shape; a phi that is not
-    finite is a DomainError.
+    angle set to phi.  Its nodes sit at phi -+ a_j, (phi_plus, phi_minus) =
+    (phi, phi - a_j) on the plus line and (phi + a_j, phi) on the minus, so
+    phi_gamma = (phi_plus - phi_minus)/2 = a_j/2 for every phi (mode 1's sums
+    are taken once) and phi_delta = phi -+ a_j/2.  ``phi`` may be a scalar or
+    an array of any shape; a phi that is not finite is a DomainError.
     """
-    plus = _branch_sign(branch) > 0
+    sign = _branch_sign(branch)
     s = _require_s_below_one(s)
     phi = _finite_array(phi, float, "phi")
     r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec)
     fixed = np.mod(np.atleast_1d(phi), _TWO_PI)[..., None]
-    # (phi_plus, phi_minus) is (phi, a_j) on the plus branch and (a_j, phi) on the minus.
-    half_diff = 0.5 * (fixed - a_nodes) if plus else 0.5 * (a_nodes - fixed)
-    g, d = _mode_sums(state, s, r_nodes, r_weights, half_diff, 0.5 * (fixed + a_nodes))
+    half = 0.5 * a_nodes
+    g, d = _mode_sums(state, s, r_nodes, r_weights, half, fixed - sign * half)
     out = a_weight * np.sum(_combine(state, g, d, True), axis=-1)
     return float(out[0]) if np.ndim(phi) == 0 else out
 
@@ -255,21 +253,18 @@ def quadrature_phase_dist(
 def quadrature_normalization(
     state: QuasiBellState, s: float, spec: QuadratureSpec | None = None
 ) -> float:
-    """Full four-variable quadrature of |gamma||delta| W_sym; expected 1.
+    """Quadrature of |gamma||delta| W over both modes' planes; expected 1.
 
-    On the (phi_plus, phi_minus) node grid, a_i = 2 pi i/n, the mode angles
-    (a_i -+ a_j)/2 = pi k/n take only 3n - 2 values, so each mode's radial
-    sums are taken once per value and looked up for every node pair.
+    W is bilinear in the modes (see _combine): its node sum is a combination
+    of one plane sum per mode.
     """
     s = _require_s_below_one(s)
     r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec)
-    n = a_nodes.size
-    half = math.pi * np.arange(1 - n, 2 * n - 1) / n
-    g, d = _mode_sums(state, s, r_nodes, r_weights, half, half)
-    i, j = np.ogrid[:n, :n]
-    g = tuple(x[i - j + n - 1] for x in g)
-    d = tuple(x[i + j + n - 1] for x in d)
-    return a_weight**2 * float(np.sum(_combine(state, g, d, True)))
+    g, d = (
+        tuple(a_weight * np.sum(x) for x in sums)
+        for sums in _mode_sums(state, s, r_nodes, r_weights, a_nodes, a_nodes)
+    )
+    return float(_combine(state, g, d, False))
 
 
 def quadrature_one_mode(
@@ -440,7 +435,7 @@ def fock_chi_oracle(
     returned alongside; above 1e-6 it is a CutoffTooSmallError.  DomainError
     if |xi|^2 + |eta|^2, the s-ordering factor or the trace is not finite.
     """
-    n_cut = _positive_int(n_cut, "n_cut")
+    n_cut = _integer(n_cut, "n_cut", 1)
     s = _require_real_s(s)
     xi = complex(xi)
     eta = complex(eta)

@@ -51,17 +51,16 @@ from itertools import count, cycle, repeat
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergenceError
-from .quasiprob import _finite_array, _require_s_below_one
+from .quasiprob import _finite_array, _numeric_array, _require_s_below_one
 from .specfun import (
     LogScaledValue,
     _branch_sign,
     _combo_table,
     _integer,
-    _positive_int,
     _table_top,
     i_n_combo,
 )
-from .states import QuasiBellState, _require_mode, normalization_constant
+from .states import QuasiBellState, _number, _require_mode, normalization_constant
 
 __all__ = [
     "TruncationPolicy",
@@ -98,6 +97,7 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_min", _integer(self.n_min, "n_min"))
         object.__setattr__(self, "n_max", _integer(self.n_max, "n_max"))
+        object.__setattr__(self, "eps_tail", _number(self.eps_tail, "eps_tail"))
         if not (self.eps_tail > 0.0 and math.isfinite(self.eps_tail)):
             raise ValueError(f"eps_tail must be positive, got {self.eps_tail!r}")
         if not (1 <= self.n_min <= self.n_max):
@@ -280,7 +280,7 @@ def fourier_coefficient(state: QuasiBellState, s: float, n: int, branch: str) ->
     """c_n = C(n, n) of the phase-sum (plus) or C(-n, n) of the phase-difference (minus) line."""
     _branch_sign(branch)
     s = _require_s_below_one(s)
-    n = _positive_int(n, "coefficient index n")
+    n = _integer(n, "coefficient index n", 1)
     cos: list[float] = []
     next(_rows(state, s, branch, cos, [], n))
     return cos[0]
@@ -339,16 +339,17 @@ def _horner(coeffs, z):
 def eval_phase_dist(spectrum: Spectrum, phi):
     """Evaluate the line's density (1/2pi)[1 + 2 Re sum_n a_n e^(i n delta)], delta = phi - phi_ref.
 
-    ``phi`` may be any real scalar or array; delta is reduced to (-pi, pi]
-    and the series is summed without per-term trig calls.  A branch line
-    sums its cosine coefficients as they are.
+    ``phi`` may be any real scalar or array (a bool, a string or a complex
+    is a DomainError); delta is reduced to (-pi, pi] and the series is
+    summed without per-term trig calls.  A branch line sums its cosine
+    coefficients as they are.
     """
     import numpy as np
 
     column = spectrum.cos_coeffs
     if spectrum.sin_coeffs:
         column = [complex(c, -d) for c, d in zip(column, spectrum.sin_coeffs)]
-    phi = np.asarray(phi, dtype=float)
+    phi = _numeric_array(phi, float, "phi")
     # Summed as a 1-d array whatever phi's shape: numpy's complex multiply
     # rounds differently on 0-d operands.
     z = np.exp(1j * wrap_angle(phi.reshape(-1) - spectrum.phi_ref))
@@ -382,7 +383,7 @@ def trig_moments(spectrum: Spectrum, n: int) -> TrigMoments:
     mode line, whose d_n these ignore, is a DomainError.
     """
     _branch_line(spectrum, "trig_moments")
-    n = _positive_int(n, "moment order")
+    n = _integer(n, "moment order", 1)
     c_n = _coefficient(spectrum, n)
     c_2n = _coefficient(spectrum, 2 * n)
     return TrigMoments(
@@ -401,12 +402,13 @@ def phase_mean_var(spectrum: Spectrum, phi0: float) -> PhaseStats:
                + 4 sum_n ((-1)^n / n^2) c_n cos n(phi0 - phi_prime)
 
     Each sum is taken by ``math.fsum``, correctly rounded.  OverflowError,
-    naming phi0, if either result is not finite; DomainError if phi0 is not
-    finite, or so large that n (phi0 - phi_prime) passes the float range, or
-    if the spectrum is a mode line, whose d_n these sums ignore.
+    naming phi0, if either result is not finite; DomainError if phi0 is a
+    bool, a string or not finite, or so large that n (phi0 - phi_prime)
+    passes the float range, or if the spectrum is a mode line, whose d_n
+    these sums ignore.
     """
     _branch_line(spectrum, "phase_mean_var")
-    phi0 = float(phi0)
+    phi0 = _number(phi0, "phi0")
     if not math.isfinite(phi0):
         raise DomainError(f"window center must be finite, got {phi0!r}")
     delta0 = phi0 - spectrum.phi_ref

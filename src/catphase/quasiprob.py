@@ -1,11 +1,12 @@
 """Characteristic function and s-ordered quasi-probability distributions.
 
 All evaluators broadcast over NumPy arrays of phase-space points and return
-scalars for scalar input; a point, radius or angle that is not finite is a
-DomainError naming the argument.  A finite point so far out that
-|xi|^2 + |eta|^2 (or |gamma|^2 + |delta|^2) passes the float range, where
-chi (for s < 1) and W underflow, gives exactly 0.  The ordering parameter s
-is real throughout the public API; the quasi-probability exists for s < 1
+scalars for scalar input; a point, radius or angle that is not finite, or is
+a bool, a string or (where a real is due) complex, is a DomainError naming
+the argument.  A finite point so far out that |xi|^2 + |eta|^2 (or
+|gamma|^2 + |delta|^2) passes the float range, where chi (for s < 1) and W
+underflow, gives exactly 0.  The ordering parameter s is a real number, not
+a bool, throughout the public API; the quasi-probability exists for s < 1
 only, with a guard band below 1 to keep the 1/(1-s) factors finite.  NumPy
 is imported on the first call, so importing this module does not load it.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .states import QuasiBellState, normalization_constant
+from .states import QuasiBellState, _number, normalization_constant
 
 __all__ = ["chi", "w", "w_symmetrized"]
 
@@ -28,7 +29,7 @@ _EXP_LIMIT = 700.0
 
 
 def _require_real_s(s: float) -> float:
-    s = float(s)
+    s = _number(s, "s")
     if not math.isfinite(s):
         raise DomainError(f"ordering parameter must be finite, got {s!r}")
     return s
@@ -44,11 +45,22 @@ def _require_s_below_one(s: float) -> float:
     return s
 
 
-def _finite_array(values, dtype, what: str):
-    """``values`` as an array of ``dtype``; DomainError names the first entry that is not finite."""
+def _numeric_array(values, dtype, what: str):
+    """``values`` as an array of ``dtype``, float or complex; entries refused as by ``_number``."""
     import numpy as np
 
-    values = np.asarray(values, dtype=dtype)
+    values = np.asarray(values)
+    if values.dtype.kind not in ("iuf" if dtype is float else "iufc"):  # bools, strings, objects
+        for value in values.flat:
+            _number(value, what, dtype is float)
+    return values.astype(dtype, copy=False)
+
+
+def _finite_array(values, dtype, what: str):
+    """``values`` as by ``_numeric_array``; DomainError names the first entry that is not finite."""
+    import numpy as np
+
+    values = _numeric_array(values, dtype, what)
     finite = np.isfinite(values)
     if not (finite.all() if finite.ndim else finite):  # a 0-d check skips the reduction
         raise DomainError(f"{what} must be finite, got {values[~finite][0].item()!r}")

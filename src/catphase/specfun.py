@@ -168,32 +168,23 @@ def _log_seeds(x: float) -> tuple[float, float]:
             return math.log(total + comp) - x, log_half
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as a Python int: any integer type but bool, else DomainError (a ValueError)."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{what} must be an integer, got {value!r}")
-
-
-def _positive_int(value, what: str) -> int:
-    """``value`` as a Python int >= 1: any integer type but bool, else DomainError."""
+def _integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int >= ``least`` (if given): any integer type but bool, else DomainError."""
     if not isinstance(value, bool):
         try:
             index = operator.index(value)
         except TypeError:
             pass
         else:
-            if index >= 1:
+            if least is None or index >= least:
                 return index
-    raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
+    bound = "" if least is None else f" >= {least}"
+    raise DomainError(f"{what} must be an integer{bound}, got {value!r}")
 
 
 def _check_combo_args(n: int, x: float) -> int:
     """The index n as a Python int, once n >= 1 and x >= 0 are checked."""
-    n = _positive_int(n, "combination index n")
+    n = _integer(n, "combination index n", 1)
     if x < 0.0 or not math.isfinite(x):
         raise DomainError(f"combination argument x must be finite and >= 0, got {x!r}")
     return n

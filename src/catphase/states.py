@@ -78,8 +78,12 @@ def _preset_weights(kind: str) -> tuple[complex, complex]:
         raise ValueError(f"unknown preset {kind!r}; expected one of: {valid}") from None
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
+def _number(value, what: str, real: bool = True):
+    """A real (any if not ``real``) number but a bool, as a float (complex); else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Number):
+        kind = "a real number" if real else "a number"
+        raise DomainError(f"{what} must be {kind} and not a bool, got {value!r}")
+    return float(value) if real else complex(value)
 
 
 def validate_params(alpha: complex, beta: complex, mu: complex, nu: complex) -> list[str]:
@@ -91,7 +95,7 @@ def validate_params(alpha: complex, beta: complex, mu: complex, nu: complex) -> 
     """
     diagnostics = []
     for name, z in (("alpha", alpha), ("beta", beta), ("mu", mu), ("nu", nu)):
-        if not _finite(complex(z)):
+        if not cmath.isfinite(complex(z)):
             diagnostics.append(f"{name} is not finite: {z!r}")
     if diagnostics:
         return diagnostics
@@ -164,14 +168,7 @@ class QuasiBellState:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "mu", "nu"):
-            value = getattr(self, name)
-            # complex() would read a bool as 0 or 1 and parse a string.
-            if isinstance(value, bool) or not isinstance(value, numbers.Number):
-                raise DomainError(f"{name} must be a number and not a bool, got {value!r}")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "mu", complex(self.mu))
-        object.__setattr__(self, "nu", complex(self.nu))
+            object.__setattr__(self, name, _number(getattr(self, name), name, real=False))
         problems = validate_params(self.alpha, self.beta, self.mu, self.nu)
         if problems:
             null = _radicand_is_null(*_radicand(self.alpha, self.beta, self.mu, self.nu))

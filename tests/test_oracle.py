@@ -363,7 +363,7 @@ class TestJointCoefficients:
 
 
 class TestAgainstBruteForce:
-    """The separable oracles against a direct four-variable node sum at 16 x 32."""
+    """The separable oracles against direct node sums of W and W_sym at 16 x 32."""
 
     SPEC = QuadratureSpec(n_radial=16, n_angular=32)
     PHIS = np.linspace(-1.0, 7.0, 16)
@@ -385,10 +385,11 @@ class TestAgainstBruteForce:
         phis = self.PHIS[:, None]
         for branch in ("plus", "minus"):
 
+            # The complementary angle's nodes sit at phi - a_j (plus) and phi + a_j (minus).
             def values(r1, r2, a, plus=branch == "plus"):
                 if plus:
-                    return w_symmetrized(state, r1, r2, phis, a, s)
-                return w_symmetrized(state, r1, r2, a, phis, s)
+                    return w_symmetrized(state, r1, r2, phis, phis - a, s)
+                return w_symmetrized(state, r1, r2, phis + a, phis, s)
 
             got = quadrature_phase_dist(state, s, branch, self.PHIS, self.SPEC)
             assert np.max(np.abs(got - self._brute_force(state, s, values))) <= 1e-14
@@ -402,12 +403,36 @@ class TestAgainstBruteForce:
             got = quadrature_one_mode(state, s, mode, self.PHIS, self.SPEC)
             assert np.max(np.abs(got - self._brute_force(state, s, values))) <= 1e-14
 
+        # Raw W over the product of both modes' (radius, angle) grids: mode 1's
+        # angles on the fixed axis, mode 2's on the summed one.
         nodes, a_w = _angular_rule(self.SPEC)
-        by_plus = self._brute_force(
-            state, s, lambda r1, r2, a: w_symmetrized(state, r1, r2, nodes[:, None], a, s)
+        by_gamma_angle = self._brute_force(
+            state,
+            s,
+            lambda r1, r2, a: w(state, r1 * np.exp(1j * nodes[:, None]), r2 * np.exp(1j * a), s),
         )
         got = quadrature_normalization(state, s, self.SPEC)
-        assert abs(got - a_w * float(np.sum(by_plus))) <= 1e-14
+        assert abs(got - a_w * float(np.sum(by_gamma_angle))) <= 1e-14
+
+    @pytest.mark.parametrize("n_phi", [1, 3, 8])
+    def test_each_mode_takes_its_radial_sums_once(self, monkeypatch, n_phi):
+        # Mode 1 sits at a_j/2 on both phase lines whatever phi is, so only
+        # mode 2's angles depend on phi; the normalization needs n angles a mode.
+        shapes = []
+
+        def spy(amp, r, angles, *args):
+            shapes.append(np.shape(angles))
+            return mode_factors(amp, r, angles, *args)
+
+        mode_factors = oracle._mode_factors
+        monkeypatch.setattr(oracle, "_mode_factors", spy)
+        state, n = preset_state("yurke_stoler_plus"), self.SPEC.n_angular
+        for branch in ("plus", "minus"):
+            quadrature_phase_dist(state, 0.2, branch, np.linspace(0.0, 6.0, n_phi), self.SPEC)
+            assert shapes == [(n,), (n_phi, n)]
+            shapes.clear()
+        quadrature_normalization(state, 0.2, self.SPEC)
+        assert shapes == [(n,), (n,)]
 
     @pytest.mark.parametrize(
         "state, s, sigma",

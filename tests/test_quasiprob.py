@@ -8,12 +8,24 @@ import pytest
 
 from catphase import (
     DomainError,
+    QuadratureSpec,
     QuasiBellState,
+    TruncationPolicy,
+    build_spectrum,
     chi,
+    eval_phase_dist,
+    fock_chi_oracle,
+    fourier_coefficient,
     make_preset,
     normalization_constant,
+    one_mode_coefficients,
+    phase_mean_var,
+    quadrature_normalization,
+    quadrature_one_mode,
+    quadrature_phase_dist,
     w,
     w_symmetrized,
+    wrap_angle,
 )
 
 from conftest import preset_state
@@ -404,3 +416,80 @@ class TestNonFinitePoints:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^{named} must be finite, got {shown}$"):
                 w_symmetrized(self.STATE, *coords.values(), 0.0)
+
+
+
+class TestNonNumberArguments:
+    """A bool, a string, or a complex where a real is due, is a DomainError naming the argument."""
+
+    STATE = make_preset("odd_cat", 1.0, 0.7)
+    PAIR = build_spectrum(STATE, 0.3, "plus")
+    ONE_MODE = one_mode_coefficients(STATE, 0.3, 2)
+    NOT_REAL = [True, False, np.True_, "1", "0.5", 0.5 + 0j, np.complex128(1.0), None]
+    NOT_REAL_ARRAYS = [[True, False], np.array(["1", "2"]), np.array([0.5 + 1j]), [0.5, None]]
+    NOT_COMPLEX = [True, np.True_, "1", [True, False], np.array(["1j"]), [0.5j, None]]
+
+    REAL_SCALARS = {
+        "build_spectrum-s": ("s", lambda st, v: build_spectrum(st, v, "plus")),
+        "one_mode_coefficients-s": ("s", lambda st, v: one_mode_coefficients(st, v, 1)),
+        "fourier_coefficient-s": ("s", lambda st, v: fourier_coefficient(st, v, 2, "minus")),
+        "chi-s": ("s", lambda st, v: chi(st, 0.1, 0.2, v)),
+        "w-s": ("s", lambda st, v: w(st, 0.1, 0.2, v)),
+        "w_symmetrized-s": ("s", lambda st, v: w_symmetrized(st, 0.5, 0.5, 0.1, 0.2, v)),
+        "quadrature_one_mode-s": ("s", lambda st, v: quadrature_one_mode(st, v, 1, 0.5)),
+        "quadrature_phase_dist-s": ("s", lambda st, v: quadrature_phase_dist(st, v, "plus", 0.5)),
+        "quadrature_normalization-s": ("s", lambda st, v: quadrature_normalization(st, v)),
+        "fock_chi_oracle-s": ("s", lambda st, v: fock_chi_oracle(st, 0.1, 0.2, v)),
+        "phase_mean_var-phi0": (
+            "phi0", lambda st, v: phase_mean_var(TestNonNumberArguments.PAIR, v)
+        ),
+        "TruncationPolicy-eps_tail": ("eps_tail", lambda st, v: TruncationPolicy(eps_tail=v)),
+        "QuadratureSpec-radial_cutoff_sigma": (
+            "radial_cutoff_sigma", lambda st, v: QuadratureSpec(radial_cutoff_sigma=v)
+        ),
+    }
+    REAL_ARRAYS = {
+        "eval_phase_dist-phi": (
+            "phi", lambda st, v: eval_phase_dist(TestNonNumberArguments.PAIR, v)
+        ),
+        "eval_one_mode_dist-phi": (
+            "phi", lambda st, v: eval_phase_dist(TestNonNumberArguments.ONE_MODE, v)
+        ),
+        "quadrature_phase_dist-phi": (
+            "phi", lambda st, v: quadrature_phase_dist(st, 0.0, "minus", v)
+        ),
+        "quadrature_one_mode-phi": ("phi", lambda st, v: quadrature_one_mode(st, 0.0, 2, v)),
+        "wrap_angle-angle": ("angle", lambda st, v: wrap_angle(v)),
+        "w_symmetrized-r_gamma": (
+            "r_gamma", lambda st, v: w_symmetrized(st, v, 0.5, 0.1, 0.2, 0.0)
+        ),
+        "w_symmetrized-phi_minus": (
+            "phi_minus", lambda st, v: w_symmetrized(st, 0.5, 0.5, 0.1, v, 0.0)
+        ),
+    }
+    COMPLEX_ARRAYS = {
+        "w-gamma": ("gamma", lambda st, v: w(st, v, 0.2, 0.0)),
+        "w-delta": ("delta", lambda st, v: w(st, 0.1, v, 0.0)),
+        "chi-xi": ("xi", lambda st, v: chi(st, v, 0.2, 0.0)),
+        "chi-eta": ("eta", lambda st, v: chi(st, 0.1, v, 0.0)),
+    }
+
+    def _refused(self, call, named, values, kind):
+        for value in values:
+            with pytest.raises(DomainError, match=f"^{named} must be {kind} and not a bool, got "):
+                call(self.STATE, value)
+
+    @pytest.mark.parametrize("named, call", REAL_SCALARS.values(), ids=REAL_SCALARS.keys())
+    def test_real_scalar(self, named, call):
+        self._refused(call, named, self.NOT_REAL, "a real number")
+        call(self.STATE, np.float32(0.25))  # any real number type is taken
+
+    @pytest.mark.parametrize("named, call", REAL_ARRAYS.values(), ids=REAL_ARRAYS.keys())
+    def test_real_array(self, named, call):
+        self._refused(call, named, self.NOT_REAL + self.NOT_REAL_ARRAYS, "a real number")
+        call(self.STATE, np.array([0.25, 1], dtype=object))
+
+    @pytest.mark.parametrize("named, call", COMPLEX_ARRAYS.values(), ids=COMPLEX_ARRAYS.keys())
+    def test_complex_array(self, named, call):
+        self._refused(call, named, self.NOT_COMPLEX, "a number")
+        call(self.STATE, np.array([0.25j, 1], dtype=object))

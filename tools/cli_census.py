@@ -18,31 +18,16 @@ The configs:
   configuration errors those flags can raise, argparse refusals,
   unreadable ``--config`` and unwritable ``--out`` paths, and ``--help`` for
   the top level and every command (``oracle-compare`` at small node counts);
-- 5 later configs: ``validate --renormalize`` and settings below their least
-  value or not finite;
-- 2 more: a ``moments`` window whose variance passes the float range, and an
-  ``oracle-compare`` cutoff whose radius squares past it;
-- 3 more: ``validate`` and ``phase-dist`` of a state whose |alpha|^2 passes
-  the float range, and a ``phase-dist`` whose Bessel argument
-  |alpha|^2/(1-s) does;
-- 1 more: ``validate --renormalize`` with a weight whose modulus passes the
-  float range;
-- 2 more: ``phase-dist`` calls whose Bessel argument is about 1e-308, from
-  a tiny |alpha| and from a huge negative s;
-- 2 more: abbreviated flags (``oracle-compare --s``, ``phase-dist --n-ph``),
-  which argparse refuses rather than reading as a longer flag;
-- 1 more: a ``moments`` window center so large that n (phi0 - phi_prime)
-  passes the float range;
-- 3 more: a one-mode d_n past the float range (``coeffs --mode 1`` and
-  ``one-mode --mode 2``, Yurke-Stoler plus state at s = 0.999), and a
-  one-mode spectrum that does not converge by n_max (``coeffs --mode 2``,
-  |alpha| = |beta| = 6, s = 0.9);
-- 1 more: a ``phase-dist --state`` whose weight ``mu`` has no numeric
-  ``im``, a configuration error (exit 2).
+- then ``LATER_CONFIGS``: edges of the domain (results past the float
+  range, Bessel arguments near 1e-308, a spectrum that does not converge by
+  n_max), input errors (``validate --renormalize`` of bad weights, settings
+  below their least value or not finite, abbreviated flags, a malformed
+  ``--state``), and ``oracle-compare`` at its defaults (40 x 64 nodes,
+  10 chi points).
 
-The first 947 configs, then the first 1,045, 1,050, 1,052, 1,055, 1,056, 1,058, 1,060,
-1,061 and 1,064 keep their order, so an older census still compares on them.  ``run`` pins ``COLUMNS=80``, because
-argparse wraps help text to the terminal width.
+Configs are only ever appended, never reordered or removed, so a census
+taken on an older list still compares on its prefix.  ``run`` pins
+``COLUMNS=80``, because argparse wraps help text to the terminal width.
 
 Usage, from the repository root:
 
@@ -198,19 +183,7 @@ FLAG_CONFIGS = (
     ("no-such-command",),
     (),
 )
-# Configs added after the first 1,045: the renormalize flag on validate, and
-# settings below their least value or not finite.  Then, after the first
-# 1,050: a moments window whose variance passes the float range, and an
-# oracle-compare cutoff whose radius squares past it.  Then, after the first
-# 1,052: a state whose |alpha|^2 passes the float range, on validate and on
-# phase-dist, and a Bessel argument |alpha|^2/(1-s) that does.  Then, after
-# the first 1,055: renormalizing a weight whose modulus passes the float range.
-# Then, after the first 1,056: Bessel arguments near 1e-308; after the first
-# 1,058: abbreviated flags; after the first 1,060: a window center whose
-# multiples pass the float range; and after the first 1,061: a one-mode d_n
-# past the float range (coeffs and one-mode), and a one-mode spectrum that
-# does not converge by n_max.  Then, after the first 1,064: a state weight
-# without a numeric "im".
+# Only ever appended to, so a census taken on an older list compares on its prefix.
 LATER_CONFIGS = (
     ("validate", "--mu", "1", "0", "--nu", "1", "0", "--renormalize"),
     ("validate", "--mu", "0", "0", "--nu", "0", "0", "--renormalize"),
@@ -255,6 +228,7 @@ LATER_CONFIGS = (
         '{"mu": {"re": 1}, "nu": {"re": 0, "im": 1}, '
         '"alpha": {"abs": 1, "arg": 0}, "beta": {"abs": 1, "arg": 0}}',
     ),
+    ("oracle-compare",),
 )
 NATIVE_FORMATS = (
     ("validate", "json"),
