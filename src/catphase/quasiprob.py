@@ -49,11 +49,15 @@ def _numeric_array(values, dtype, what: str):
     """``values`` as an array of ``dtype``, float or complex; entries refused as by ``_number``."""
     import numpy as np
 
-    values = np.asarray(values)
-    if values.dtype.kind not in ("iuf" if dtype is float else "iufc"):  # bools, strings, objects
-        for value in values.flat:
+    array = np.asarray(values)
+    # Bools, strings and objects; and any list or tuple, in which NumPy reads a
+    # bool among numbers as a number.  An ndarray of numbers skips the scan.
+    if array.dtype.kind not in ("iuf" if dtype is float else "iufc") or (
+        array.ndim and not isinstance(values, np.ndarray)
+    ):
+        for value in np.asarray(values, dtype=object).flat:
             _number(value, what, dtype is float)
-    return values.astype(dtype, copy=False)
+    return array.astype(dtype, copy=False)
 
 
 def _finite_array(values, dtype, what: str):

@@ -35,9 +35,9 @@ from catphase.oracle import (
     _checked_rules,
     _coherent_columns,
     _combine,
+    _creation_factors,
     _factors,
     _fock_tables,
-    _laguerre_triangles,
     _legendre_rule,
     _mode_sums,
     _overlaps,
@@ -277,6 +277,17 @@ class TestRandomStates:
             warnings.simplefilter("error")
             traced = fock_chi_oracle(state, xi, eta, s, n_cut=40)
             assert abs(traced.value - chi(state, xi, eta, s)) < 1e-8
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(state=_RANDOM_STATES, xi=_BOX_POINTS, eta=_BOX_POINTS)
+    def test_overlaps_match_mpmath(self, state, xi, eta):
+        # Both modes in one batch, at the cutoff validate uses.
+        amps = (state.alpha, state.beta)
+        got = _overlaps(amps, (xi, eta), 40)
+        with mpmath.workdps(30):
+            for block, amp, z in zip(got, amps, (xi, eta)):
+                ref = [[_mp_overlap(a, b, z) for b in (amp, -amp)] for a in (amp, -amp)]
+                assert np.max(np.abs(block - np.array(ref))) < 1e-13
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(state=_RANDOM_STATES, s=st.floats(-1.0, 0.97))
@@ -663,38 +674,14 @@ class TestFockChiOracle:
             fock_chi_oracle(preset_state("even_cat"), xi, eta, s)
 
 
-def _mp_displacement(xi: complex, n_cut: int) -> np.ndarray:
-    """D(xi) in the number basis from the explicit Laguerre sum, in mpmath.
-
-    Lower triangle from <m|D|n> = sqrt(n!/m!) xi^(m-n) e^(-|xi|^2/2)
-    L_n^(m-n)(|xi|^2), upper triangle from D(xi)^dagger = D(-xi).
-    """
-    z = mpmath.mpc(xi.real, xi.imag)
-    x = abs(z) ** 2
-    powers = [x**i / mpmath.factorial(i) for i in range(n_cut + 1)]
-    out = np.empty((n_cut + 1, n_cut + 1), dtype=complex)
-    for m in range(n_cut + 1):
-        for n in range(m + 1):
-            laguerre = mpmath.fsum(
-                (-1) ** i * math.comb(m, n - i) * powers[i] for i in range(n + 1)
-            )
-            mag = (
-                mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
-                * mpmath.exp(-x / 2)
-                * laguerre
-            )
-            out[m, n] = complex(mag * z ** (m - n))
-            out[n, m] = complex(mag * (-mpmath.conj(z)) ** (m - n))
-    return out
-
-
-def _rebuilt_displacement(xi: complex, m: np.ndarray) -> np.ndarray:
-    """D(xi) from its real lower triangle M: D = E (M + P S^T P) E*, S the strict lower part."""
-    k = np.arange(m.shape[0])
-    sign = np.where(k % 2, -1.0, 1.0)
-    turn = np.exp(1j * np.angle(xi) * k)
-    strict = np.tril(m, -1)
-    return turn[:, None] * (m + sign[:, None] * strict.T * sign) * turn.conj()
+def _mp_factor(w: complex, n_cut: int) -> list:
+    """L(w)[m][k] = sqrt(m!/k!) w^(m-k) / (m-k)! for m >= k, in mpmath (lower triangle only)."""
+    z = mpmath.mpc(w.real, w.imag)
+    f = mpmath.factorial
+    return [
+        [mpmath.sqrt(f(m) / f(k)) * z ** (m - k) / f(m - k) for k in range(m + 1)]
+        for m in range(n_cut + 1)
+    ]
 
 
 def _mp_overlap(a: complex, b: complex, xi: complex) -> complex:
@@ -717,13 +704,16 @@ _RNG_PAIR = tuple(complex(*v) for v in np.random.default_rng(15).normal(size=(2,
 class TestFockPieces:
     @pytest.mark.parametrize("xi", [0.05j, 0.7 + 0.2j, -1.2 + 0.9j, 2.0j, 2.8])
     def test_displacement_matrix_matches_mpmath(self, xi):
-        # D rebuilt from the triangle M, element by element.
+        # D(xi) is never formed; its factor L(xi) is checked entry by entry, to a
+        # relative 1e-13, and exactly 0 above the diagonal.
         n_cut = 60
         with mpmath.workdps(30):
-            ref = _mp_displacement(xi, n_cut)
-        (m,) = _laguerre_triangles((xi,), n_cut)
-        assert np.all(np.triu(m, 1) == 0.0)
-        assert np.max(np.abs(_rebuilt_displacement(xi, m) - ref)) < 1e-13
+            ref = _mp_factor(xi, n_cut)
+            (got,) = _creation_factors((xi,), n_cut)
+            assert np.all(np.triu(got, 1) == 0.0)
+            for m, row in enumerate(ref):
+                for k, entry in enumerate(row):
+                    assert abs(got[m, k] - entry) <= 1e-13 * abs(entry)
 
     @pytest.mark.parametrize(
         "amp, xi",
@@ -743,16 +733,17 @@ class TestFockPieces:
         ids=["zero-first", "zero-second", "random", "real-imaginary"],
     )
     def test_displacement_matrices_match_per_xi_bits(self, n_cut, xis):
-        # The triangles of one recurrence over both xi against one recurrence per xi.
-        got = _laguerre_triangles(xis, n_cut)
-        assert got.shape == (2, n_cut + 1, n_cut + 1)
-        for m, xi in zip(got, xis):
-            assert m.tobytes() == _laguerre_triangles((xi,), n_cut)[0].tobytes()
+        # Both modes in one batched product against one mode at a time.
+        amps = (0.9 + 0.4j, -1.3j)
+        got = _overlaps(amps, xis, n_cut)
+        assert got.shape == (2, 2, 2)
+        for block, amp, xi in zip(got, amps, xis):
+            assert block.tobytes() == _overlaps((amp,), (xi,), n_cut)[0].tobytes()
 
     def test_zero_displacement_is_exact_identity(self):
-        eye = np.eye(41).tobytes()
-        assert all(m.tobytes() == eye for m in _laguerre_triangles((0.0, 0j), 40))
-        assert _laguerre_triangles((0j, 0.5), 40)[0].tobytes() == eye
+        eye = np.eye(41, dtype=complex).tobytes()
+        assert all(f.tobytes() == eye for f in _creation_factors((0.0, 0j), 40))
+        assert _creation_factors((0j, 0.5), 40)[0].tobytes() == eye
         # So the overlaps at xi = 0 are exactly V^dagger V.
         amps = (0.9 + 0.4j, -1.3j)
         cols = _coherent_columns(amps, 40)

@@ -426,6 +426,8 @@ class TestNonNumberArguments:
     PAIR = build_spectrum(STATE, 0.3, "plus")
     ONE_MODE = one_mode_coefficients(STATE, 0.3, 2)
     NOT_REAL = [True, False, np.True_, "1", "0.5", 0.5 + 0j, np.complex128(1.0), None]
+    # A list or tuple that mixes a bool with numbers, which NumPy reads as numbers.
+    MIXED = [[True, 0.5], (0.5, np.True_), [[0.5, 1.0], [False, 2.0]]]
     NOT_REAL_ARRAYS = [[True, False], np.array(["1", "2"]), np.array([0.5 + 1j]), [0.5, None]]
     NOT_COMPLEX = [True, np.True_, "1", [True, False], np.array(["1j"]), [0.5j, None]]
 
@@ -473,6 +475,10 @@ class TestNonNumberArguments:
         "chi-xi": ("xi", lambda st, v: chi(st, v, 0.2, 0.0)),
         "chi-eta": ("eta", lambda st, v: chi(st, 0.1, v, 0.0)),
     }
+    COMPLEX_SCALARS = {
+        "fock_chi_oracle-xi": ("xi", lambda st, v: fock_chi_oracle(st, v, 0.2, 0.0)),
+        "fock_chi_oracle-eta": ("eta", lambda st, v: fock_chi_oracle(st, 0.1, v, 0.0)),
+    }
 
     def _refused(self, call, named, values, kind):
         for value in values:
@@ -486,10 +492,18 @@ class TestNonNumberArguments:
 
     @pytest.mark.parametrize("named, call", REAL_ARRAYS.values(), ids=REAL_ARRAYS.keys())
     def test_real_array(self, named, call):
-        self._refused(call, named, self.NOT_REAL + self.NOT_REAL_ARRAYS, "a real number")
+        refused = self.NOT_REAL + self.NOT_REAL_ARRAYS + self.MIXED
+        self._refused(call, named, refused, "a real number")
         call(self.STATE, np.array([0.25, 1], dtype=object))
+        call(self.STATE, [0.25, 1])
 
     @pytest.mark.parametrize("named, call", COMPLEX_ARRAYS.values(), ids=COMPLEX_ARRAYS.keys())
     def test_complex_array(self, named, call):
-        self._refused(call, named, self.NOT_COMPLEX, "a number")
+        self._refused(call, named, self.NOT_COMPLEX + self.MIXED, "a number")
         call(self.STATE, np.array([0.25j, 1], dtype=object))
+        call(self.STATE, (0.25j, 1))
+
+    @pytest.mark.parametrize("named, call", COMPLEX_SCALARS.values(), ids=COMPLEX_SCALARS.keys())
+    def test_complex_scalar(self, named, call):
+        self._refused(call, named, self.NOT_COMPLEX + ["0.3j", np.str_("1")], "a number")
+        call(self.STATE, np.complex64(0.25j))  # any number type is taken
