@@ -17,16 +17,17 @@ Two oracle families live here:
 * a truncated-Fock-basis trace of the displacement operator, checking the
   closed-form characteristic function.  D(xi) is taken in its normally
   ordered form e^(-|xi|^2/2) e^(xi a^dagger) e^(-xi* a), whose two factors
-  have exact lower-triangular number-basis matrices; each factor is
-  contracted with the truncated coherent columns, and D itself is never
-  formed (see _overlaps).  The truncation bound uses the Poisson tail,
-  summed by its upward series (or as one minus its head once the mean
-  passes the cutoff).
+  have exact lower-triangular number-basis matrices; contracted with the
+  truncated coherent columns, each factor reduces to partial sums of an
+  exponential series, and neither D nor its factors are formed (see
+  _overlaps).  The truncation bound uses the Poisson tail, summed by its
+  upward series (or as one minus its head once the mean passes the
+  cutoff), and adds an estimate of the contraction's rounding.
 
 What depends only on an integer is built once and kept read-only in a
 small bounded cache: the Gauss-Legendre rule per radial node count, and per
-Fock cutoff the scale and index tables of the factors, square roots and
-signs.  Nothing that depends on the state is cached.
+Fock cutoff the integers, their square roots and the signs.  Nothing that
+depends on the state is cached.
 
 Node sums use NumPy's pairwise summation on fixed shapes, so results are
 bit-stable across runs for a fixed spec.
@@ -66,6 +67,9 @@ _TWO_PI = 2.0 * math.pi
 
 # A reported Fock truncation bound above this raises CutoffTooSmallError.
 _FOCK_BOUND_TOL = 1e-6
+# Rounding of one overlap block per unit of e^(2|amp||xi| - |xi|^2/2) (see _overlaps): four
+# times the largest ratio seen against 50-digit mpmath, |amp| <= 4.5, n_cut <= 8|amp|^2 + 40.
+_ROUNDING_SCALE = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -302,42 +306,15 @@ class FockChiResult(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _fock_tables(dim: int):
-    """The parts of the number-basis factors in a dim-state basis that do not depend on xi.
-
-    Returns the scale sqrt(m!/k!)/(m-k)! of the factor L (row m, column k,
-    0 above the diagonal; each entry is sqrt(C(m,k)/(m-k)!) taken from
-    integers, so within an ulp of the exact value), the index table m-k
-    (0 above the diagonal, where the scale is 0), sqrt(n) for n = 1 .. dim-1
-    and the signs (-1)^n, all read-only.
-    """
-    k = np.arange(dim)
-    scale = np.zeros((dim, dim))
-    for m in range(dim):
-        for j in range(m + 1):
-            scale[m, j] = math.sqrt(math.comb(m, j) / math.factorial(m - j))
-    return _read_only(
-        scale,
-        np.maximum(k[:, None] - k, 0),
-        np.sqrt(np.arange(1.0, dim)),
-        np.where(k % 2, -1.0, 1.0),
-    )
-
-
-def _creation_factors(ws, n_cut: int) -> np.ndarray:
-    """The lower-triangular factors L(w), one per w: L(w)[m, k] = sqrt(m!/k!) w^(m-k) / (m-k)!.
-
-    <m|e^(w a^dagger)|k> = L(w)[m, k], and 0 above the diagonal.  At w = 0
-    it is the exact identity.
-    """
-    scale, index, _, _ = _fock_tables(n_cut + 1)
-    powers = np.power(np.array(ws, dtype=complex)[:, None], np.arange(n_cut + 1))
-    return scale * powers[:, index]
+    """n = 1 .. dim-1 and sqrt(n), and the signs (-1)^n for n = 0 .. dim-1, read-only."""
+    n = np.arange(1.0, dim)
+    return _read_only(n, np.sqrt(n), np.where(np.arange(dim) % 2, -1.0, 1.0))
 
 
 def _coherent_columns(amps, n_cut: int) -> np.ndarray:
     """Number-basis coefficients of |amp> and |-amp> up to n_cut, as two columns per amp."""
     dim = n_cut + 1
-    _, _, roots, signs = _fock_tables(dim)
+    _, roots, signs = _fock_tables(dim)
     terms = np.empty((len(amps), dim), dtype=complex)
     terms[:, 0] = [math.exp(-0.5 * abs(amp) ** 2) for amp in amps]
     np.divide(np.array(amps, dtype=complex)[:, None], roots, out=terms[:, 1:])
@@ -347,27 +324,49 @@ def _coherent_columns(amps, n_cut: int) -> np.ndarray:
     return out
 
 
+def _partial_sums(xs, n_cut: int) -> np.ndarray:
+    """S_N(+-x) = sum_(j <= N) (+-x)^j / j! for N = 0 .. n_cut, as two columns per x."""
+    dim = n_cut + 1
+    counts, _, signs = _fock_tables(dim)
+    terms = np.empty((len(xs), dim), dtype=complex)
+    terms[:, 0] = 1.0
+    np.divide(np.array(xs, dtype=complex)[:, None], counts, out=terms[:, 1:])
+    np.cumprod(terms, axis=1, out=terms)
+    out = np.empty((len(xs), dim, 2), dtype=complex)
+    np.cumsum(terms, axis=1, out=out[..., 0])
+    np.cumsum(terms * signs, axis=1, out=out[..., 1])
+    return out
+
+
 def _overlaps(amps, xis, n_cut: int) -> np.ndarray:
     """<a|D(xi)|b> for a, b in (|amp>, |-amp>), truncated at n_cut: a 2 x 2 block per pair.
 
-    D(xi) normally ordered is e^(-|xi|^2/2) e^(xi a^dagger) e^(-xi* a), with
-    <m|e^(xi a^dagger)|k> = L(xi)[m, k] and <k|e^(-xi* a)|n> = L(-xi*)[n, k]
-    (see _creation_factors).  The sum over k stops at min(m, n), so the
-    truncated block is the exact one on the truncated columns.  With
-    V = (|amp>, |-amp>) from _coherent_columns, L(-w) = P L(w) P for
-    P = diag((-1)^m), and P V = V J for the column swap J, so with
-    A = L(xi*)^T V the block is e^(-|xi|^2/2) A^dagger P A J.  Both modes
-    take one batched product.  D itself is never formed: at high m, n its
-    entries are sums of large terms of both signs, so the product of the two
-    factors is ill-conditioned (off by 1.7e-2 against mpmath at xi = 2.8,
-    n_cut = 60), while each factor applied to the decaying coherent columns
-    first stays accurate: A holds the series of e^(+-xi* amp), so rounding
-    grows as eps e^(2|amp||xi| - |xi|^2/2) <= eps e^(2|amp|^2) (at most
-    4.7e-14 against chi over 5,000 of validate's chi points, |amp| <= sqrt(3)).
+    D(xi) normally ordered is e^(-|xi|^2/2) e^(xi a^dagger) e^(-xi* a).  With
+    L(w)[m, k] = sqrt(m!/k!) w^(m-k)/(m-k)! (0 above the diagonal),
+    <m|e^(xi a^dagger)|k> = L(xi)[m, k] and <k|e^(-xi* a)|n> = L(-xi*)[n, k];
+    the sum over k stops at min(m, n), so the truncated block is the exact
+    one on the truncated columns.  With V = (|amp>, |-amp>) from
+    _coherent_columns, L(-w) = P L(w) P for P = diag((-1)^m), and P V = V J
+    for the column swap J, so with A = L(xi*)^T V the block is
+    e^(-|xi|^2/2) A^dagger P A J.  L is never formed either: the coherent
+    coefficients c_m = e^(-|amp|^2/2) amp^m/sqrt(m!) make
+    A[k] = sum_(m >= k) L(xi*)[m, k] c_m = c_k S_(n_cut-k)(xi* amp), with the
+    partial sums S_N of e^x (_partial_sums), and -amp takes S_N(-xi* amp).
+    Both modes take one batched product.
+
+    D itself is never formed: at high m, n its entries are sums of large
+    terms of both signs, so the product of the two factors is ill-conditioned
+    (off by 1.7e-2 against mpmath at xi = 2.8, n_cut = 60).  This route
+    cancels too, more gently: S_N(-x) sums terms up to about e^|x| to
+    e^(-x), and the P-weighted sum over k takes <amp|-amp> = e^(-2|amp|^2)
+    from terms of size |c_k|^2.  Each entry's rounding therefore grows as
+    eps e^(2|amp||xi| - |xi|^2/2), at most eps e^(2|amp|^2) at |xi| = 2|amp|;
+    fock_chi_oracle adds it to its bound and refuses the trace past 1e-6.
     """
     cols = _coherent_columns(amps, n_cut)
-    _, _, _, signs = _fock_tables(n_cut + 1)
-    a = _creation_factors([xi.conjugate() for xi in xis], n_cut).transpose(0, 2, 1) @ cols
+    _, _, signs = _fock_tables(n_cut + 1)
+    sums = _partial_sums([xi.conjugate() * amp for amp, xi in zip(amps, xis)], n_cut)
+    a = cols * sums[:, ::-1]
     block = (a.conj().transpose(0, 2, 1) @ (signs[:, None] * a))[..., ::-1]
     return block * np.exp([-0.5 * abs(xi) ** 2 for xi in xis])[:, None, None]
 
@@ -404,11 +403,16 @@ def fock_chi_oracle(
     The four pure-state overlap terms <+-alpha, +-beta| D |+-alpha, +-beta>
     are products of one 2 x 2 overlap block per mode, each contracted from
     the truncated coherent columns and the two exact lower-triangular
-    factors of the normally ordered D(xi) (see _overlaps; D is never formed),
-    then multiplied by the s-ordering factor exp(s(|xi|^2+|eta|^2)/2).  A
-    rigorous truncation bound (driven by the coherent tails beyond n_cut;
-    take n_cut >= 4 max(|alpha|^2, |beta|^2) + 20 for comfortable margins)
-    is returned alongside; above 1e-6 it is a CutoffTooSmallError.  ``xi``
+    factors of the normally ordered D(xi) (see _overlaps; D is never formed,
+    since the product of its factors is ill-conditioned at high photon
+    numbers), then multiplied by the s-ordering factor
+    exp(s(|xi|^2+|eta|^2)/2).  A rigorous truncation bound (driven by the
+    coherent tails beyond n_cut; take n_cut >= 4 max(|alpha|^2, |beta|^2) + 20
+    for comfortable margins) is returned alongside, plus an estimate of the
+    contraction's rounding, which grows as eps e^(2|amp||xi| - |xi|^2/2).
+    A truncation bound above 1e-6 is a CutoffTooSmallError; a bound above
+    1e-6 only with the rounding estimate is a DomainError: near the
+    interference peak xi = 2 alpha that is from |alpha| of about 3.1.  ``xi``
     and ``eta`` are numbers (a bool or a string is a DomainError naming it).
     DomainError if |xi|^2 + |eta|^2, the s-ordering factor or the trace is
     not finite.
@@ -416,9 +420,9 @@ def fock_chi_oracle(
     At large |xi| (or |eta|) the outcome is a value within 1e-8 of chi or a
     DomainError: at n_cut = 40 the trace is a value (an exact 0 past
     |xi| of about 40, where e^(-|xi|^2/2) underflows) up to |xi| of about
-    7e4 to 2e6, depending on the amplitude, and past that the powers xi^k
-    leave the float range and the trace is refused.  Where s > 0 inflates
-    the bound past 1e-6 it is a CutoffTooSmallError.
+    8e4 to 1.5e6, depending on the amplitude, and past that the partial
+    sums of e^(xi* amp) leave the float range and the trace is refused.
+    Where s > 0 inflates the bound past 1e-6 it is a CutoffTooSmallError.
     """
     n_cut = _integer(n_cut, "n_cut", 1)
     s = _require_real_s(s)
@@ -436,17 +440,17 @@ def fock_chi_oracle(
         ) from None
 
     mu, nu = state.mu, state.nu
+    amps = (state.alpha, state.beta)
     weights = np.outer(np.conj([mu, nu]), [mu, nu])
     n2 = normalization_constant(state) ** 2
     # A trace that leaves the float range is refused below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        overlap_a, overlap_b = _overlaps((state.alpha, state.beta), (xi, eta), n_cut)
+        overlap_a, overlap_b = _overlaps(amps, (xi, eta), n_cut)
         value = prefactor * n2 * complex(np.sum(weights * overlap_a * overlap_b))
 
-    err_a = 2.0 * math.sqrt(_poisson_tail(abs(state.alpha) ** 2, n_cut))
-    err_b = 2.0 * math.sqrt(_poisson_tail(abs(state.beta) ** 2, n_cut))
-    per_term = err_a + err_b + err_a * err_b
-    bound = prefactor * n2 * (abs(mu) + abs(nu)) ** 2 * per_term
+    err_a, err_b = (2.0 * math.sqrt(_poisson_tail(abs(amp) ** 2, n_cut)) for amp in amps)
+    scale = prefactor * n2 * (abs(mu) + abs(nu)) ** 2
+    bound = scale * (err_a + err_b + err_a * err_b)
     if not bound <= _FOCK_BOUND_TOL:
         raise CutoffTooSmallError(
             f"Fock truncation bound {bound:.3e} exceeds {_FOCK_BOUND_TOL:g} at "
@@ -456,5 +460,20 @@ def fock_chi_oracle(
         raise DomainError(
             f"the number-basis trace at xi={xi!r}, eta={eta!r} is not finite: "
             f"the displacement matrix at n_cut={n_cut} is past the float range there"
+        )
+    # Each computed block entry is within r = _ROUNDING_SCALE e^(2|amp||xi| - |xi|^2/2)
+    # of the truncated one (see _overlaps), so a product of entries is off by at most
+    # r_a (|o_b| + r_b) + |o_a| r_b.
+    round_a, round_b = (
+        _ROUNDING_SCALE * math.exp(min(2.0 * abs(amp) * abs(z) - 0.5 * abs(z) ** 2, 700.0))
+        for amp, z in zip(amps, (xi, eta))
+    )
+    size_a, size_b = (float(np.max(np.abs(block))) for block in (overlap_a, overlap_b))
+    bound += scale * (round_a * (size_b + round_b) + size_a * round_b)
+    if not bound <= _FOCK_BOUND_TOL:
+        raise DomainError(
+            f"the number-basis trace at xi={xi!r}, eta={eta!r} has the error bound "
+            f"{bound:.3e} with its rounding estimate, above {_FOCK_BOUND_TOL:g}: the "
+            "normally ordered factors cancel there at these amplitudes"
         )
     return FockChiResult(value=value, bound=bound)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 import warnings
@@ -35,12 +36,12 @@ from catphase.oracle import (
     _checked_rules,
     _coherent_columns,
     _combine,
-    _creation_factors,
     _factors,
     _fock_tables,
     _legendre_rule,
     _mode_sums,
     _overlaps,
+    _partial_sums,
     _poisson_tail,
     _radial_rule,
 )
@@ -288,6 +289,29 @@ class TestRandomStates:
             for block, amp, z in zip(got, amps, (xi, eta)):
                 ref = [[_mp_overlap(a, b, z) for b in (amp, -amp)] for a in (amp, -amp)]
                 assert np.max(np.abs(block - np.array(ref))) < 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        r=st.floats(0.0, 4.5),
+        angle=st.floats(-math.pi, math.pi),
+        stretch=st.floats(0.0, 2.5),
+        turn=st.floats(-0.5, 0.5),
+        kind=st.sampled_from(PRESETS),
+    )
+    def test_bound_covers_rounding_at_large_amplitudes(self, r, angle, stretch, turn, kind):
+        # Up to |alpha| = 4.5 with the advised cutoff, and xi up to 2.5 alpha around
+        # the interference peak xi = 2 alpha, where the factors cancel most: the
+        # trace is within its bound of chi, or it is refused.
+        alpha = cmath.rect(r, angle)
+        xi = stretch * alpha * cmath.exp(1j * turn)
+        state = QuasiBellState(alpha, 0.5j, *_weights(kind))
+        n_cut = math.ceil(4.0 * r * r + 20.0)
+        try:
+            traced = fock_chi_oracle(state, xi, 0.3, 0.0, n_cut=n_cut)
+        except DomainError as error:
+            assert "rounding estimate" in str(error)
+        else:
+            assert abs(traced.value - chi(state, xi, 0.3, 0.0)) <= traced.bound + 1e-12
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(state=_RANDOM_STATES, s=st.floats(-1.0, 0.97))
@@ -625,6 +649,18 @@ class TestFockChiOracle:
             traced = fock_chi_oracle(state, xi, eta, s, n_cut=40)
             assert abs(closed - traced.value) < 1e-8
 
+    def test_cancelling_factors_are_refused(self):
+        # At |alpha| = 4 and xi = 2 alpha, the cat's interference peak, the
+        # number-basis sums cancel from about e^32: the rounding estimate is
+        # far above 1e-6, so the trace is refused rather than returned wrong.
+        state = QuasiBellState(4.0, 0.5, *_weights("even_cat"))
+        refusal = r"xi=\(8\+0j\), eta=\(0\.1\+0j\) .* rounding estimate"
+        with pytest.raises(DomainError, match=refusal):
+            fock_chi_oracle(state, 8.0, 0.1, 0.0, n_cut=84)
+        # Away from the peak the same state is traced to within 1e-8 of chi.
+        traced = fock_chi_oracle(state, 0.5, 0.1, 0.0, n_cut=84)
+        assert abs(traced.value - chi(state, 0.5, 0.1, 0.0)) < 1e-8
+
     def test_bound_decreases_with_cutoff(self):
         state = preset_state("even_cat", 1.4)
         bounds = [
@@ -674,14 +710,10 @@ class TestFockChiOracle:
             fock_chi_oracle(preset_state("even_cat"), xi, eta, s)
 
 
-def _mp_factor(w: complex, n_cut: int) -> list:
-    """L(w)[m][k] = sqrt(m!/k!) w^(m-k) / (m-k)! for m >= k, in mpmath (lower triangle only)."""
-    z = mpmath.mpc(w.real, w.imag)
-    f = mpmath.factorial
-    return [
-        [mpmath.sqrt(f(m) / f(k)) * z ** (m - k) / f(m - k) for k in range(m + 1)]
-        for m in range(n_cut + 1)
-    ]
+def _mp_partial_sums(x: complex, n_cut: int) -> list:
+    """S_N(x) = sum_(j <= N) x^j / j! for N = 0 .. n_cut, in mpmath."""
+    z = mpmath.mpc(x.real, x.imag)
+    return list(itertools.accumulate(z**j / mpmath.factorial(j) for j in range(n_cut + 1)))
 
 
 def _mp_overlap(a: complex, b: complex, xi: complex) -> complex:
@@ -704,16 +736,15 @@ _RNG_PAIR = tuple(complex(*v) for v in np.random.default_rng(15).normal(size=(2,
 class TestFockPieces:
     @pytest.mark.parametrize("xi", [0.05j, 0.7 + 0.2j, -1.2 + 0.9j, 2.0j, 2.8])
     def test_displacement_matrix_matches_mpmath(self, xi):
-        # D(xi) is never formed; its factor L(xi) is checked entry by entry, to a
-        # relative 1e-13, and exactly 0 above the diagonal.
+        # Neither D(xi) nor its factor L(xi*) is formed; the partial sums of
+        # e^(+-x) that stand for L's columns are checked entry by entry, to a
+        # relative 1e-13.
         n_cut = 60
+        (got,) = _partial_sums((xi,), n_cut)
         with mpmath.workdps(30):
-            ref = _mp_factor(xi, n_cut)
-            (got,) = _creation_factors((xi,), n_cut)
-            assert np.all(np.triu(got, 1) == 0.0)
-            for m, row in enumerate(ref):
-                for k, entry in enumerate(row):
-                    assert abs(got[m, k] - entry) <= 1e-13 * abs(entry)
+            for column, x in zip(got.T, (xi, -xi)):
+                for entry, ref in zip(column, _mp_partial_sums(x, n_cut)):
+                    assert abs(entry - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize(
         "amp, xi",
@@ -741,10 +772,9 @@ class TestFockPieces:
             assert block.tobytes() == _overlaps((amp,), (xi,), n_cut)[0].tobytes()
 
     def test_zero_displacement_is_exact_identity(self):
-        eye = np.eye(41, dtype=complex).tobytes()
-        assert all(f.tobytes() == eye for f in _creation_factors((0.0, 0j), 40))
-        assert _creation_factors((0j, 0.5), 40)[0].tobytes() == eye
-        # So the overlaps at xi = 0 are exactly V^dagger V.
+        # At xi = 0 every partial sum is exactly 1, as L(0) is the identity ...
+        assert np.all(_partial_sums((0.0, 0j), 40) == 1.0)
+        # ... so the overlaps at xi = 0 are exactly V^dagger V.
         amps = (0.9 + 0.4j, -1.3j)
         cols = _coherent_columns(amps, 40)
         gram = cols.conj().transpose(0, 2, 1) @ cols
