@@ -429,10 +429,8 @@ def _cmd_wigner_slice(args, config: dict) -> str:
 
     xs = np.linspace(x_min, x_max, nx)
     ys = np.linspace(y_min, y_max, ny)
-    grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-    coords = {name: np.full_like(grid_x, fixed[name]) for name in _SLICE_AXES}
-    coords[x_axis] = grid_x
-    coords[y_axis] = grid_y
+    coords = dict(fixed)
+    coords[x_axis], coords[y_axis] = np.meshgrid(xs, ys, indexing="ij")
     gamma = coords["gamma_re"] + 1j * coords["gamma_im"]
     delta = coords["delta_re"] + 1j * coords["delta_im"]
     values = w(state, gamma, delta, s)

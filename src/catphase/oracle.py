@@ -115,8 +115,18 @@ def _legendre_rule(n: int):
     return _read_only(*leggauss(n))
 
 
-def _radial_rule(state: QuasiBellState, s: float, spec: QuadratureSpec):
-    """Gauss-Legendre nodes and weights on [0, R]; DomainError if R^2 is not finite."""
+def _rules(state: QuasiBellState, s: float, spec: QuadratureSpec | None):
+    """The quadrature oracles' node grid, once W is known to be finite on it.
+
+    Returns the Gauss-Legendre radii r on [0, R], r times their weights, the
+    uniform angles 2 pi j/n and their periodic trapezoid weight 2 pi/n, with
+    R = max(|alpha|, |beta|) + radial_cutoff_sigma sqrt((1-s)/2); DomainError
+    if R^2 is not finite.  The interference exponent of W peaks at the
+    smallest radii, and W's refusal depends on |gamma|^2 + |delta|^2 alone,
+    so one W at the innermost radial node pair raises quasiprob's
+    OverflowError exactly when W (or W_sym) on the whole node grid would.
+    """
+    spec = spec or QuadratureSpec()
     radius = max(abs(state.alpha), abs(state.beta)) + spec.radial_cutoff_sigma * math.sqrt(
         (1.0 - s) / 2.0
     )
@@ -126,27 +136,10 @@ def _radial_rule(state: QuasiBellState, s: float, spec: QuadratureSpec):
             "whose square is not finite"
         )
     nodes, weights = _legendre_rule(spec.n_radial)
-    return 0.5 * radius * (nodes + 1.0), 0.5 * radius * weights
-
-
-def _angular_rule(spec: QuadratureSpec):
-    """Uniform angular nodes with the periodic trapezoid weight 2pi/n."""
-    nodes = _TWO_PI * np.arange(spec.n_angular) / spec.n_angular
-    return nodes, _TWO_PI / spec.n_angular
-
-
-def _checked_rules(state: QuasiBellState, s: float, spec: QuadratureSpec | None):
-    """Radial and angular rules, after the refusal check at the innermost node pair.
-
-    The interference exponent of W peaks at the smallest radii, and W's
-    refusal depends on |gamma|^2 + |delta|^2 alone, so one W at the innermost
-    radial node pair raises quasiprob's OverflowError exactly when W (or
-    W_sym) on the whole node grid would.
-    """
-    spec = spec or QuadratureSpec()
-    r_nodes, r_weights = _radial_rule(state, s, spec)
+    r_nodes = 0.5 * radius * (nodes + 1.0)
     w(state, r_nodes[0], r_nodes[0], s)
-    return (r_nodes, r_weights, *_angular_rule(spec))
+    n = spec.n_angular
+    return r_nodes, r_nodes * (0.5 * radius * weights), _TWO_PI * np.arange(n) / n, _TWO_PI / n
 
 
 def _mode_factors(amp: complex, r, angles, s: float, log_gauss: float, log_interf: float):
@@ -198,9 +191,11 @@ def _factors(state: QuasiBellState, s: float, r_nodes, gamma_angles, delta_angle
     return g, d
 
 
-def _mode_sums(state: QuasiBellState, s: float, r_nodes, r_weights, gamma_angles, delta_angles):
-    """Gauss-Legendre sums of r times each per-mode factor over its radius."""
-    rw = r_nodes * r_weights
+def _mode_sums(state: QuasiBellState, s: float, r_nodes, rw, gamma_angles, delta_angles):
+    """Each mode's three factors (_factors) summed over the radius with rw, r times the weights.
+
+    Mode 1's sums are on gamma_angles and mode 2's on delta_angles; _combine joins them.
+    """
     g, d = _factors(state, s, r_nodes, gamma_angles, delta_angles)
     return tuple(np.sum(f * rw, axis=-1) for f in g), tuple(np.sum(f * rw, axis=-1) for f in d)
 
@@ -243,10 +238,10 @@ def quadrature_phase_dist(
     sign = _branch_sign(branch)
     s = _require_s_below_one(s)
     phi = _finite_array(phi, float, "phi")
-    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec)
+    r_nodes, rw, a_nodes, a_weight = _rules(state, s, spec)
     fixed = np.mod(np.atleast_1d(phi), _TWO_PI)[..., None]
     half = 0.5 * a_nodes
-    g, d = _mode_sums(state, s, r_nodes, r_weights, half, fixed - sign * half)
+    g, d = _mode_sums(state, s, r_nodes, rw, half, fixed - sign * half)
     out = a_weight * np.sum(_combine(state, g, d, True), axis=-1)
     return float(out[0]) if np.ndim(phi) == 0 else out
 
@@ -260,10 +255,10 @@ def quadrature_normalization(
     of one plane sum per mode.
     """
     s = _require_s_below_one(s)
-    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec)
+    r_nodes, rw, a_nodes, a_weight = _rules(state, s, spec)
     g, d = (
         tuple(a_weight * np.sum(x) for x in sums)
-        for sums in _mode_sums(state, s, r_nodes, r_weights, a_nodes, a_nodes)
+        for sums in _mode_sums(state, s, r_nodes, rw, a_nodes, a_nodes)
     )
     return float(_combine(state, g, d, False))
 
@@ -285,15 +280,13 @@ def quadrature_one_mode(
     mode = _require_mode(mode)
     s = _require_s_below_one(s)
     phi = _finite_array(phi, float, "phi")
-    r_nodes, r_weights, a_nodes, a_weight = _checked_rules(state, s, spec)
+    r_nodes, rw, a_nodes, a_weight = _rules(state, s, spec)
     own = np.atleast_1d(phi)
     angles = (own, a_nodes) if mode == 1 else (a_nodes, own)
-    g, d = _mode_sums(state, s, r_nodes, r_weights, *angles)
-    if mode == 1:
-        d = tuple(a_weight * np.sum(x) for x in d)
-    else:
-        g = tuple(a_weight * np.sum(x) for x in g)
-    out = _combine(state, g, d, False)
+    sums = list(_mode_sums(state, s, r_nodes, rw, *angles))
+    other = 2 - mode  # the index of the other mode's sums
+    sums[other] = tuple(a_weight * np.sum(x) for x in sums[other])
+    out = _combine(state, *sums, False)
     return float(out[0]) if np.ndim(phi) == 0 else out
 
 
@@ -441,13 +434,7 @@ def fock_chi_oracle(
 
     mu, nu = state.mu, state.nu
     amps = (state.alpha, state.beta)
-    weights = np.outer(np.conj([mu, nu]), [mu, nu])
     n2 = normalization_constant(state) ** 2
-    # A trace that leaves the float range is refused below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        overlap_a, overlap_b = _overlaps(amps, (xi, eta), n_cut)
-        value = prefactor * n2 * complex(np.sum(weights * overlap_a * overlap_b))
-
     err_a, err_b = (2.0 * math.sqrt(_poisson_tail(abs(amp) ** 2, n_cut)) for amp in amps)
     scale = prefactor * n2 * (abs(mu) + abs(nu)) ** 2
     bound = scale * (err_a + err_b + err_a * err_b)
@@ -456,10 +443,15 @@ def fock_chi_oracle(
             f"Fock truncation bound {bound:.3e} exceeds {_FOCK_BOUND_TOL:g} at "
             f"n_cut={n_cut}; increase the cutoff"
         )
+    weights = np.outer(np.conj([mu, nu]), [mu, nu])
+    # A trace that leaves the float range is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap_a, overlap_b = _overlaps(amps, (xi, eta), n_cut)
+        value = prefactor * n2 * complex(np.sum(weights * overlap_a * overlap_b))
     if not np.isfinite(value):
         raise DomainError(
-            f"the number-basis trace at xi={xi!r}, eta={eta!r} is not finite: "
-            f"the displacement matrix at n_cut={n_cut} is past the float range there"
+            f"the number-basis trace at xi={xi!r}, eta={eta!r} is not finite: the partial "
+            f"sums of e^(xi* amp) at n_cut={n_cut} are past the float range there"
         )
     # Each computed block entry is within r = _ROUNDING_SCALE e^(2|amp||xi| - |xi|^2/2)
     # of the truncated one (see _overlaps), so a product of entries is off by at most

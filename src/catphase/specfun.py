@@ -37,6 +37,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import DomainError, NoConvergenceError
+from .states import _number
 
 __all__ = [
     "LogScaledValue",
@@ -76,7 +77,8 @@ class LogScaledValue(NamedTuple):
 
     @classmethod
     def from_value(cls, value: float) -> "LogScaledValue":
-        """(sign, log |value|); DomainError if ``value`` is NaN or infinite."""
+        """(sign, log |value|); DomainError if ``value`` is not a real number, NaN or infinite."""
+        _number(value, "value")
         if value == 0.0:
             return cls.zero()
         if not math.isfinite(value):
@@ -92,6 +94,7 @@ class LogScaledValue(NamedTuple):
 
 def _check_half_order(order: float) -> int:
     """Validate an integer-or-half-integer order >= 0; return 2*order."""
+    _number(order, "order")
     twice = round(2.0 * order) if math.isfinite(order) else -1
     if abs(2.0 * order - twice) > 1e-12 or twice < 0:
         raise DomainError(f"order must be a non-negative integer or half-integer, got {order!r}")
@@ -108,8 +111,9 @@ def bessel_i_ratio(order: float, x: float) -> float:
     ratio is its leading term x/(2(order + 1)) to far below rounding.
     """
     nu = 0.5 * _check_half_order(order)
-    if not (x > 0.0) or not math.isfinite(x):
+    if not (_number(x, "x") > 0.0) or not math.isfinite(x):
         raise DomainError(f"bessel_i_ratio needs x > 0, got {x!r}")
+    x = float(x)  # a NumPy float32 would carry the iteration in single precision
     if not math.isfinite(2.0 * (nu + 2.0) / x):
         return x / (2.0 * (nu + 1.0))
 
@@ -182,12 +186,12 @@ def _integer(value, what: str, least: int | None = None) -> int:
     raise DomainError(f"{what} must be an integer{bound}, got {value!r}")
 
 
-def _check_combo_args(n: int, x: float) -> int:
-    """The index n as a Python int, once n >= 1 and x >= 0 are checked."""
+def _check_combo_args(n: int, x: float) -> tuple[int, float]:
+    """(n, x) as a Python int and float, once n >= 1 and x >= 0 are checked."""
     n = _integer(n, "combination index n", 1)
-    if x < 0.0 or not math.isfinite(x):
+    if _number(x, "combination argument x") < 0.0 or not math.isfinite(x):
         raise DomainError(f"combination argument x must be finite and >= 0, got {x!r}")
-    return n
+    return n, float(x)
 
 
 def _branch_sign(branch: str) -> int:
@@ -275,12 +279,12 @@ def i_n_combo(n: int, x: float, branch: str) -> LogScaledValue:
     (:func:`_table_top`); so every check stays here.
     """
     sign = _branch_sign(branch)
-    n = _check_combo_args(n, x)
+    n, x = _check_combo_args(n, x)
     if n > _N_CAP:
         raise DomainError(f"combination index n must be <= {_N_CAP}, got {n}")
     if x == 0.0:
         return LogScaledValue.zero()
-    plus, minus = _combo_table(float(x), _table_top(n))
+    plus, minus = _combo_table(x, _table_top(n))
     return LogScaledValue(1, (plus if sign > 0 else minus)[n - 1])
 
 
@@ -344,7 +348,7 @@ def i_n_combo_kummer(n: int, x: float, branch: str) -> LogScaledValue:
     NoConvergenceError, where the Bessel route still converges.
     """
     sign = _branch_sign(branch)
-    n = _check_combo_args(n, x)
+    n, x = _check_combo_args(n, x)
     if x == 0.0:
         return LogScaledValue.zero()
     log_pref = (

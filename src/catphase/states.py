@@ -32,21 +32,16 @@ __all__ = [
 # Tolerance for the |mu|^2 + |nu|^2 = 1 constraint at construction.
 WEIGHT_NORM_TOL = 1e-12
 
-# States whose squared norm falls at or below this are rejected as the
-# zero vector (only the odd cat at alpha = beta = 0 and its immediate
-# floating-point neighborhood can get here).
-NULL_RADICAND_FLOOR = 1e-300
-
 # The radicand 1 + 2 Re(mu nu*) exp(...) carries an absolute rounding error
-# of a few ulps of its leading terms; computed values below that noise have
-# no correct digits and are likewise treated as null.
+# of a few ulps of its leading terms; a state whose computed radicand is
+# below that noise has no correct digits in its norm and is rejected as the
+# zero vector (only the odd cat near alpha = beta = 0 gets here).
 _RADICAND_NOISE_ULPS = 16.0 * 2.220446049250313e-16
 
 
 def _radicand_is_null(radicand: float, interference: float) -> bool:
-    return radicand <= NULL_RADICAND_FLOOR or radicand < _RADICAND_NOISE_ULPS * (
-        1.0 + 2.0 * abs(interference)
-    )
+    return radicand < _RADICAND_NOISE_ULPS * (1.0 + 2.0 * abs(interference))
+
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -80,6 +75,8 @@ def _preset_weights(kind: str) -> tuple[complex, complex]:
 
 def _number(value, what: str, real: bool = True):
     """A real (any if not ``real``) number but a bool, as a float (complex); else DomainError."""
+    if type(value) is float:  # the common case, without the slower checks on abstract types
+        return value if real else complex(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Number):
         kind = "a real number" if real else "a number"
         raise DomainError(f"{what} must be {kind} and not a bool, got {value!r}")

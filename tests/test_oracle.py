@@ -32,8 +32,6 @@ from catphase import (
 
 from catphase import oracle
 from catphase.oracle import (
-    _angular_rule,
-    _checked_rules,
     _coherent_columns,
     _combine,
     _factors,
@@ -43,7 +41,7 @@ from catphase.oracle import (
     _overlaps,
     _partial_sums,
     _poisson_tail,
-    _radial_rule,
+    _rules,
 )
 from catphase.states import _unit_weights
 
@@ -183,11 +181,9 @@ class TestQuadratureSpec:
 
     def test_integrand_non_negative_for_antinormal(self, any_preset):
         # W_sym >= 0 at s = -1 on the nodes the oracle integrates: the
-        # Gauss-Legendre radii of _radial_rule and the uniform angles of _angular_rule.
+        # Gauss-Legendre radii and the uniform angles of _rules.
         state = preset_state(any_preset)
-        spec = QuadratureSpec()
-        r, _ = _radial_rule(state, -1.0, spec)
-        ang, _ = _angular_rule(spec)
+        r, _, ang, _ = _rules(state, -1.0, QuadratureSpec())
         values = w_symmetrized(
             state,
             r[:, None, None, None],
@@ -217,8 +213,8 @@ class TestSeparableIntegrand:
 
     @staticmethod
     def _grid(state, s):
-        spec = QuadratureSpec()
-        return _radial_rule(state, s, spec)[0], _angular_rule(spec)[0]
+        r, _, a, _ = _rules(state, s, QuadratureSpec())
+        return r, a
 
     @staticmethod
     def _assert_close(pairs):
@@ -318,7 +314,7 @@ class TestRandomStates:
     def test_factors_rebuild_w(self, state, s):
         # Both angles on the angular nodes, gamma on axes 0-1 and delta on axes 2-3.
         spec = QuadratureSpec(n_radial=16, n_angular=32)
-        r, a = _radial_rule(state, s, spec)[0], _angular_rule(spec)[0]
+        r, _, a, _ = _rules(state, s, spec)
         z = np.exp(1j * a)[:, None] * r
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -373,10 +369,10 @@ class TestJointCoefficients:
         phase_a = np.exp(1j * np.outer(phi_a - cmath.phase(state.alpha), k))
         phase_b = np.exp(1j * np.outer(phi_b - cmath.phase(state.beta), k))
         series = np.einsum("pi,ij,pj->p", phase_a, table, phase_b).real / (4.0 * math.pi**2)
-        r_nodes, r_weights, _, _ = _checked_rules(state, s, QuadratureSpec())
+        r_nodes, rw, _, _ = _rules(state, s, QuadratureSpec())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sums = _mode_sums(state, s, r_nodes, r_weights, phi_a, phi_b)
+            sums = _mode_sums(state, s, r_nodes, rw, phi_a, phi_b)
             joint = _combine(state, *sums, False)
         assert np.max(np.abs(series - joint)) < 1e-6
 
@@ -409,10 +405,9 @@ class TestAgainstBruteForce:
         values gets r1, r2 and the angle on axes 0, 1 and 3, and puts the
         fixed angles on axis 2.
         """
-        r, r_w = _radial_rule(state, s, self.SPEC)
-        a, a_w = _angular_rule(self.SPEC)
+        r, rw, a, a_w = _rules(state, s, self.SPEC)
         integrand = values(r[:, None, None, None], r[None, :, None, None], a)
-        return a_w * np.einsum("rspa,r,s->p", integrand, r * r_w, r * r_w)
+        return a_w * np.einsum("rspa,r,s->p", integrand, rw, rw)
 
     @pytest.mark.parametrize("s", [-1.0, 0.0, 0.4])
     @pytest.mark.parametrize("state", SEPARABLE_STATES, ids=SEPARABLE_IDS)
@@ -440,7 +435,7 @@ class TestAgainstBruteForce:
 
         # Raw W over the product of both modes' (radius, angle) grids: mode 1's
         # angles on the fixed axis, mode 2's on the summed one.
-        nodes, a_w = _angular_rule(self.SPEC)
+        _, _, nodes, a_w = _rules(state, s, self.SPEC)
         by_gamma_angle = self._brute_force(
             state,
             s,
@@ -686,12 +681,25 @@ class TestFockChiOracle:
     )
     def test_unusable_displacement_is_domain_error(self, xi, eta):
         # Even cat at |alpha| = |beta| = 1, s = 0: a NaN or non-finite |xi|^2
-        # is refused up front; at xi = 1e100 the number-basis recurrence
-        # passes the float range and the trace is NaN.
+        # is refused up front; at xi = 1e100 the partial sums of e^(xi* alpha)
+        # pass the float range and the trace is NaN.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="xi"):
                 fock_chi_oracle(preset_state("even_cat"), xi, eta, 0.0)
+
+    def test_trace_past_float_range_names_the_partial_sums(self):
+        refusal = r"not finite: the partial sums of e\^\(xi\* amp\) at n_cut=40 are past"
+        with pytest.raises(DomainError, match=refusal):
+            fock_chi_oracle(preset_state("even_cat"), 1e100, 0.3, 0.0)
+
+    def test_cutoff_refused_before_the_contraction(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("_overlaps ran")
+
+        monkeypatch.setattr(oracle, "_overlaps", unreachable)
+        with pytest.raises(CutoffTooSmallError):
+            fock_chi_oracle(preset_state("even_cat", 2.0), 0.5, 0.5, 0.0, n_cut=6)
 
     def test_nan_bound_fails_closed(self, monkeypatch):
         monkeypatch.setattr("catphase.oracle._poisson_tail", lambda mean, n_cut: math.nan)

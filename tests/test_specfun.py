@@ -448,3 +448,26 @@ class TestLogScaledValue:
             assert isinstance(route(3, 1.5, "minus"), LogScaledValue)
             sign, log_mag = route(3, 0.0, "plus")
             assert (sign, log_mag) == (0, -math.inf)
+
+
+# Each real argument of the special functions, with the name its refusal gives.
+REAL_ARGUMENTS = {
+    "i_n_combo-x": ("combination argument x", lambda v: i_n_combo(3, v, "plus")),
+    "i_n_combo_kummer-x": ("combination argument x", lambda v: i_n_combo_kummer(3, v, "minus")),
+    "bessel_i_ratio-order": ("order", lambda v: bessel_i_ratio(v, 1.5)),
+    "bessel_i_ratio-x": ("x", lambda v: bessel_i_ratio(0.5, v)),
+    "from_value-value": ("value", LogScaledValue.from_value),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.True_, "0.5", 0.5 + 0j], ids=["bool", "numpy-bool", "string", "complex"]
+)
+@pytest.mark.parametrize("named, call", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS.keys())
+def test_non_real_argument_is_domain_error_naming_it(named, call, value):
+    # A bool was read as 0 or 1 (i_n_combo(3, True, "plus") returned a value);
+    # a string or a complex gave a bare TypeError.
+    with pytest.raises(DomainError, match=f"^{named} must be a real number and not a bool, got "):
+        call(value)
+    call(np.float32(0.5))  # any real number type is taken
+    call(1)

@@ -1,0 +1,230 @@
+"""Library oracle census: a hash of each fixed call's output, or its refusal.
+
+Runs a fixed, seeded list of library calls and writes, per call,
+``["value", sha256 of its output bytes]`` or ``[error type, message]`` as
+JSON.  Two censuses taken on two versions of the code show which calls
+changed a bit of their output, or the type or text of their refusal.  It is
+the library-side partner of ``tools/cli_census.py``, whose ``compare`` it
+uses.
+
+The calls, on the four presets at |alpha| = |beta| = 1 and on ``N_RANDOM``
+states drawn from ``random.Random(SEED)`` (|alpha|, |beta| <= 2, any phases,
+complex weights on the unit sphere):
+
+- ``build_spectrum`` on both branches and ``one_mode_coefficients`` on both
+  modes, and ``eval_phase_dist`` of each of those four spectra on ``PHIS``;
+- ``quadrature_phase_dist`` on both branches and ``quadrature_one_mode`` on
+  both modes at ``PHIS``, and ``quadrature_normalization``, at 16 x 32 nodes
+  (and at the default 40 x 64 on the presets);
+- ``fock_chi_oracle`` at n_cut 20, 40 and 60;
+
+then ``EDGE_CALLS``: refusals and the values next to them (W past the float
+range, a radius whose square is not finite, s far below 0 or at 1, phi not
+finite, a bool s, a Fock cutoff too small, a trace past the float range or
+lost to rounding, a spectrum that does not converge by n_max).
+
+An output's bytes are, for an ndarray, its dtype, shape and raw buffer;
+for anything else its ``repr``, which spells each float to the last bit.
+Calls are keyed by their name and arguments, and are only ever appended.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python tools/oracle_census.py --out oracle.json
+    PYTHONPATH=src python tools/oracle_census.py --compare before.json after.json
+
+``--compare`` prints each call whose entry differs or is missing from one
+side, and exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cmath
+import hashlib
+import importlib.util
+import json
+import math
+import random
+import sys
+from pathlib import Path
+
+from catphase import PRESET_WEIGHTS
+
+SEED = 2025
+N_RANDOM = 200
+PHIS = (-1.0, 0.0, 0.7, 2.5, 4.0, 6.2)
+SMALL = (16, 32, 8.0)  # QuadratureSpec(n_radial, n_angular, radial_cutoff_sigma)
+DEFAULT = (40, 64, 8.0)
+PRESETS = ("even_cat", "odd_cat", "yurke_stoler_minus", "yurke_stoler_plus")
+EVEN_3 = (3 + 0j, 3 + 0j, *PRESET_WEIGHTS["even_cat"])
+EVEN_1 = (1 + 0j, 1 + 0j, *PRESET_WEIGHTS["even_cat"])
+EVEN_2 = (2 + 0j, 2 + 0j, *PRESET_WEIGHTS["even_cat"])
+ODD_1 = (1 + 0j, 1 + 0j, *PRESET_WEIGHTS["odd_cat"])
+EVEN_4 = (4 + 0j, 0.5 + 0j, *PRESET_WEIGHTS["even_cat"])
+
+# (function name, arguments), with a state as its (alpha, beta, mu, nu) tuple.
+EDGE_CALLS = (
+    ("quadrature_phase_dist", (EVEN_3, 0.99, "plus", 0.3, DEFAULT)),
+    ("quadrature_phase_dist", (EVEN_3, 0.99, "minus", PHIS, SMALL)),
+    ("quadrature_one_mode", (EVEN_3, 0.99, 1, 0.3, DEFAULT)),
+    ("quadrature_one_mode", (EVEN_3, 0.99, 2, PHIS, SMALL)),
+    ("quadrature_normalization", (EVEN_3, 0.99, DEFAULT)),
+    ("quadrature_phase_dist", (EVEN_1, 0.0, "plus", 0.3, (16, 32, 1e155))),
+    ("quadrature_one_mode", (EVEN_1, 0.0, 1, 0.3, (16, 32, 1e300))),
+    ("quadrature_normalization", (EVEN_1, 0.0, (16, 32, 1e155))),
+    ("quadrature_phase_dist", (EVEN_1, 0.0, "plus", 0.3, (16, 32, 1e150))),
+    ("quadrature_one_mode", (EVEN_1, 0.0, 2, 0.3, (16, 32, 1e150))),
+    ("quadrature_normalization", (EVEN_1, 0.0, (16, 32, 1e150))),
+    ("quadrature_normalization", (ODD_1, -1e156, SMALL)),
+    ("quadrature_phase_dist", (ODD_1, -4.3e153, "minus", 0.3, SMALL)),
+    ("quadrature_normalization", (ODD_1, -4e153, SMALL)),
+    ("quadrature_one_mode", (ODD_1, 1.0, 1, 0.3, SMALL)),
+    ("quadrature_phase_dist", (ODD_1, 0.0, "plus", math.nan, SMALL)),
+    ("quadrature_one_mode", (ODD_1, 0.0, 2, (0.3, math.inf), SMALL)),
+    ("quadrature_phase_dist", (ODD_1, True, "plus", 0.3, SMALL)),
+    ("quadrature_phase_dist", (ODD_1, 0.0, "sum", 0.3, SMALL)),
+    ("quadrature_one_mode", (ODD_1, 0.0, 3, 0.3, SMALL)),
+    ("quadrature_normalization", ((1.95 + 0j, 0j, 0.6 + 0j, 0.8 + 0j), 0.99, (16, 32, 1e3))),
+    ("fock_chi_oracle", (EVEN_2, 0.5, 0.5, 0.0, 6)),
+    ("fock_chi_oracle", (EVEN_1, 1e100, 0.3, 0.0, 40)),
+    ("fock_chi_oracle", (EVEN_1, 0.3, 1e100, 0.0, 40)),
+    ("fock_chi_oracle", (EVEN_1, 1e200, 0.3, 0.0, 40)),
+    ("fock_chi_oracle", (EVEN_1, math.nan, 0.3, 0.0, 40)),
+    ("fock_chi_oracle", (EVEN_1, 40.0, 0.0, 1.0, 40)),
+    ("fock_chi_oracle", (EVEN_1, 0.1, 0.1, 0.0, 0)),
+    ("fock_chi_oracle", (EVEN_1, True, 0.1, 0.0, 40)),
+    ("fock_chi_oracle", (EVEN_4, 8.0, 0.1, 0.0, 84)),
+    ("fock_chi_oracle", (EVEN_4, 0.5, 0.1, 0.0, 84)),
+    ("fock_chi_oracle", (EVEN_1, 0.5, 0.5, 0.9, 20)),
+    ("build_spectrum", (EVEN_1, 0.999999, "plus")),
+    ("build_spectrum", (EVEN_1, 1.0, "minus")),
+    ("build_spectrum", (EVEN_1, 0.99, "minus")),
+    ("build_spectrum", ((0.7 + 0j, 0.7 + 0j, *PRESET_WEIGHTS["even_cat"]), 0.997, "plus")),
+    ("one_mode_coefficients", (EVEN_1, 0.999999, 2)),
+    ("one_mode_coefficients", (EVEN_1, 0.0, True)),
+    ("eval_phase_dist", (EVEN_1, 0.4, "plus", (0.3, math.nan))),
+    ("eval_phase_dist", (EVEN_1, 0.4, 1, 0.3)),
+)
+
+
+def _point(rng: random.Random) -> complex:
+    return cmath.rect(rng.uniform(0.0, 2.0), rng.uniform(-math.pi, math.pi))
+
+
+def _states() -> list[tuple[complex, complex, complex, complex]]:
+    """The presets at |alpha| = |beta| = 1, then N_RANDOM seeded states."""
+    out = [(1 + 0j, 1 + 0j, *PRESET_WEIGHTS[kind]) for kind in PRESETS]
+    rng = random.Random(SEED)
+    for _ in range(N_RANDOM):
+        alpha, beta = (_point(rng) for _ in "ab")
+        mu, nu = (complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in "mn")
+        norm = math.hypot(abs(mu), abs(nu))
+        out.append((alpha, beta, mu / norm, nu / norm))
+    return out
+
+
+def calls() -> list[tuple[str, tuple]]:
+    """Every (function name, arguments) pair of the census, in order."""
+    rng = random.Random(SEED + 1)
+    out = []
+    for k, state in enumerate(_states()):
+        s = rng.uniform(-1.0, 0.9)
+        for line in ("plus", "minus", 1, 2):
+            name = "build_spectrum" if isinstance(line, str) else "one_mode_coefficients"
+            out.append((name, (state, s, line)))
+            out.append(("eval_phase_dist", (state, s, line, PHIS)))
+        for spec in (SMALL, DEFAULT) if k < len(PRESETS) else (SMALL,):
+            for branch in ("plus", "minus"):
+                out.append(("quadrature_phase_dist", (state, s, branch, PHIS, spec)))
+            for mode in (1, 2):
+                out.append(("quadrature_one_mode", (state, s, mode, PHIS, spec)))
+            out.append(("quadrature_normalization", (state, s, spec)))
+        xi, eta = (_point(rng) for _ in "xe")
+        s_chi = rng.uniform(-1.0, 0.4)
+        for n_cut in (20, 40, 60):
+            out.append(("fock_chi_oracle", (state, xi, eta, s_chi, n_cut)))
+    out.extend(EDGE_CALLS)
+    return out
+
+
+def key(call: tuple[str, tuple]) -> str:
+    name, args = call
+    return f"{name}{args!r}"
+
+
+def _invoke(name: str, args: tuple):
+    import numpy as np
+
+    import catphase
+
+    state, *rest = args
+    state = catphase.QuasiBellState(*state)
+    if name == "eval_phase_dist":
+        s, line, phi = rest
+        build = catphase.build_spectrum if isinstance(line, str) else catphase.one_mode_coefficients
+        return catphase.eval_phase_dist(build(state, s, line), np.array(phi))
+    if name.startswith("quadrature_"):
+        *rest, spec = rest
+        if name != "quadrature_normalization":
+            rest[-1] = np.array(rest[-1])
+        rest.append(catphase.QuadratureSpec(*spec))
+    return getattr(catphase, name)(state, *rest)
+
+
+def _output_bytes(value) -> bytes:
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    return repr(value).encode()
+
+
+def run(call: tuple[str, tuple]) -> list[str]:
+    """``["value", sha256 of the output bytes]``, or ``[error type, message]`` of a refusal."""
+    try:
+        value = _invoke(*call)
+    except Exception as exc:  # a refusal is a result too
+        return [type(exc).__name__, str(exc)]
+    return ["value", hashlib.sha256(_output_bytes(value)).hexdigest()]
+
+
+def census() -> dict[str, list[str]]:
+    return {key(call): run(call) for call in calls()}
+
+
+def _cli_census():
+    path = Path(__file__).resolve().with_name("cli_census.py")
+    spec = importlib.util.spec_from_file_location("cli_census", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="write the census here (default stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list differing calls")
+    args = parser.parse_args(argv)
+    if args.compare:
+        first, second = (_load(path) for path in args.compare)
+        differ = _cli_census().compare(first, second)
+        for entry in differ:
+            print(f"{entry}: {first.get(entry)} -> {second.get(entry)}")
+        print(f"{len(differ)} of {len(first.keys() | second.keys())} calls differ")
+        return 1 if differ else 0
+    text = json.dumps(census(), indent=1, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
