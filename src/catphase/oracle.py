@@ -43,17 +43,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CutoffTooSmallError, DomainError
-from .quasiprob import (
+from .errors import (
+    CutoffTooSmallError,
+    DomainError,
+    _branch_sign,
+    _finite,
     _finite_array,
-    _require_real_s,
+    _integer,
+    _number,
+    _require_mode,
     _require_s_below_one,
+)
+from .quasiprob import (
     _square_of_spread,
     w,
     w_symmetrized,  # not called here; perfbench/spans.py binds catphase.oracle.w_symmetrized
 )
-from .specfun import _branch_sign, _integer
-from .states import QuasiBellState, _number, _require_mode, _sq_sum, normalization_constant
+from .states import QuasiBellState, _sq_sum, normalization_constant
 
 __all__ = [
     "QuadratureSpec",
@@ -79,7 +85,8 @@ class QuadratureSpec:
     The radial domain is [0, R] with R = max(|alpha|, |beta|)
     + radial_cutoff_sigma * sqrt((1-s)/2); the Gaussian envelope
     exp(-2 r^2/(1-s)) makes the neglected tail negligible at the default
-    eight sigma.  A bool, a string or a complex field is a DomainError.
+    eight sigma.  A bool, a string or a complex field is a DomainError, and
+    so is a radial_cutoff_sigma that is not finite.
     """
 
     n_radial: int = 40
@@ -93,12 +100,10 @@ class QuadratureSpec:
             raise ValueError(f"n_radial must be >= 16, got {self.n_radial!r}")
         if self.n_angular < 32:
             raise ValueError(f"n_angular must be >= 32, got {self.n_angular!r}")
-        sigma = _number(self.radial_cutoff_sigma, "radial_cutoff_sigma")
+        sigma = _finite(self.radial_cutoff_sigma, "radial_cutoff_sigma")
         object.__setattr__(self, "radial_cutoff_sigma", sigma)
         if not sigma > 0.0:
             raise ValueError(f"radial_cutoff_sigma must be positive, got {sigma!r}")
-        if not math.isfinite(sigma):
-            raise ValueError(f"radial_cutoff_sigma must be finite, got {sigma!r}")
 
 
 def _read_only(*arrays):
@@ -418,7 +423,7 @@ def fock_chi_oracle(
     Where s > 0 inflates the bound past 1e-6 it is a CutoffTooSmallError.
     """
     n_cut = _integer(n_cut, "n_cut", 1)
-    s = _require_real_s(s)
+    s = _finite(s, "s")
     xi = _number(xi, "xi", real=False)
     eta = _number(eta, "eta", real=False)
     mod_sq = _sq_sum(xi, eta)

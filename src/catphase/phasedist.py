@@ -50,17 +50,18 @@ from dataclasses import dataclass
 from itertools import count, cycle, repeat
 from typing import NamedTuple
 
-from .errors import DomainError, NoConvergenceError
-from .quasiprob import _finite_array, _numeric_array, _require_s_below_one
-from .specfun import (
-    LogScaledValue,
+from .errors import (
+    DomainError,
+    NoConvergenceError,
     _branch_sign,
-    _combo_table,
+    _finite,
+    _finite_array,
     _integer,
-    _table_top,
-    i_n_combo,
+    _require_mode,
+    _require_s_below_one,
 )
-from .states import QuasiBellState, _number, _require_mode, normalization_constant
+from .specfun import LogScaledValue, _combo_table, _table_top, i_n_combo
+from .states import QuasiBellState, normalization_constant
 
 __all__ = [
     "TruncationPolicy",
@@ -97,8 +98,8 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_min", _integer(self.n_min, "n_min"))
         object.__setattr__(self, "n_max", _integer(self.n_max, "n_max"))
-        object.__setattr__(self, "eps_tail", _number(self.eps_tail, "eps_tail"))
-        if not (self.eps_tail > 0.0 and math.isfinite(self.eps_tail)):
+        object.__setattr__(self, "eps_tail", _finite(self.eps_tail, "eps_tail"))
+        if not self.eps_tail > 0.0:
             raise ValueError(f"eps_tail must be positive, got {self.eps_tail!r}")
         if not (1 <= self.n_min <= self.n_max):
             raise ValueError(
@@ -349,7 +350,7 @@ def eval_phase_dist(spectrum: Spectrum, phi):
     column = spectrum.cos_coeffs
     if spectrum.sin_coeffs:
         column = [complex(c, -d) for c, d in zip(column, spectrum.sin_coeffs)]
-    phi = _numeric_array(phi, float, "phi")
+    phi = _finite_array(phi, float, "phi")
     # Summed as a 1-d array whatever phi's shape: numpy's complex multiply
     # rounds differently on 0-d operands.
     z = np.exp(1j * wrap_angle(phi.reshape(-1) - spectrum.phi_ref))
@@ -408,9 +409,7 @@ def phase_mean_var(spectrum: Spectrum, phi0: float) -> PhaseStats:
     these sums ignore.
     """
     _branch_line(spectrum, "phase_mean_var")
-    phi0 = _number(phi0, "phi0")
-    if not math.isfinite(phi0):
-        raise DomainError(f"window center must be finite, got {phi0!r}")
+    phi0 = _finite(phi0, "phi0")
     delta0 = phi0 - spectrum.phi_ref
     if math.isinf(len(spectrum.cos_coeffs) * delta0):
         raise DomainError(f"window center {phi0!r} is so large that n (phi0 - phi_prime) overflows")

@@ -9,66 +9,20 @@ underflow, gives exactly 0.  The ordering parameter s is a real number, not
 a bool, throughout the public API; the quasi-probability exists for s < 1
 only, with a guard band below 1 to keep the 1/(1-s) factors finite.  NumPy
 is imported on the first call, so importing this module does not load it.
+The argument rules are those of :mod:`catphase.errors`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError
-from .states import QuasiBellState, _number, normalization_constant
+from .errors import DomainError, _finite, _finite_array, _require_s_below_one
+from .states import QuasiBellState, normalization_constant
 
 __all__ = ["chi", "w", "w_symmetrized"]
 
-# Quasi-probability distributions exist for s < 1 strictly; this guard band
-# keeps 1/(1-s) from blowing up catastrophically.
-_S_UPPER = 1.0 - 1e-9
-
 # Largest exponent handed to numpy's exp before the evaluation refuses to proceed.
 _EXP_LIMIT = 700.0
-
-
-def _require_real_s(s: float) -> float:
-    s = _number(s, "s")
-    if not math.isfinite(s):
-        raise DomainError(f"ordering parameter must be finite, got {s!r}")
-    return s
-
-
-def _require_s_below_one(s: float) -> float:
-    s = _require_real_s(s)
-    if s >= _S_UPPER:
-        raise DomainError(
-            f"quasi-probability requires s < {_S_UPPER!r} (got s = {s!r}); "
-            "at s = 1 the distribution is singular"
-        )
-    return s
-
-
-def _numeric_array(values, dtype, what: str):
-    """``values`` as an array of ``dtype``, float or complex; entries refused as by ``_number``."""
-    import numpy as np
-
-    array = np.asarray(values)
-    # Bools, strings and objects; and any list or tuple, in which NumPy reads a
-    # bool among numbers as a number.  An ndarray of numbers skips the scan.
-    if array.dtype.kind not in ("iuf" if dtype is float else "iufc") or (
-        array.ndim and not isinstance(values, np.ndarray)
-    ):
-        for value in np.asarray(values, dtype=object).flat:
-            _number(value, what, dtype is float)
-    return array.astype(dtype, copy=False)
-
-
-def _finite_array(values, dtype, what: str):
-    """``values`` as by ``_numeric_array``; DomainError names the first entry that is not finite."""
-    import numpy as np
-
-    values = _numeric_array(values, dtype, what)
-    finite = np.isfinite(values)
-    if not (finite.all() if finite.ndim else finite):  # a 0-d check skips the reduction
-        raise DomainError(f"{what} must be finite, got {values[~finite][0].item()!r}")
-    return values
 
 
 def _clear_far(p, q):
@@ -113,7 +67,7 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     """
     import numpy as np
 
-    s = _require_real_s(s)
+    s = _finite(s, "s")
     xi = _finite_array(xi, complex, "xi")
     eta = _finite_array(eta, complex, "eta")
     scalar = xi.ndim == 0 and eta.ndim == 0

@@ -4,7 +4,8 @@ Everything here is scalar and pure.  The quantities that grow like exp(+2x)
 are carried as :class:`LogScaledValue` (sign, natural-log magnitude) pairs so
 that callers can fuse exponents before ever materializing a float; the
 growing branch of the Bessel combination is always multiplied downstream by
-a compensating exp(-2(|alpha|^2+|beta|^2)) factor.
+a compensating exp(-2(|alpha|^2+|beta|^2)) factor.  Arguments are checked by
+the rules of :mod:`catphase.errors`, the only package module imported here.
 
 Two independent evaluation routes are provided for the combination
 
@@ -33,11 +34,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import NamedTuple
 
-from .errors import DomainError, NoConvergenceError
-from .states import _number
+from .errors import DomainError, NoConvergenceError, _branch_sign, _finite, _integer, _number
 
 __all__ = [
     "LogScaledValue",
@@ -78,15 +77,17 @@ class LogScaledValue(NamedTuple):
     @classmethod
     def from_value(cls, value: float) -> "LogScaledValue":
         """(sign, log |value|); DomainError if ``value`` is not a real number, NaN or infinite."""
-        _number(value, "value")
+        value = _finite(value, "value")
         if value == 0.0:
             return cls.zero()
-        if not math.isfinite(value):
-            raise DomainError(f"log-scaled value must be finite, got {value!r}")
         return cls(1 if value > 0 else -1, math.log(abs(value)))
 
     def scaled(self, log_factor: float) -> "LogScaledValue":
-        """Multiply by exp(log_factor) without leaving log space."""
+        """Multiply by exp(log_factor) without leaving log space.
+
+        DomainError if ``log_factor`` is not a real number, NaN or infinite.
+        """
+        log_factor = _finite(log_factor, "log_factor")
         if self.sign == 0:
             return self
         return LogScaledValue(self.sign, self.log_mag + log_factor)
@@ -95,7 +96,7 @@ class LogScaledValue(NamedTuple):
 def _check_half_order(order: float) -> int:
     """Validate an integer-or-half-integer order >= 0; return 2*order."""
     _number(order, "order")
-    twice = round(2.0 * order) if math.isfinite(order) else -1
+    twice = round(2.0 * order) if math.isfinite(2.0 * order) else -1  # round(inf) raises
     if abs(2.0 * order - twice) > 1e-12 or twice < 0:
         raise DomainError(f"order must be a non-negative integer or half-integer, got {order!r}")
     return int(twice)
@@ -111,7 +112,7 @@ def bessel_i_ratio(order: float, x: float) -> float:
     ratio is its leading term x/(2(order + 1)) to far below rounding.
     """
     nu = 0.5 * _check_half_order(order)
-    if not (_number(x, "x") > 0.0) or not math.isfinite(x):
+    if not _finite(x, "x") > 0.0:
         raise DomainError(f"bessel_i_ratio needs x > 0, got {x!r}")
     x = float(x)  # a NumPy float32 would carry the iteration in single precision
     if not math.isfinite(2.0 * (nu + 2.0) / x):
@@ -172,35 +173,12 @@ def _log_seeds(x: float) -> tuple[float, float]:
             return math.log(total + comp) - x, log_half
 
 
-def _integer(value, what: str, least: int | None = None) -> int:
-    """``value`` as an int >= ``least`` (if given): any integer type but bool, else DomainError."""
-    if not isinstance(value, bool):
-        try:
-            index = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if least is None or index >= least:
-                return index
-    bound = "" if least is None else f" >= {least}"
-    raise DomainError(f"{what} must be an integer{bound}, got {value!r}")
-
-
 def _check_combo_args(n: int, x: float) -> tuple[int, float]:
     """(n, x) as a Python int and float, once n >= 1 and x >= 0 are checked."""
     n = _integer(n, "combination index n", 1)
-    if _number(x, "combination argument x") < 0.0 or not math.isfinite(x):
+    if _finite(x, "combination argument x") < 0.0:
         raise DomainError(f"combination argument x must be finite and >= 0, got {x!r}")
     return n, float(x)
-
-
-def _branch_sign(branch: str) -> int:
-    """+1 for the plus (phase-sum) branch, -1 for the minus (phase-difference) branch."""
-    if branch == "plus":
-        return 1
-    if branch == "minus":
-        return -1
-    raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
 
 
 def _table_top(n: int) -> int:

@@ -7,17 +7,17 @@ The central object is :class:`QuasiBellState`, the superposition
 of two-mode coherent states, with complex weights restricted by
 |mu|^2 + |nu|^2 = 1.  All quantities downstream (characteristic function,
 quasi-probability distributions, phase distributions) are parameterized by
-this state.
+this state.  A JSON state descriptor takes its amplitudes and weights as
+JSON numbers only, and ``"renormalize"`` as a JSON bool only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import DomainError, NullStateError
+from .errors import DomainError, NullStateError, _number
 
 __all__ = [
     "QuasiBellState",
@@ -68,32 +68,29 @@ def _unit_weights(mu: complex, nu: complex) -> tuple[complex, complex]:
 def _preset_weights(kind: str) -> tuple[complex, complex]:
     try:
         return PRESET_WEIGHTS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a kind that cannot be a key, such as a list
         valid = ", ".join(sorted(PRESET_WEIGHTS))
         raise ValueError(f"unknown preset {kind!r}; expected one of: {valid}") from None
-
-
-def _number(value, what: str, real: bool = True):
-    """A real (any if not ``real``) number but a bool, as a float (complex); else DomainError."""
-    if type(value) is float:  # the common case, without the slower checks on abstract types
-        return value if real else complex(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Number):
-        kind = "a real number" if real else "a number"
-        raise DomainError(f"{what} must be {kind} and not a bool, got {value!r}")
-    return float(value) if real else complex(value)
 
 
 def validate_params(alpha: complex, beta: complex, mu: complex, nu: complex) -> list[str]:
     """Check the state invariants on raw parameters.
 
     Returns a list of human-readable diagnostics with measured residuals;
-    an empty list means the parameters describe a valid state.  Nothing is
-    raised here, so this can be used to inspect bad inputs.
+    an empty list means the parameters describe a valid state.  An argument
+    that is a bool, a string or not a number gets the diagnostic of
+    ``QuasiBellState``'s DomainError.  Nothing is raised here, so this can be
+    used to inspect bad inputs.
     """
     diagnostics = []
     for name, z in (("alpha", alpha), ("beta", beta), ("mu", mu), ("nu", nu)):
-        if not cmath.isfinite(complex(z)):
-            diagnostics.append(f"{name} is not finite: {z!r}")
+        try:
+            finite = cmath.isfinite(_number(z, name, real=False))
+        except DomainError as exc:
+            diagnostics.append(str(exc))
+        else:
+            if not finite:
+                diagnostics.append(f"{name} is not finite: {z!r}")
     if diagnostics:
         return diagnostics
 
@@ -197,18 +194,11 @@ def make_preset(kind: str, alpha: complex, beta: complex) -> QuasiBellState:
     return QuasiBellState(alpha, beta, *_preset_weights(kind))
 
 
-def _require_mode(mode) -> int:
-    """Mode number ``mode`` as the int 1 or 2; a bool, float or string is refused."""
-    if isinstance(mode, numbers.Integral) and not isinstance(mode, bool) and mode in (1, 2):
-        return int(mode)
-    raise DomainError(f"mode must be 1 or 2, got {mode!r}")
-
-
 def _complex_from_polar(entry: dict, key: str) -> complex:
     try:
-        mag = float(entry["abs"])
-        arg = float(entry["arg"])
-    except (KeyError, TypeError, ValueError) as exc:
+        mag = _number(entry["abs"], key)
+        arg = _number(entry["arg"], key)
+    except (LookupError, TypeError, ValueError) as exc:  # LookupError: an entry that is not a dict
         raise ValueError(f"{key!r} must be an object with numeric 'abs' and 'arg'") from exc
     if math.isinf(arg):  # cmath.rect raises a bare "math domain error" here
         raise ValueError(f"{key} is not finite: arg {arg!r}")
@@ -217,8 +207,8 @@ def _complex_from_polar(entry: dict, key: str) -> complex:
 
 def _complex_from_cartesian(entry: dict, key: str) -> complex:
     try:
-        return complex(float(entry["re"]), float(entry["im"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return complex(_number(entry["re"], key), _number(entry["im"], key))
+    except (LookupError, TypeError, ValueError) as exc:
         raise ValueError(f"{key!r} must be an object with numeric 're' and 'im'") from exc
 
 
@@ -226,7 +216,9 @@ def params_from_descriptor(descriptor: dict) -> tuple[complex, complex, complex,
     """Resolve a JSON descriptor to (alpha, beta, mu, nu) without validating.
 
     The weights are rescaled to unit norm if the descriptor has a true
-    ``"renormalize"`` entry.
+    ``"renormalize"`` entry, which must be a bool.  A number entry must be a
+    real number and not a bool or a string (``true`` is not read as 1, nor
+    ``"0.5"`` as 0.5); anything else is a ValueError.
     """
     if not isinstance(descriptor, dict):
         raise ValueError("state descriptor must be a JSON object")
@@ -244,7 +236,10 @@ def params_from_descriptor(descriptor: dict) -> tuple[complex, complex, complex,
             raise ValueError("state descriptor needs 'preset' or both 'mu' and 'nu'")
         mu = _complex_from_cartesian(descriptor["mu"], "mu")
         nu = _complex_from_cartesian(descriptor["nu"], "nu")
-    if descriptor.get("renormalize"):
+    renormalize = descriptor.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise ValueError(f"'renormalize' must be true or false, got {renormalize!r}")
+    if renormalize:
         mu, nu = _unit_weights(mu, nu)
     return alpha, beta, mu, nu
 

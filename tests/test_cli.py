@@ -202,7 +202,7 @@ class TestPhaseDistCommand:
         assert code == 3
         error = json.loads(out)["error"]
         assert error["type"] == "DomainError"
-        assert error["message"] == "combination argument x must be finite and >= 0, got inf"
+        assert error["message"] == "combination argument x must be finite, got inf"
 
     @pytest.mark.parametrize(
         "flags",
@@ -561,6 +561,26 @@ class TestConfigAndFormat:
                 ' "beta": {"abs": 1, "arg": 0}}',
                 "invalid state: alpha is not finite: arg inf",
             ),
+            (
+                '{"preset": "odd_cat", "alpha": {"abs": true, "arg": 0},'
+                ' "beta": {"abs": 1, "arg": 0}}',
+                "invalid state: 'alpha' must be an object with numeric 'abs' and 'arg'",
+            ),
+            (
+                '{"preset": "odd_cat", "alpha": {"abs": 1, "arg": 0},'
+                ' "beta": {"abs": "0.5", "arg": 0}}',
+                "invalid state: 'beta' must be an object with numeric 'abs' and 'arg'",
+            ),
+            (
+                '{"mu": {"re": 1, "im": 0}, "nu": {"re": 0, "im": false},'
+                ' "alpha": {"abs": 1, "arg": 0}, "beta": {"abs": 1, "arg": 0}}',
+                "invalid state: 'nu' must be an object with numeric 're' and 'im'",
+            ),
+            (
+                '{"mu": {"re": 1, "im": 0}, "nu": {"re": 1, "im": 0}, "renormalize": "false",'
+                ' "alpha": {"abs": 1, "arg": 0}, "beta": {"abs": 1, "arg": 0}}',
+                "invalid state: 'renormalize' must be true or false, got 'false'",
+            ),
         ],
     )
     def test_bad_state_flag_reads_alike_on_every_command(self, capsys, command, state, message):
@@ -663,7 +683,7 @@ _COMMON_FLAGS = st.one_of(
 _STATE_FLAGS = st.one_of(
     st.tuples(st.just("--s"), st.floats(-3, 3).map(repr)),
     # Domain extremes: s past the quadrature's float range, subnormal, and
-    # just below the guard quasiprob._S_UPPER = 1 - 1e-9.
+    # just below the guard errors._S_UPPER = 1 - 1e-9.
     st.tuples(
         st.just("--s"),
         st.sampled_from(["-1e307", "-1e156", "5e-324", "0.999999998", "0.9999999989"]),

@@ -595,7 +595,7 @@ class TestPhaseMeanVar:
     @pytest.mark.parametrize("phi0", [math.nan, math.inf, -math.inf])
     def test_non_finite_window_center_is_domain_error(self, phi0):
         spectrum = build_spectrum(preset_state("odd_cat"), 0.0, "minus")
-        with pytest.raises(DomainError, match=f"^window center must be finite, got {phi0!r}$"):
+        with pytest.raises(DomainError, match=f"^phi0 must be finite, got {phi0!r}$"):
             phase_mean_var(spectrum, phi0)
 
     def test_window_center_past_the_sine_range_is_domain_error(self):
@@ -749,14 +749,14 @@ class TestWrapAngle:
         pair = build_spectrum(state, 0.3, "plus")
         one_mode = one_mode_coefficients(state, 0.3, 2)
         calls = (
-            lambda: wrap_angle(phi),
-            lambda: eval_phase_dist(pair, phi),
-            lambda: eval_one_mode_dist(one_mode, phi),
+            ("angle", lambda: wrap_angle(phi)),
+            ("phi", lambda: eval_phase_dist(pair, phi)),
+            ("phi", lambda: eval_one_mode_dist(one_mode, phi)),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in calls:
-                with pytest.raises(DomainError, match=f"angle must be finite, got {named}$"):
+            for what, call in calls:
+                with pytest.raises(DomainError, match=f"{what} must be finite, got {named}$"):
                     call()
 
 

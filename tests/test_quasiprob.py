@@ -2,6 +2,8 @@ import cmath
 import math
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -426,6 +428,8 @@ class TestNonNumberArguments:
     PAIR = build_spectrum(STATE, 0.3, "plus")
     ONE_MODE = one_mode_coefficients(STATE, 0.3, 2)
     NOT_REAL = [True, False, np.True_, "1", "0.5", 0.5 + 0j, np.complex128(1.0), None]
+    # Not a numbers.Real, though NumPy would read either as an array of one float.
+    NOT_SCALAR = [np.array(0.25), Decimal("0.25")]
     # A list or tuple that mixes a bool with numbers, which NumPy reads as numbers.
     MIXED = [[True, 0.5], (0.5, np.True_), [[0.5, 1.0], [False, 2.0]]]
     NOT_REAL_ARRAYS = [[True, False], np.array(["1", "2"]), np.array([0.5 + 1j]), [0.5, None]]
@@ -487,8 +491,15 @@ class TestNonNumberArguments:
 
     @pytest.mark.parametrize("named, call", REAL_SCALARS.values(), ids=REAL_SCALARS.keys())
     def test_real_scalar(self, named, call):
-        self._refused(call, named, self.NOT_REAL, "a real number")
+        self._refused(call, named, self.NOT_REAL + self.NOT_SCALAR, "a real number")
         call(self.STATE, np.float32(0.25))  # any real number type is taken
+
+    @pytest.mark.parametrize("named, call", REAL_SCALARS.values(), ids=REAL_SCALARS.keys())
+    def test_real_scalar_past_float_range(self, named, call):
+        # float() of an int or a Fraction past the float range raises a bare OverflowError.
+        for value in (10**400, -(10**400), Fraction(10**400, 3)):
+            with pytest.raises(DomainError, match=f"^{named} is past the float range$"):
+                call(self.STATE, value)
 
     @pytest.mark.parametrize("named, call", REAL_ARRAYS.values(), ids=REAL_ARRAYS.keys())
     def test_real_array(self, named, call):

@@ -1,5 +1,7 @@
 import cmath
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -123,6 +125,10 @@ class TestBesselScaled:
             _check_half_order(math.nan)
         with pytest.raises(DomainError):
             bessel_i_ratio(math.inf, 1.0)
+        # 2 * order passes the float range, where round() would raise OverflowError.
+        for order in (1e308, -1.7e308):
+            with pytest.raises(DomainError, match="^order must be a non-negative integer"):
+                bessel_i_ratio(order, 1.0)
 
 
 class TestBesselRatio:
@@ -239,10 +245,10 @@ class TestCombination:
             i_n_combo(2.0, 1.0, "plus")
 
     def test_non_finite_argument_message_names_finiteness(self):
-        for x in (math.inf, math.nan, -1.0):
-            with pytest.raises(DomainError, match=r"x must be finite and >= 0, got"):
+        for x, rule in ((math.inf, "finite"), (math.nan, "finite"), (-1.0, "finite and >= 0")):
+            with pytest.raises(DomainError, match=rf"x must be {rule}, got"):
                 i_n_combo(1, x, "plus")
-            with pytest.raises(DomainError, match=r"x must be finite and >= 0, got"):
+            with pytest.raises(DomainError, match=rf"x must be {rule}, got"):
                 i_n_combo_kummer(1, x, "minus")
 
     def test_numpy_integer_index(self):
@@ -410,12 +416,22 @@ class TestLogScaledValue:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_is_domain_error(self, value):
-        with pytest.raises(DomainError, match=f"^log-scaled value must be finite, got {value!r}$"):
+        with pytest.raises(DomainError, match=f"^value must be finite, got {value!r}$"):
             LogScaledValue.from_value(value)
+        # A zero too: its log stays -inf only for a finite factor.
+        for scaled in (LogScaledValue(-1, 0.5), LogScaledValue.zero()):
+            with pytest.raises(DomainError, match=f"^log_factor must be finite, got {value!r}$"):
+                scaled.scaled(value)
 
     def test_scaled(self):
         v = LogScaledValue.from_value(2.0).scaled(math.log(3.0))
         assert plain(v) == pytest.approx(6.0, rel=1e-14, abs=0.0)
+
+    def test_scaled_by_a_numpy_scalar_is_a_python_float(self):
+        for factor in (np.float32(0.25), np.int64(2), np.float64(0.1)):
+            scaled = LogScaledValue(-1, 0.5).scaled(factor)
+            assert type(scaled.log_mag) is float
+            assert scaled == (-1, 0.5 + float(factor))
 
     def test_is_an_immutable_tuple(self):
         value = LogScaledValue(-1, 2.5)
@@ -457,11 +473,14 @@ REAL_ARGUMENTS = {
     "bessel_i_ratio-order": ("order", lambda v: bessel_i_ratio(v, 1.5)),
     "bessel_i_ratio-x": ("x", lambda v: bessel_i_ratio(0.5, v)),
     "from_value-value": ("value", LogScaledValue.from_value),
+    "scaled-log_factor": ("log_factor", LogScaledValue(-1, 0.5).scaled),
 }
 
 
 @pytest.mark.parametrize(
-    "value", [True, np.True_, "0.5", 0.5 + 0j], ids=["bool", "numpy-bool", "string", "complex"]
+    "value",
+    [True, np.True_, "0.5", 0.5 + 0j, None, np.array(0.5), Decimal("0.5")],
+    ids=["bool", "numpy-bool", "string", "complex", "none", "0-d-array", "decimal"],
 )
 @pytest.mark.parametrize("named, call", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS.keys())
 def test_non_real_argument_is_domain_error_naming_it(named, call, value):
@@ -471,3 +490,11 @@ def test_non_real_argument_is_domain_error_naming_it(named, call, value):
         call(value)
     call(np.float32(0.5))  # any real number type is taken
     call(1)
+
+
+@pytest.mark.parametrize("named, call", REAL_ARGUMENTS.values(), ids=REAL_ARGUMENTS.keys())
+def test_number_past_float_range_is_domain_error_naming_it(named, call):
+    # float() of these raises a bare OverflowError.
+    for value in (10**400, -(10**400), Fraction(10**400, 3)):
+        with pytest.raises(DomainError, match=f"^{named} is past the float range$"):
+            call(value)

@@ -84,6 +84,9 @@ class TestConstruction:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             make_preset("even", 1.0, 1.0)
+        # A kind that cannot be a dict key, where the lookup raises TypeError.
+        with pytest.raises(ValueError, match=r"^unknown preset \['even_cat'\]; expected one of"):
+            make_preset(["even_cat"], 1.0, 1.0)
 
     def test_weight_norm_enforced(self):
         with pytest.raises(ValueError, match=r"\|mu\|\^2\+\|nu\|\^2"):
@@ -175,6 +178,18 @@ class TestValidate:
         msgs = validate_params(complex(0, math.inf), 0.0, INV_SQRT2, INV_SQRT2)
         assert msgs and "alpha" in msgs[0]
 
+    def test_argument_that_is_not_a_number_diagnostic(self):
+        # complex(True) is 1 and complex("1") parses, and complex(None) raises TypeError.
+        assert validate_params(True, "1", 1.0, 0.0) == [
+            "alpha must be a number and not a bool, got True",
+            "beta must be a number and not a bool, got '1'",
+        ]
+        assert validate_params(1.0, 1.0, None, math.nan) == [
+            "mu must be a number and not a bool, got None",
+            "nu is not finite: nan",
+        ]
+        assert validate_params(10**400, 1.0, 0.6, 0.8) == ["alpha is past the float range"]
+
 
 class TestDescriptor:
     def test_preset_descriptor(self):
@@ -240,8 +255,18 @@ class TestDescriptor:
     @pytest.mark.parametrize("key", ["mu", "nu"])
     @pytest.mark.parametrize(
         "entry",
-        [{"re": 1}, {"im": 0}, {"re": "one", "im": 0}, {"re": 1, "im": None}, [1, 0]],
-        ids=["no-im", "no-re", "string-re", "null-im", "list"],
+        [
+            {"re": 1},
+            {"im": 0},
+            {"re": "one", "im": 0},
+            {"re": 1, "im": None},
+            [1, 0],
+            {"re": True, "im": 0},
+            {"re": 1, "im": "0"},
+            np.int64(1),
+        ],
+        ids=["no-im", "no-re", "string-re", "null-im", "list", "bool-re", "numeric-string-im",
+             "numpy-scalar"],
     )
     def test_weight_without_numeric_parts_names_the_weight(self, key, entry):
         descriptor = {
@@ -254,6 +279,33 @@ class TestDescriptor:
         message = f"^'{key}' must be an object with numeric 're' and 'im'$"
         with pytest.raises(ValueError, match=message):
             params_from_descriptor(descriptor)
+
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    @pytest.mark.parametrize(
+        "entry",
+        [{"abs": True, "arg": 0}, {"abs": "0.5", "arg": 0}, {"abs": 1, "arg": False},
+         {"abs": 1, "arg": "0"}, {"abs": 1}, 1.0, {"abs": 10**400, "arg": 0}],
+        ids=["bool-abs", "numeric-string-abs", "bool-arg", "numeric-string-arg", "no-arg", "float",
+             "int-past-float-range"],
+    )
+    def test_amplitude_without_real_parts_names_the_amplitude(self, key, entry):
+        descriptor = {
+            "preset": "odd_cat",
+            "alpha": {"abs": 1.0, "arg": 0.0},
+            "beta": {"abs": 1.0, "arg": 0.0},
+        }
+        descriptor[key] = entry
+        message = f"^'{key}' must be an object with numeric 'abs' and 'arg'$"
+        with pytest.raises(ValueError, match=message):
+            state_from_descriptor(descriptor)
+
+    @pytest.mark.parametrize("flag", ["false", "true", 1, 0, None, np.True_])
+    def test_renormalize_must_be_a_bool(self, flag):
+        descriptor = {**renormalized(0.6, 0.8j), "renormalize": flag}
+        message = f"^'renormalize' must be true or false, got {re.escape(repr(flag))}$"
+        with pytest.raises(ValueError, match=message):
+            state_from_descriptor(descriptor)
+        assert state_from_descriptor({**descriptor, "renormalize": False}).mu == 0.6
 
     @pytest.mark.parametrize("key", ["alpha", "beta"])
     @pytest.mark.parametrize("arg", [math.inf, -math.inf])

@@ -21,7 +21,14 @@ complex weights on the unit sphere):
 then ``EDGE_CALLS``: refusals and the values next to them (W past the float
 range, a radius whose square is not finite, s far below 0 or at 1, phi not
 finite, a bool s, a Fock cutoff too small, a trace past the float range or
-lost to rounding, a spectrum that does not converge by n_max).
+lost to rounding, a spectrum that does not converge by n_max); and the
+argument rules: a value and the refusals of a number that is not finite, a
+bool and a string, in ``chi``, ``w``, ``w_symmetrized``, ``trig_moments``,
+``phase_mean_var``, the special functions, ``LogScaledValue.from_value`` and
+``.scaled``, ``TruncationPolicy``, ``QuadratureSpec`` and
+``state_from_descriptor`` (its number entries and ``renormalize``).  The
+names in ``PLAIN`` take their arguments as listed; ``LogScaledValue.scaled``
+takes (sign, log_mag, log_factor); every other call takes a state first.
 
 An output's bytes are, for an ndarray, its dtype, shape and raw buffer;
 for anything else its ``repr``, which spells each float to the last bit.
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import hashlib
 import importlib.util
 import json
@@ -61,6 +69,22 @@ EVEN_1 = (1 + 0j, 1 + 0j, *PRESET_WEIGHTS["even_cat"])
 EVEN_2 = (2 + 0j, 2 + 0j, *PRESET_WEIGHTS["even_cat"])
 ODD_1 = (1 + 0j, 1 + 0j, *PRESET_WEIGHTS["odd_cat"])
 EVEN_4 = (4 + 0j, 0.5 + 0j, *PRESET_WEIGHTS["even_cat"])
+DESCRIPTOR = {
+    "mu": {"re": 0.8, "im": 0.0},
+    "nu": {"re": 0.0, "im": 0.6},
+    "alpha": {"abs": 1.0, "arg": 0.5},
+    "beta": {"abs": 2.0, "arg": -0.25},
+}
+# Called with their arguments as listed; every other name takes a state first.
+PLAIN = (
+    "i_n_combo",
+    "i_n_combo_kummer",
+    "bessel_i_ratio",
+    "LogScaledValue.from_value",
+    "TruncationPolicy",
+    "QuadratureSpec",
+    "state_from_descriptor",
+)
 
 # (function name, arguments), with a state as its (alpha, beta, mu, nu) tuple.
 EDGE_CALLS = (
@@ -104,6 +128,108 @@ EDGE_CALLS = (
     ("one_mode_coefficients", (EVEN_1, 0.0, True)),
     ("eval_phase_dist", (EVEN_1, 0.4, "plus", (0.3, math.nan))),
     ("eval_phase_dist", (EVEN_1, 0.4, 1, 0.3)),
+    # The argument rules: each entry point on a value next to its refusals of a
+    # number that is not finite, a bool and a string.
+    ("chi", (EVEN_1, 0.3 + 0.1j, -0.2, 0.5)),
+    ("chi", (EVEN_1, 0.3, 0.2, math.nan)),
+    ("chi", (EVEN_1, 0.3, 0.2, math.inf)),
+    ("chi", (EVEN_1, 0.3, 0.2, True)),
+    ("chi", (EVEN_1, 0.3, 0.2, "0.5")),
+    ("chi", (EVEN_1, complex(math.inf, 0.0), 0.2, 0.0)),
+    ("chi", (EVEN_1, True, 0.2, 0.0)),
+    ("chi", (EVEN_1, 0.3, "0.2", 0.0)),
+    ("w", (EVEN_1, 0.3 + 0.1j, -0.2, 0.5)),
+    ("w", (EVEN_1, 0.3, 0.2, math.nan)),
+    ("w", (EVEN_1, 0.3, 0.2, -math.inf)),
+    ("w", (EVEN_1, 0.3, 0.2, True)),
+    ("w", (EVEN_1, 0.3, 0.2, "0.5")),
+    ("w", (EVEN_1, math.nan, 0.2, 0.0)),
+    ("w", (EVEN_1, 0.3, False, 0.0)),
+    ("w", (EVEN_1, "0.3", 0.2, 0.0)),
+    ("w_symmetrized", (EVEN_1, 0.5, 0.7, 0.3, -0.4, 0.2)),
+    ("w_symmetrized", (EVEN_1, 0.5, 0.7, 0.3, -0.4, math.nan)),
+    ("w_symmetrized", (EVEN_1, 0.5, 0.7, 0.3, -0.4, True)),
+    ("w_symmetrized", (EVEN_1, 0.5, 0.7, 0.3, -0.4, "0.2")),
+    ("w_symmetrized", (EVEN_1, math.inf, 0.7, 0.3, -0.4, 0.2)),
+    ("w_symmetrized", (EVEN_1, 0.5, True, 0.3, -0.4, 0.2)),
+    ("w_symmetrized", (EVEN_1, 0.5, 0.7, "0.3", -0.4, 0.2)),
+    ("w_symmetrized", (EVEN_1, 0.5, 0.7, 0.3, math.nan, 0.2)),
+    ("trig_moments", (ODD_1, 0.4, "minus", 2)),
+    ("trig_moments", (ODD_1, 0.4, "minus", True)),
+    ("trig_moments", (ODD_1, 0.4, "minus", "2")),
+    ("trig_moments", (ODD_1, 0.4, "minus", 2.0)),
+    ("trig_moments", (ODD_1, math.inf, "minus", 2)),
+    ("trig_moments", (ODD_1, True, "minus", 2)),
+    ("phase_mean_var", (ODD_1, 0.4, "plus", 0.3)),
+    ("phase_mean_var", (ODD_1, 0.4, "plus", math.nan)),
+    ("phase_mean_var", (ODD_1, 0.4, "plus", math.inf)),
+    ("phase_mean_var", (ODD_1, 0.4, "plus", True)),
+    ("phase_mean_var", (ODD_1, 0.4, "plus", "0.3")),
+    ("phase_mean_var", (ODD_1, math.nan, "plus", 0.3)),
+    ("i_n_combo", (3, 2.5, "minus")),
+    ("i_n_combo", (3, math.nan, "minus")),
+    ("i_n_combo", (3, math.inf, "plus")),
+    ("i_n_combo", (3, -1.0, "plus")),
+    ("i_n_combo", (3, True, "plus")),
+    ("i_n_combo", (3, "2.5", "plus")),
+    ("i_n_combo", (True, 2.5, "plus")),
+    ("i_n_combo_kummer", (3, 2.5, "minus")),
+    ("i_n_combo_kummer", (3, math.nan, "minus")),
+    ("i_n_combo_kummer", (3, -math.inf, "plus")),
+    ("i_n_combo_kummer", (3, True, "plus")),
+    ("i_n_combo_kummer", (3, "2.5", "plus")),
+    ("bessel_i_ratio", (0.5, 2.5)),
+    ("bessel_i_ratio", (0.5, math.nan)),
+    ("bessel_i_ratio", (0.5, math.inf)),
+    ("bessel_i_ratio", (0.5, -2.5)),
+    ("bessel_i_ratio", (0.5, True)),
+    ("bessel_i_ratio", (0.5, "2.5")),
+    ("bessel_i_ratio", (math.inf, 2.5)),
+    ("bessel_i_ratio", (True, 2.5)),
+    ("LogScaledValue.from_value", (-2.5,)),
+    ("LogScaledValue.from_value", (0.0,)),
+    ("LogScaledValue.from_value", (math.nan,)),
+    ("LogScaledValue.from_value", (-math.inf,)),
+    ("LogScaledValue.from_value", (True,)),
+    ("LogScaledValue.from_value", ("2.5",)),
+    ("LogScaledValue.from_value", (2.5j,)),
+    ("LogScaledValue.scaled", (-1, 0.5, 2.0)),
+    ("LogScaledValue.scaled", (0, -math.inf, 2.0)),
+    ("LogScaledValue.scaled", (-1, 0.5, math.nan)),
+    ("LogScaledValue.scaled", (-1, 0.5, math.inf)),
+    ("LogScaledValue.scaled", (-1, 0.5, True)),
+    ("LogScaledValue.scaled", (-1, 0.5, "2.0")),
+    ("LogScaledValue.scaled", (-1, 0.5, 2.0j)),
+    ("LogScaledValue.scaled", (-1, 0.5, None)),
+    ("TruncationPolicy", (1e-12, 3, 100)),
+    ("TruncationPolicy", (math.inf, 4, 512)),
+    ("TruncationPolicy", (math.nan, 4, 512)),
+    ("TruncationPolicy", (-1e-14, 4, 512)),
+    ("TruncationPolicy", (True, 4, 512)),
+    ("TruncationPolicy", ("1e-14", 4, 512)),
+    ("TruncationPolicy", (1e-14, True, 512)),
+    ("TruncationPolicy", (1e-14, 4, "512")),
+    ("QuadratureSpec", (24, 48, 6.0)),
+    ("QuadratureSpec", (40, 64, math.inf)),
+    ("QuadratureSpec", (40, 64, -math.inf)),
+    ("QuadratureSpec", (40, 64, math.nan)),
+    ("QuadratureSpec", (40, 64, -1.0)),
+    ("QuadratureSpec", (40, 64, True)),
+    ("QuadratureSpec", (40, 64, "8.0")),
+    ("QuadratureSpec", (True, 64, 8.0)),
+    ("state_from_descriptor", (DESCRIPTOR,)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "alpha": {"abs": True, "arg": 0.0}},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "alpha": {"abs": "0.5", "arg": 0.0}},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "beta": {"abs": 1.0, "arg": False}},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "mu": {"re": True, "im": 0.0}},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "nu": {"re": 0.0, "im": "0.6"}},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "alpha": {"abs": 1.0, "arg": math.inf}},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "mu": {"re": 1.6, "im": 0.0}},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "mu": {"re": 1.6, "im": 0.0}, "renormalize": True},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "renormalize": False},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "renormalize": "false"},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "renormalize": 1},)),
+    ("state_from_descriptor", ({**DESCRIPTOR, "renormalize": None},)),
 )
 
 
@@ -157,12 +283,18 @@ def _invoke(name: str, args: tuple):
 
     import catphase
 
+    if name in PLAIN:
+        return functools.reduce(getattr, name.split("."), catphase)(*args)
+    if name == "LogScaledValue.scaled":
+        sign, log_mag, log_factor = args
+        return catphase.LogScaledValue(sign, log_mag).scaled(log_factor)
     state, *rest = args
     state = catphase.QuasiBellState(*state)
-    if name == "eval_phase_dist":
-        s, line, phi = rest
+    if name in ("eval_phase_dist", "trig_moments", "phase_mean_var"):
+        s, line, arg = rest
         build = catphase.build_spectrum if isinstance(line, str) else catphase.one_mode_coefficients
-        return catphase.eval_phase_dist(build(state, s, line), np.array(phi))
+        arg = np.array(arg) if name == "eval_phase_dist" else arg
+        return getattr(catphase, name)(build(state, s, line), arg)
     if name.startswith("quadrature_"):
         *rest, spec = rest
         if name != "quadrature_normalization":
