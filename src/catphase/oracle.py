@@ -7,7 +7,11 @@ Two oracle families live here:
   periodic integrands), checking normalization and the phase-distribution
   series.  W is a sum of terms that are each a product of one factor per
   mode, so each oracle takes each mode's radial sums once, on the angles that
-  mode needs, and combines them as W's terms are.  Each equals, up to
+  mode needs, and combines them as W's terms are.  The Gauss-Legendre radii
+  are symmetric about their centre, so each mode's interference sum takes
+  the cosines and sines of half its radial phases and mirrors them onto the
+  other half; an odd node count's middle node has no mirror and is taken
+  with its own phase (see _radial_sums).  Each oracle equals, up to
   rounding, a node sum (default 40 radial x 64 angular nodes a_j) of r_1 r_2
   W over both modes' grids (normalization), over the other mode's grid and
   the own radius (one-mode line), or of r_1 r_2 W_sym over both radii and
@@ -73,6 +77,8 @@ _TWO_PI = 2.0 * math.pi
 
 # A reported Fock truncation bound above this raises CutoffTooSmallError.
 _FOCK_BOUND_TOL = 1e-6
+# The largest Fock cutoff, as i_n_combo's index cap: a cutoff n allocates arrays of n + 1.
+_N_CUT_CAP = 2**16
 # Rounding of one overlap block per unit of e^(2|amp||xi| - |xi|^2/2) (see _overlaps): four
 # times the largest ratio seen against 50-digit mpmath, |amp| <= 4.5, n_cut <= 8|amp|^2 + 40.
 _ROUNDING_SCALE = 16.0 * np.finfo(float).eps
@@ -147,43 +153,83 @@ def _rules(state: QuasiBellState, s: float, spec: QuadratureSpec | None):
     return r_nodes, r_nodes * (0.5 * radius * weights), _TWO_PI * np.arange(n) / n, _TWO_PI / n
 
 
-def _mode_factors(amp: complex, r, angles, s: float, log_gauss: float, log_interf: float):
-    """Factors of W for one mode at z = r e^(i angle), on angles.shape + r.shape.
+def _radial_sums(amp: complex, r, rw, angles, s: float, log_gauss: float, log_interf: float):
+    """One mode's three parts of W at z = r e^(i angle), summed over the radius with rw.
 
-    Returns e^(log_gauss) times each Gaussian e^(-2|z -+ amp|^2/(1-s)), and
-    e^(log_interf) e^(2(s|amp|^2 - r^2)/(1-s)) e^(i theta_z) with
-    theta_z = 4 Im(amp* z)/(1-s).  With psi = angle - arg amp, the parts of amp
-    along and across z, |amp| cos psi and |amp| sin psi, are taken on the
-    angle axis only; then |z -+ amp|^2 = (r -+ along)^2 + across^2 and
-    theta_z = 4 r across/(1-s).  The expanded r^2 + |amp|^2 -+ 2 r along would
-    cancel, and near s = 1 form inf - inf.
+    Returns, on angles.shape, the sums over the radial nodes of rw times
+    e^(log_gauss) times each Gaussian e^(-2|z -+ amp|^2/(1-s)), and of rw
+    times e^(log_interf) e^(2(s|amp|^2 - r^2)/(1-s)) e^(i theta_z) with
+    theta_z = 4 Im(amp* z)/(1-s).  With psi = angle - arg amp, the parts of
+    amp along and across z, |amp| cos psi and |amp| sin psi, are taken on
+    the angle axis only; then |z -+ amp|^2 = (r -+ along)^2 + across^2 and
+    theta_z = 4 r across/(1-s).  The expanded r^2 + |amp|^2 -+ 2 r along
+    would cancel, and near s = 1 form inf - inf.
+
+    The Gaussians are formed node by node in one buffer, from the radii and
+    the along parts scaled by k = sqrt(2/(1-s)) once on their own axes, as
+    e^(log_gauss - 2 across^2/(1-s) - (k r -+ k along)^2).  The interference
+    modulus depends on r alone: with a_i the radial weight times it at node
+    i and theta_i = 4 r_i across/(1-s), its part is sum_i a_i e^(i theta_i).
+    The Gauss-Legendre radii are symmetric, r_(n-1-i) = R - r_i with
+    R = r_0 + r_(n-1) to rounding, so theta_(n-1-i) = T - theta_i with
+    T = 4 R across/(1-s), and with b_i = a_(n-1-i)
+
+        sum_i a_i e^(i theta_i) = sum_(i<n/2) a_i e^(i theta_i)
+                                  + e^(i T) sum_(i<n/2) b_i e^(-i theta_i);
+
+    an odd n adds its middle node, at theta = T/2, to the first sum with its
+    own phase.  One cosine and one sine of each inner phase serve both sums,
+    which are taken in real arithmetic.  The inner nodes, where the modulus
+    peaks, keep their phases as formed; only the outer nodes, where it is
+    smallest, take theirs through T.
     """
     one_minus = 1.0 - s
+    scale = math.sqrt(2.0 / one_minus)
     psi = np.asarray(angles, dtype=float)[..., None] - cmath.phase(amp)
-    along = abs(amp) * np.cos(psi)
+    along = (scale * abs(amp)) * np.cos(psi)
     across = abs(amp) * np.sin(psi)
     rest = log_gauss - 2.0 * across**2 / one_minus
-    gauss_minus = np.exp(rest - 2.0 * (r - along) ** 2 / one_minus)
-    gauss_plus = np.exp(rest - 2.0 * (r + along) ** 2 / one_minus)
-    modulus = np.exp(log_interf + 2.0 * (s * abs(amp) ** 2 - r**2) / one_minus)
-    theta = across * (4.0 * r / one_minus)
-    interference = np.empty(theta.shape, dtype=complex)
-    np.multiply(modulus, np.cos(theta), out=interference.real)
-    np.multiply(modulus, np.sin(theta), out=interference.imag)
+    scaled_r = scale * r
+    gauss = np.empty((2,) + psi.shape[:-1] + r.shape)
+    np.subtract(scaled_r, along, out=gauss[0])
+    np.add(scaled_r, along, out=gauss[1])
+    np.square(gauss, out=gauss)
+    np.subtract(rest, gauss, out=gauss)
+    np.exp(gauss, out=gauss)
+    np.multiply(gauss, rw, out=gauss)
+    gauss_minus, gauss_plus = np.sum(gauss, axis=-1)
+
+    weights = rw * np.exp(log_interf + 2.0 * (s * abs(amp) ** 2 - r**2) / one_minus)
+    upper = r.size // 2
+    lower = r.size - upper  # the nodes below the centre, and an odd count's middle one
+    theta = across * (4.0 * r[:lower] / one_minus)
+    cos = np.cos(theta)
+    sin = np.sin(theta, out=theta)
+    inner, mirrored = weights[:lower], weights[::-1][:upper]  # a_i and b_i = a_(n-1-i)
+    real, imag = np.sum(cos * inner, axis=-1), np.sum(sin * inner, axis=-1)
+    real_up = np.sum(cos[..., :upper] * mirrored, axis=-1)
+    imag_up = np.sum(sin[..., :upper] * mirrored, axis=-1)
+    turn = across[..., 0] * (4.0 * (r[0] + r[-1]) / one_minus)
+    cos_turn, sin_turn = np.cos(turn), np.sin(turn)
+    interference = np.empty(turn.shape, dtype=complex)
+    interference.real = real + (cos_turn * real_up + sin_turn * imag_up)
+    interference.imag = imag + (sin_turn * real_up - cos_turn * imag_up)
     return gauss_minus, gauss_plus, interference
 
 
-def _factors(state: QuasiBellState, s: float, r_nodes, gamma_angles, delta_angles):
-    """Per-mode factors (g, d) of W on the radial nodes, ascending from r_nodes[0].
+def _mode_sums(state: QuasiBellState, s: float, r_nodes, rw, gamma_angles, delta_angles):
+    """Each mode's three parts of W summed over the radius with rw, r times the weights.
 
-    W(gamma, delta) = _combine(state, g, d, False) pointwise.  The prefactor
-    4 N^2/(pi^2 (1-s)^2) is split evenly between the modes.  Each interference
-    factor is taken relative to its peak, at the innermost node, and the two
-    peaks are given back in equal halves, so no factor exceeds the square root
-    of W's largest interference term on the grid.  Unshifted, one mode's own
-    exponent can pass the float range where the pair's does not (a wide
-    radial cutoff moves the innermost node out).  DomainError, naming s, where
-    (pi (1-s))^2 passes the float range (s below about -4.3e153).
+    Mode 1's sums are on gamma_angles and mode 2's on delta_angles (see
+    _radial_sums); _combine joins them, and with a one-hot rw it rebuilds W
+    at one node.  The prefactor 4 N^2/(pi^2 (1-s)^2) is split evenly between
+    the modes.  Each interference part is taken relative to its peak, at the
+    innermost node, and the two peaks are given back in equal halves, so no
+    mode's part exceeds the square root of W's largest interference term on
+    the grid.  Unshifted, one mode's own exponent can pass the float range
+    where the pair's does not (a wide radial cutoff moves the innermost node
+    out).  DomainError, naming s, where (pi (1-s))^2 passes the float range
+    (s below about -4.3e153).
     """
     spread = _square_of_spread(math.pi * (1.0 - s), s)
     log_pref = math.log(4.0 * normalization_constant(state) ** 2 / spread)
@@ -191,18 +237,10 @@ def _factors(state: QuasiBellState, s: float, r_nodes, gamma_angles, delta_angle
         2.0 * (s * abs(amp) ** 2 - r_nodes[0] ** 2) / (1.0 - s) for amp in (state.alpha, state.beta)
     ]
     half = 0.5 * (peaks[0] + peaks[1] + log_pref)
-    g = _mode_factors(state.alpha, r_nodes, gamma_angles, s, 0.5 * log_pref, half - peaks[0])
-    d = _mode_factors(state.beta, r_nodes, delta_angles, s, 0.5 * log_pref, half - peaks[1])
-    return g, d
-
-
-def _mode_sums(state: QuasiBellState, s: float, r_nodes, rw, gamma_angles, delta_angles):
-    """Each mode's three factors (_factors) summed over the radius with rw, r times the weights.
-
-    Mode 1's sums are on gamma_angles and mode 2's on delta_angles; _combine joins them.
-    """
-    g, d = _factors(state, s, r_nodes, gamma_angles, delta_angles)
-    return tuple(np.sum(f * rw, axis=-1) for f in g), tuple(np.sum(f * rw, axis=-1) for f in d)
+    return (
+        _radial_sums(state.alpha, r_nodes, rw, gamma_angles, s, 0.5 * log_pref, half - peaks[0]),
+        _radial_sums(state.beta, r_nodes, rw, delta_angles, s, 0.5 * log_pref, half - peaks[1]),
+    )
 
 
 def _combine(state: QuasiBellState, g, d, symmetrized: bool):
@@ -421,8 +459,12 @@ def fock_chi_oracle(
     8e4 to 1.5e6, depending on the amplitude, and past that the partial
     sums of e^(xi* amp) leave the float range and the trace is refused.
     Where s > 0 inflates the bound past 1e-6 it is a CutoffTooSmallError.
+    ``n_cut`` is an integer from 1 to 2**16, the index cap of i_n_combo; a
+    larger cutoff is a DomainError, refused before anything is allocated.
     """
     n_cut = _integer(n_cut, "n_cut", 1)
+    if n_cut > _N_CUT_CAP:
+        raise DomainError(f"n_cut must be <= {_N_CUT_CAP}, got {n_cut}")
     s = _finite(s, "s")
     xi = _number(xi, "xi", real=False)
     eta = _number(eta, "eta", real=False)

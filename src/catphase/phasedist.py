@@ -149,11 +149,17 @@ class PhaseStats(NamedTuple):
 
 def wrap_angle(phi):
     """Reduce angles to (-pi, pi]; DomainError names the first angle that is not finite."""
+    out = _wrap(_finite_array(phi, float, "angle"))
+    return out if out.ndim else float(out)
+
+
+def _wrap(angles):
+    """A finite float array of angles reduced to (-pi, pi], unchecked; 0-d stays an array."""
     import numpy as np
 
-    out = np.asarray(np.mod(_finite_array(phi, float, "angle"), _TWO_PI))  # 0-d stays an array
+    out = np.asarray(np.mod(angles, _TWO_PI))
     np.subtract(out, _TWO_PI, out, where=out > math.pi)
-    return out if out.ndim else float(out)
+    return out
 
 
 def _fused(sign_a, log_a, sign_b, log_b, log_scale: float, label: str, n: int) -> float:
@@ -353,7 +359,7 @@ def eval_phase_dist(spectrum: Spectrum, phi):
     phi = _finite_array(phi, float, "phi")
     # Summed as a 1-d array whatever phi's shape: numpy's complex multiply
     # rounds differently on 0-d operands.
-    z = np.exp(1j * wrap_angle(phi.reshape(-1) - spectrum.phi_ref))
+    z = np.exp(1j * _wrap(phi.reshape(-1) - spectrum.phi_ref))
     out = 2.0 * _horner(column, z).real
     out = np.divide(np.add(out, 1.0, out), _TWO_PI, out).reshape(phi.shape)
     return float(out) if out.ndim == 0 else out

@@ -86,11 +86,18 @@ class LogScaledValue(NamedTuple):
         """Multiply by exp(log_factor) without leaving log space.
 
         DomainError if ``log_factor`` is not a real number, NaN or infinite.
+        OverflowError, naming log_mag and log_factor, if their sum is not
+        finite, so the result's log is always finite.
         """
         log_factor = _finite(log_factor, "log_factor")
         if self.sign == 0:
             return self
-        return LogScaledValue(self.sign, self.log_mag + log_factor)
+        log_mag = self.log_mag + log_factor
+        if not math.isfinite(log_mag):
+            raise OverflowError(
+                f"log_mag + log_factor = {self.log_mag!r} + {log_factor!r} is not finite"
+            )
+        return LogScaledValue(self.sign, log_mag)
 
 
 def _check_half_order(order: float) -> int:

@@ -257,7 +257,8 @@ def test_fuzz_listed_values(name, position, path, parameter):
     value=st.one_of(
         st.floats(),
         # A count sizes the work (a Fock cutoff of n allocates arrays of n + 1), so
-        # integers stay within the index cap of i_n_combo, 2**16.
+        # integers stay within 2**16, the largest index i_n_combo and the largest
+        # cutoff fock_chi_oracle take; both refuse a larger one before any work.
         st.integers(-(2**16), 2**16),
         st.complex_numbers(),
         st.booleans(),

@@ -34,7 +34,6 @@ from catphase import oracle
 from catphase.oracle import (
     _coherent_columns,
     _combine,
-    _factors,
     _fock_tables,
     _legendre_rule,
     _mode_sums,
@@ -195,6 +194,22 @@ class TestQuadratureSpec:
         assert float(np.min(values)) >= -1e-12
 
 
+def _node_factors(state, s, r, gamma_angles, delta_angles):
+    """Each mode's three factors of W on its angles' shape + (radial node,).
+
+    A one-hot radial weight turns each per-mode sum into the factor at that
+    node.  The nodes below the centre of the radial grid, and an odd count's
+    middle one, are on the direct side of the paired interference sum, and
+    the nodes above it on the mirrored side.
+    """
+    one_hot = np.eye(r.size)
+    sums = [_mode_sums(state, s, r, one_hot[k], gamma_angles, delta_angles) for k in range(r.size)]
+    return tuple(
+        [np.stack([node[mode][part] for node in sums], axis=-1) for part in range(3)]
+        for mode in range(2)
+    )
+
+
 # The four presets plus a state whose Im(mu nu*) is not zero.
 SEPARABLE_STATES = [preset_state(kind) for kind in PRESETS] + [
     QuasiBellState(0.9 + 0.4j, -0.7 + 1.1j, 0.6, 0.8 * np.exp(0.7j))
@@ -207,8 +222,9 @@ SEPARABLE_IDS = list(PRESETS) + ["complex_weights"]
 class TestSeparableIntegrand:
     """Per-mode factors rebuild W and W_sym at every node of the default grid.
 
-    One slab per radial node of gamma, with axes (angle of gamma or phi_plus,
-    radius of delta, angle of delta or phi_minus).
+    The factors come from the per-mode sums with one-hot radial weights
+    (_node_factors).  One slab per radial node of gamma, with axes (angle of
+    gamma or phi_plus, radius of delta, angle of delta or phi_minus).
     """
 
     @staticmethod
@@ -225,7 +241,7 @@ class TestSeparableIntegrand:
     def test_w(self, state, s):
         # Both angles on the angular nodes: the one-mode grid of either mode.
         r, a = self._grid(state, s)
-        g, d = _factors(state, s, r, a, a)
+        g, d = _node_factors(state, s, r, a, a)
         d = [x.T[None] for x in d]
         delta = (r[:, None] * np.exp(1j * a))[None]
         pairs = []
@@ -239,7 +255,7 @@ class TestSeparableIntegrand:
         # phi_plus and phi_minus on the angular nodes: the normalization grid,
         # and the grid of either pair branch at phases on the nodes.
         r, a = self._grid(state, s)
-        g, d = _factors(state, s, r, 0.5 * (a[:, None] - a), 0.5 * (a[:, None] + a))
+        g, d = _node_factors(state, s, r, 0.5 * (a[:, None] - a), 0.5 * (a[:, None] + a))
         d = [np.moveaxis(x, 2, 1) for x in d]
         pairs = []
         for k in range(r.size):
@@ -310,15 +326,15 @@ class TestRandomStates:
             assert abs(traced.value - chi(state, xi, 0.3, 0.0)) <= traced.bound + 1e-12
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(state=_RANDOM_STATES, s=st.floats(-1.0, 0.97))
-    def test_factors_rebuild_w(self, state, s):
+    @given(state=_RANDOM_STATES, s=st.floats(-1.0, 0.97), n_radial=st.sampled_from([16, 17]))
+    def test_factors_rebuild_w(self, state, s, n_radial):
         # Both angles on the angular nodes, gamma on axes 0-1 and delta on axes 2-3.
-        spec = QuadratureSpec(n_radial=16, n_angular=32)
+        spec = QuadratureSpec(n_radial=n_radial, n_angular=32)
         r, _, a, _ = _rules(state, s, spec)
         z = np.exp(1j * a)[:, None] * r
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g, d = _factors(state, s, r, a, a)
+            g, d = _node_factors(state, s, r, a, a)
             fast = _combine(state, [x[:, :, None, None] for x in g], d, False)
             ref = w(state, z[:, :, None, None], z, s)
         assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -394,25 +410,31 @@ class TestJointCoefficients:
 
 
 class TestAgainstBruteForce:
-    """The separable oracles against direct node sums of W and W_sym at 16 x 32."""
+    """The separable oracles against direct node sums of W and W_sym.
+
+    At 16 x 32 nodes, and at an odd radial count, 17 x 32, whose middle
+    radial node has no mirror in the paired interference sum.
+    """
 
     SPEC = QuadratureSpec(n_radial=16, n_angular=32)
+    ODD_SPEC = QuadratureSpec(n_radial=17, n_angular=32)
     PHIS = np.linspace(-1.0, 7.0, 16)
 
-    def _brute_force(self, state, s, values):
+    @staticmethod
+    def _brute_force(state, s, spec, values):
         """Node sum of r1 r2 values(r1, r2, angle) over both radii and the angle.
 
         values gets r1, r2 and the angle on axes 0, 1 and 3, and puts the
         fixed angles on axis 2.
         """
-        r, rw, a, a_w = _rules(state, s, self.SPEC)
+        r, rw, a, a_w = _rules(state, s, spec)
         integrand = values(r[:, None, None, None], r[None, :, None, None], a)
         return a_w * np.einsum("rspa,r,s->p", integrand, rw, rw)
 
-    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.4])
-    @pytest.mark.parametrize("state", SEPARABLE_STATES, ids=SEPARABLE_IDS)
-    def test_all_three_oracles(self, state, s):
+    def _deviations(self, state, s, spec):
+        """|oracle - direct node sum| at PHIS: both branches, both modes, the normalization."""
         phis = self.PHIS[:, None]
+        out = []
         for branch in ("plus", "minus"):
 
             # The complementary angle's nodes sit at phi - a_j (plus) and phi + a_j (minus).
@@ -421,8 +443,8 @@ class TestAgainstBruteForce:
                     return w_symmetrized(state, r1, r2, phis, phis - a, s)
                 return w_symmetrized(state, r1, r2, phis + a, phis, s)
 
-            got = quadrature_phase_dist(state, s, branch, self.PHIS, self.SPEC)
-            assert np.max(np.abs(got - self._brute_force(state, s, values))) <= 1e-14
+            got = quadrature_phase_dist(state, s, branch, self.PHIS, spec)
+            out.append(np.max(np.abs(got - self._brute_force(state, s, spec, values))))
 
         for mode in (1, 2):
 
@@ -430,19 +452,45 @@ class TestAgainstBruteForce:
                 own, other = r1 * np.exp(1j * phis), r2 * np.exp(1j * a)
                 return w(state, own, other, s) if first else w(state, other, own, s)
 
-            got = quadrature_one_mode(state, s, mode, self.PHIS, self.SPEC)
-            assert np.max(np.abs(got - self._brute_force(state, s, values))) <= 1e-14
+            got = quadrature_one_mode(state, s, mode, self.PHIS, spec)
+            out.append(np.max(np.abs(got - self._brute_force(state, s, spec, values))))
 
         # Raw W over the product of both modes' (radius, angle) grids: mode 1's
         # angles on the fixed axis, mode 2's on the summed one.
-        _, _, nodes, a_w = _rules(state, s, self.SPEC)
+        _, _, nodes, a_w = _rules(state, s, spec)
         by_gamma_angle = self._brute_force(
             state,
             s,
+            spec,
             lambda r1, r2, a: w(state, r1 * np.exp(1j * nodes[:, None]), r2 * np.exp(1j * a), s),
         )
-        got = quadrature_normalization(state, s, self.SPEC)
-        assert abs(got - a_w * float(np.sum(by_gamma_angle))) <= 1e-14
+        got = quadrature_normalization(state, s, spec)
+        out.append(abs(got - a_w * float(np.sum(by_gamma_angle))))
+        return out
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.4])
+    @pytest.mark.parametrize("state", SEPARABLE_STATES, ids=SEPARABLE_IDS)
+    def test_all_three_oracles(self, state, s):
+        assert max(self._deviations(state, s, self.SPEC)) <= 1e-14
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.4])
+    @pytest.mark.parametrize("state", SEPARABLE_STATES, ids=SEPARABLE_IDS)
+    def test_odd_radial_count(self, state, s):
+        assert max(self._deviations(state, s, self.ODD_SPEC)) <= 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(state=_RANDOM_STATES, s=st.floats(-1.0, 0.4), odd=st.booleans())
+    def test_random_states_in_the_validated_box(self, state, s, odd):
+        # validate's box: |alpha|, |beta| <= sqrt(3), any phases and weights, s <= 0.4.
+        # W's interference terms reach N^2 |mu nu| e^(2s(|alpha|^2+|beta|^2)/(1-s)) times
+        # its Gaussians, up to about 1,500 in the box's corner, and every node sum
+        # rounds relative to them: there the unpaired sums missed a plain 1e-14 too,
+        # by up to 6.8e-14 over 1,500 random states.
+        spec = self.ODD_SPEC if odd else self.SPEC
+        amp_sq = abs(state.alpha) ** 2 + abs(state.beta) ** 2
+        interference = abs(state.mu * state.nu) * math.exp(2.0 * s * amp_sq / (1.0 - s))
+        scale = 1.0 + normalization_constant(state) ** 2 * interference
+        assert max(self._deviations(state, s, spec)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("n_phi", [1, 3, 8])
     def test_each_mode_takes_its_radial_sums_once(self, monkeypatch, n_phi):
@@ -450,12 +498,12 @@ class TestAgainstBruteForce:
         # mode 2's angles depend on phi; the normalization needs n angles a mode.
         shapes = []
 
-        def spy(amp, r, angles, *args):
+        def spy(amp, r, rw, angles, *args):
             shapes.append(np.shape(angles))
-            return mode_factors(amp, r, angles, *args)
+            return radial_sums(amp, r, rw, angles, *args)
 
-        mode_factors = oracle._mode_factors
-        monkeypatch.setattr(oracle, "_mode_factors", spy)
+        radial_sums = oracle._radial_sums
+        monkeypatch.setattr(oracle, "_radial_sums", spy)
         state, n = preset_state("yurke_stoler_plus"), self.SPEC.n_angular
         for branch in ("plus", "minus"):
             quadrature_phase_dist(state, 0.2, branch, np.linspace(0.0, 6.0, n_phi), self.SPEC)
@@ -673,6 +721,23 @@ class TestFockChiOracle:
             fock_chi_oracle(preset_state("even_cat"), 0.1, 0.1, 0.0, n_cut=0)
         with pytest.raises(DomainError, match="n_cut"):
             fock_chi_oracle(preset_state("even_cat"), 0.1, 0.1, 0.0, n_cut=True)
+
+    @pytest.mark.parametrize("n_cut", [2**16 + 1, 10**400])
+    def test_cutoff_above_the_cap_is_refused_before_any_work(self, monkeypatch, n_cut):
+        # 10**400 was a bare OverflowError from _poisson_tail, and 2**30 would
+        # have allocated arrays of 2**30 + 1 entries.
+        def unreachable(*args):
+            raise AssertionError("ran past the cutoff check")
+
+        for name in ("_poisson_tail", "_fock_tables", "_overlaps"):
+            monkeypatch.setattr(oracle, name, unreachable)
+        with pytest.raises(DomainError, match=rf"^n_cut must be <= 65536, got {n_cut}$"):
+            fock_chi_oracle(preset_state("even_cat"), 0.1, 0.1, 0.0, n_cut=n_cut)
+
+    def test_cutoff_at_the_cap_is_traced(self):
+        state = preset_state("even_cat")
+        traced = fock_chi_oracle(state, 0.5, 0.3j, 0.0, n_cut=2**16)
+        assert abs(traced.value - chi(state, 0.5, 0.3j, 0.0)) < 1e-8
 
     @pytest.mark.parametrize(
         "xi,eta",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -426,6 +427,14 @@ class TestLogScaledValue:
     def test_scaled(self):
         v = LogScaledValue.from_value(2.0).scaled(math.log(3.0))
         assert plain(v) == pytest.approx(6.0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("log_mag,log_factor", [(1e308, 1e308), (-1e308, -1e308)])
+    def test_scaled_past_the_float_range_is_overflow_error(self, log_mag, log_factor):
+        # The sum of two finite logs can pass the float range; it returned log_mag = inf.
+        message = f"log_mag + log_factor = {log_mag!r} + {log_factor!r} is not finite"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            LogScaledValue(1, log_mag).scaled(log_factor)
+        assert LogScaledValue(1, log_mag).scaled(-log_factor) == LogScaledValue(1, 0.0)
 
     def test_scaled_by_a_numpy_scalar_is_a_python_float(self):
         for factor in (np.float32(0.25), np.int64(2), np.float64(0.1)):

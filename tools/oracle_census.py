@@ -26,7 +26,9 @@ argument rules: a value and the refusals of a number that is not finite, a
 bool and a string, in ``chi``, ``w``, ``w_symmetrized``, ``trig_moments``,
 ``phase_mean_var``, the special functions, ``LogScaledValue.from_value`` and
 ``.scaled``, ``TruncationPolicy``, ``QuadratureSpec`` and
-``state_from_descriptor`` (its number entries and ``renormalize``).  The
+``state_from_descriptor`` (its number entries and ``renormalize``); and last
+the quadrature calls of every state again at an odd radial node count,
+``ODD`` = 17 x 32, whose middle radial node has no mirror.  The
 names in ``PLAIN`` take their arguments as listed; ``LogScaledValue.scaled``
 takes (sign, log_mag, log_factor); every other call takes a state first.
 
@@ -63,6 +65,7 @@ N_RANDOM = 200
 PHIS = (-1.0, 0.0, 0.7, 2.5, 4.0, 6.2)
 SMALL = (16, 32, 8.0)  # QuadratureSpec(n_radial, n_angular, radial_cutoff_sigma)
 DEFAULT = (40, 64, 8.0)
+ODD = (17, 32, 8.0)
 PRESETS = ("even_cat", "odd_cat", "yurke_stoler_minus", "yurke_stoler_plus")
 EVEN_3 = (3 + 0j, 3 + 0j, *PRESET_WEIGHTS["even_cat"])
 EVEN_1 = (1 + 0j, 1 + 0j, *PRESET_WEIGHTS["even_cat"])
@@ -230,6 +233,8 @@ EDGE_CALLS = (
     ("state_from_descriptor", ({**DESCRIPTOR, "renormalize": "false"},)),
     ("state_from_descriptor", ({**DESCRIPTOR, "renormalize": 1},)),
     ("state_from_descriptor", ({**DESCRIPTOR, "renormalize": None},)),
+    ("LogScaledValue.scaled", (1, 1e308, 1e308)),
+    ("fock_chi_oracle", (EVEN_1, 0.1, 0.1, 0.0, 2**16 + 1)),
 )
 
 
@@ -253,23 +258,30 @@ def calls() -> list[tuple[str, tuple]]:
     """Every (function name, arguments) pair of the census, in order."""
     rng = random.Random(SEED + 1)
     out = []
+    odd = []
     for k, state in enumerate(_states()):
         s = rng.uniform(-1.0, 0.9)
+        odd.extend(_quadrature_calls(state, s, ODD))
         for line in ("plus", "minus", 1, 2):
             name = "build_spectrum" if isinstance(line, str) else "one_mode_coefficients"
             out.append((name, (state, s, line)))
             out.append(("eval_phase_dist", (state, s, line, PHIS)))
         for spec in (SMALL, DEFAULT) if k < len(PRESETS) else (SMALL,):
-            for branch in ("plus", "minus"):
-                out.append(("quadrature_phase_dist", (state, s, branch, PHIS, spec)))
-            for mode in (1, 2):
-                out.append(("quadrature_one_mode", (state, s, mode, PHIS, spec)))
-            out.append(("quadrature_normalization", (state, s, spec)))
+            out.extend(_quadrature_calls(state, s, spec))
         xi, eta = (_point(rng) for _ in "xe")
         s_chi = rng.uniform(-1.0, 0.4)
         for n_cut in (20, 40, 60):
             out.append(("fock_chi_oracle", (state, xi, eta, s_chi, n_cut)))
     out.extend(EDGE_CALLS)
+    out.extend(odd)
+    return out
+
+
+def _quadrature_calls(state, s: float, spec) -> list[tuple[str, tuple]]:
+    """Both phase lines and both modes at ``PHIS``, and the normalization, at ``spec``."""
+    out = [("quadrature_phase_dist", (state, s, branch, PHIS, spec)) for branch in ("plus", "minus")]
+    out += [("quadrature_one_mode", (state, s, mode, PHIS, spec)) for mode in (1, 2)]
+    out.append(("quadrature_normalization", (state, s, spec)))
     return out
 
 
