@@ -11,7 +11,8 @@ Exit status: 0 success, 2 configuration/parse errors, 3 domain errors,
 4 convergence/cutoff errors.
 
 NumPy and the oracle module are imported inside the handlers that make
-arrays, so ``coeffs`` and ``moments`` run without loading NumPy.
+arrays, so ``coeffs``, ``moments`` and ``validate`` (whose chi(0, 0) is
+taken at a point of numbers, in cmath) run without loading NumPy.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ Every module takes its general argument checks from here; each refusal is a
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
@@ -53,10 +54,10 @@ def _number(value, what: str, real: bool = True):
         raise DomainError(f"{what} is past the float range") from None
 
 
-def _finite(value, what: str) -> float:
-    """``value`` as a float once ``_number`` takes it and it is finite; else DomainError."""
-    value = _number(value, what)
-    if not math.isfinite(value):
+def _finite(value, what: str, real: bool = True):
+    """``value`` as by ``_number`` once it is finite; else DomainError."""
+    value = _number(value, what, real)
+    if not (math.isfinite(value) if real else cmath.isfinite(value)):
         raise DomainError(f"{what} must be finite, got {value!r}")
     return value
 

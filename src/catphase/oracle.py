@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -81,7 +82,12 @@ _FOCK_BOUND_TOL = 1e-6
 _N_CUT_CAP = 2**16
 # Rounding of one overlap block per unit of e^(2|amp||xi| - |xi|^2/2) (see _overlaps): four
 # times the largest ratio seen against 50-digit mpmath, |amp| <= 4.5, n_cut <= 8|amp|^2 + 40.
-_ROUNDING_SCALE = 16.0 * np.finfo(float).eps
+_ROUNDING_SCALE = 16.0 * sys.float_info.epsilon
+# Past |amp|^2 = 10 that rounding grows as |amp|^2: the columns' first coefficient
+# e^(-|amp|^2/2) and their running product up to the peak near m = |amp|^2 carry a relative
+# error of order eps |amp|^2 into every entry.  At most 0.4 eps |amp|^2 was seen against chi,
+# |amp| from 4.5 to 37.6, n_cut = 4|amp|^2 + 40; _ROUNDING_SCALE |amp|^2 / 10 is four times that.
+_ROUNDING_AMP_SQ = 10.0
 
 
 @dataclass(frozen=True)
@@ -396,8 +402,11 @@ def _overlaps(amps, xis, n_cut: int) -> np.ndarray:
     cancels too, more gently: S_N(-x) sums terms up to about e^|x| to
     e^(-x), and the P-weighted sum over k takes <amp|-amp> = e^(-2|amp|^2)
     from terms of size |c_k|^2.  Each entry's rounding therefore grows as
-    eps e^(2|amp||xi| - |xi|^2/2), at most eps e^(2|amp|^2) at |xi| = 2|amp|;
-    fock_chi_oracle adds it to its bound and refuses the trace past 1e-6.
+    eps e^(2|amp||xi| - |xi|^2/2), at most eps e^(2|amp|^2) at |xi| = 2|amp|,
+    and past |amp|^2 of about 10 also as |amp|^2, through the rounding of
+    c_0 = e^(-|amp|^2/2) and of the running product to the peak near
+    m = |amp|^2; fock_chi_oracle adds it to its bound and refuses the trace
+    past 1e-6.
     """
     cols = _coherent_columns(amps, n_cut)
     _, _, signs = _fock_tables(n_cut + 1)
@@ -445,7 +454,10 @@ def fock_chi_oracle(
     exp(s(|xi|^2+|eta|^2)/2).  A rigorous truncation bound (driven by the
     coherent tails beyond n_cut; take n_cut >= 4 max(|alpha|^2, |beta|^2) + 20
     for comfortable margins) is returned alongside, plus an estimate of the
-    contraction's rounding, which grows as eps e^(2|amp||xi| - |xi|^2/2).
+    contraction's rounding, which grows as eps e^(2|amp||xi| - |xi|^2/2),
+    and past |amp|^2 = 10 also as |amp|^2.  The two blocks are taken out of
+    _overlaps as Python complexes once, and the weighted sum, its
+    finiteness test and the blocks' largest moduli are formed in floats.
     A truncation bound above 1e-6 is a CutoffTooSmallError; a bound above
     1e-6 only with the rounding estimate is a DomainError: near the
     interference peak xi = 2 alpha that is from |alpha| of about 3.1.  ``xi``
@@ -461,6 +473,10 @@ def fock_chi_oracle(
     Where s > 0 inflates the bound past 1e-6 it is a CutoffTooSmallError.
     ``n_cut`` is an integer from 1 to 2**16, the index cap of i_n_combo; a
     larger cutoff is a DomainError, refused before anything is allocated.
+    |alpha| and |beta| go up to about 37.64: past that the coherent columns'
+    first coefficient e^(-|amp|^2/2) is not a normal float (the trace of rho
+    read 1.0349 at |alpha| = 38.5 and 0 at 40), and the amplitude is a
+    DomainError naming it, before the cutoff is checked.
     """
     n_cut = _integer(n_cut, "n_cut", 1)
     if n_cut > _N_CUT_CAP:
@@ -481,6 +497,12 @@ def fock_chi_oracle(
 
     mu, nu = state.mu, state.nu
     amps = (state.alpha, state.beta)
+    for name, amp in zip(("alpha", "beta"), amps):
+        if math.exp(-0.5 * abs(amp) ** 2) < sys.float_info.min:  # as _coherent_columns forms it
+            raise DomainError(
+                f"|{name}| = {abs(amp)!r} is past the number-basis trace's range: the coherent "
+                f"columns start from e^(-|{name}|^2/2), which is below the smallest normal float"
+            )
     n2 = normalization_constant(state) ** 2
     err_a, err_b = (2.0 * math.sqrt(_poisson_tail(abs(amp) ** 2, n_cut)) for amp in amps)
     scale = prefactor * n2 * (abs(mu) + abs(nu)) ** 2
@@ -490,24 +512,29 @@ def fock_chi_oracle(
             f"Fock truncation bound {bound:.3e} exceeds {_FOCK_BOUND_TOL:g} at "
             f"n_cut={n_cut}; increase the cutoff"
         )
-    weights = np.outer(np.conj([mu, nu]), [mu, nu])
     # A trace that leaves the float range is refused below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        overlap_a, overlap_b = _overlaps(amps, (xi, eta), n_cut)
-        value = prefactor * n2 * complex(np.sum(weights * overlap_a * overlap_b))
-    if not np.isfinite(value):
+        blocks = _overlaps(amps, (xi, eta), n_cut)
+    # Each mode's block as four Python complexes, row by row, as the weights conj(m_i) m_j.
+    entries_a, entries_b = blocks.reshape(2, 4).tolist()
+    weights = [m.conjugate() * n for m in (mu, nu) for n in (mu, nu)]
+    value = prefactor * n2 * sum(c * a * b for c, a, b in zip(weights, entries_a, entries_b))
+    if not cmath.isfinite(value):
         raise DomainError(
             f"the number-basis trace at xi={xi!r}, eta={eta!r} is not finite: the partial "
             f"sums of e^(xi* amp) at n_cut={n_cut} are past the float range there"
         )
-    # Each computed block entry is within r = _ROUNDING_SCALE e^(2|amp||xi| - |xi|^2/2)
-    # of the truncated one (see _overlaps), so a product of entries is off by at most
-    # r_a (|o_b| + r_b) + |o_a| r_b.
+    # Each computed block entry is within r = _ROUNDING_SCALE max(1, |amp|^2/10)
+    # e^(2|amp||xi| - |xi|^2/2) of the truncated one (see _overlaps), so a product of
+    # entries is off by at most r_a (|o_b| + r_b) + |o_a| r_b.
     round_a, round_b = (
-        _ROUNDING_SCALE * math.exp(min(2.0 * abs(amp) * abs(z) - 0.5 * abs(z) ** 2, 700.0))
+        _ROUNDING_SCALE
+        * max(1.0, abs(amp) ** 2 / _ROUNDING_AMP_SQ)
+        * math.exp(min(2.0 * abs(amp) * abs(z) - 0.5 * abs(z) ** 2, 700.0))
         for amp, z in zip(amps, (xi, eta))
     )
-    size_a, size_b = (float(np.max(np.abs(block))) for block in (overlap_a, overlap_b))
+    # A finite value has finite entries: an entry past the float range makes its term inf or NaN.
+    size_a, size_b = max(map(abs, entries_a)), max(map(abs, entries_b))
     bound += scale * (round_a * (size_b + round_b) + size_a * round_b)
     if not bound <= _FOCK_BOUND_TOL:
         raise DomainError(

@@ -8,13 +8,16 @@ the argument.  A finite point so far out that |xi|^2 + |eta|^2 (or
 underflow, gives exactly 0.  The ordering parameter s is a real number, not
 a bool, throughout the public API; the quasi-probability exists for s < 1
 only, with a guard band below 1 to keep the 1/(1-s) factors finite.  NumPy
-is imported on the first call, so importing this module does not load it.
+is imported on the first call that makes arrays, so importing this module
+does not load it; chi at a point of numbers runs in cmath without it.
 The argument rules are those of :mod:`catphase.errors`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 
 from .errors import DomainError, _finite, _finite_array, _require_s_below_one
 from .states import QuasiBellState, normalization_constant
@@ -56,7 +59,10 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     """s-ordered characteristic function chi(xi, eta; s), closed form.
 
     Entire in s (any real value is accepted); chi(0, 0; s) = 1.  ``xi`` and
-    ``eta`` may be complex scalars or broadcastable arrays.  The Gaussian
+    ``eta`` may be complex scalars or broadcastable arrays.  A point whose
+    xi and eta are both numbers (NumPy scalars included) is evaluated in
+    cmath, without NumPy, and returns a complex; its bits may differ from
+    the same point's entry in an array call by rounding.  The Gaussian
     factor exp(-(1-s)(|xi|^2+|eta|^2)/2) is fused into the exponent of each
     of the four terms, so no term meets an overflow where chi underflows.
     At s = 1 that factor is exactly 1, however far out the point.  A point
@@ -65,9 +71,11 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     mu nu* = 0 the interference terms add exact zeros.  A xi or eta that is
     not finite is a DomainError.
     """
+    s = _finite(s, "s")
+    if isinstance(xi, numbers.Number) and isinstance(eta, numbers.Number):
+        return _chi_point(state, _finite(xi, "xi", False), _finite(eta, "eta", False), s)
     import numpy as np
 
-    s = _finite(s, "s")
     xi = _finite_array(xi, complex, "xi")
     eta = _finite_array(eta, complex, "eta")
     scalar = xi.ndim == 0 and eta.ndim == 0
@@ -79,39 +87,58 @@ def chi(state: QuasiBellState, xi, eta, s: float):
             gauss = -0.5 * (1.0 - s) * rsq
         else:  # and grows (s > 1) or keeps a unit Gaussian factor (s = 1)
             gauss = -0.5 * (1.0 - s) * (np.abs(xi) ** 2 + np.abs(eta) ** 2) if s > 1.0 else -0.0
-        out = _chi_terms(state, xi, eta, gauss)
+        out = _chi_terms(state, xi, eta, gauss, np.exp)
     finite = np.isfinite(out)
     if not (finite.all() if finite.ndim else finite):
         xi, eta = (np.broadcast_to(a, out.shape)[~finite][0].item() for a in (xi, eta))
-        raise OverflowError(
-            f"a term of chi passes the float range at xi = {xi!r}, eta = {eta!r}, s = {s!r}"
-        )
+        raise _term_past_range(xi, eta, s)
     if far is not None:
         out = np.where(far, 0j, out)
     return complex(out) if scalar else out
 
 
-def _chi_terms(state: QuasiBellState, xi, eta, gauss):
+def _chi_point(state: QuasiBellState, xi: complex, eta: complex, s: float) -> complex:
+    """chi at one finite point, the array route's steps on Python numbers in cmath."""
+    rsq = abs(xi) * abs(xi) + abs(eta) * abs(eta)  # inf past the float range, as NumPy's square
+    if s < 1.0 and rsq == math.inf:
+        return 0j  # chi underflows there (see _clear_far)
+    gauss = -0.5 * (1.0 - s) * rsq if s != 1.0 else -0.0
+    try:
+        out = _chi_terms(state, xi, eta, gauss, cmath.exp)
+    except OverflowError:  # a real exponent past the float range, which np.exp takes to inf
+        out = math.inf
+    if not cmath.isfinite(out):
+        raise _term_past_range(xi, eta, s)
+    return out
+
+
+def _term_past_range(xi: complex, eta: complex, s: float) -> OverflowError:
+    return OverflowError(
+        f"a term of chi passes the float range at xi = {xi!r}, eta = {eta!r}, s = {s!r}"
+    )
+
+
+def _chi_terms(state: QuasiBellState, xi, eta, gauss, exp):
     """N^2 times chi's four terms, each with the Gaussian exponent ``gauss`` fused in.
 
-    Where mu nu* = 0 the interference terms are signed zeros whatever their
-    exponent, so h is dropped from it: e^(gauss - 2(|alpha|^2+|beta|^2)) is
-    finite wherever e^gauss, the modulus of the other two terms, is, and
-    0 * inf cannot arise.
+    ``exp`` is cmath.exp for a point of Python numbers and np.exp for
+    arrays.  Where mu nu* = 0 the interference terms are signed zeros
+    whatever their exponent, so h is dropped from it:
+    e^(gauss - 2(|alpha|^2+|beta|^2)) is finite wherever e^gauss, the
+    modulus of the other two terms, is, and 0 * inf cannot arise.
     """
-    import numpy as np
-
-    alpha, beta, mu, nu = state.alpha, state.beta, state.mu, state.nu
+    mu, nu = state.mu, state.nu
     asq = state.amplitude_sq_sum
     cross = state.weight_overlap  # mu nu*
     # xi alpha* - xi* alpha is purely imaginary; xi alpha* + xi* alpha is real.
-    g = 2j * ((xi * np.conj(alpha)).imag + (eta * np.conj(beta)).imag)
-    h = 2.0 * ((xi * np.conj(alpha)).real + (eta * np.conj(beta)).real) if cross else 0.0
+    xa, eb = xi * state.alpha.conjugate(), eta * state.beta.conjugate()
+    g = 2j * (xa.imag + eb.imag)
+    h = 2.0 * (xa.real + eb.real) if cross else 0.0
     return normalization_constant(state) ** 2 * (
-        abs(mu) ** 2 * np.exp(gauss + g)
-        + abs(nu) ** 2 * np.exp(gauss - g)
-        + np.conj(cross) * np.exp(gauss + h - 2.0 * asq)
-        + cross * np.exp(gauss - h - 2.0 * asq)
+        abs(mu) ** 2 * exp(gauss + g)
+        + abs(nu) ** 2 * exp(gauss - g)
+        + cross.conjugate() * exp(gauss + h - 2.0 * asq)
+        + cross * exp(gauss - h - 2.0 * asq)
     )
 
 

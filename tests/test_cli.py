@@ -865,9 +865,13 @@ _NUMPY_FREE = textwrap.dedent(
         ["coeffs", "--branch", "minus", "--s", "0.4"],
         ["coeffs", "--mode", "1", "--preset", "yurke_stoler_plus"],
         ["moments", "--n", "2", "--phi0", "0.3", "--s", "0.9"],
+        ["validate", "--preset", "odd_cat", "--alpha", "1.2", "0.3", "--s", "0.7"],
     ):
         run(*argv)
         assert "numpy" not in sys.modules, argv
+    state = catphase.make_preset("even_cat", 1.0, 0.5j)
+    assert isinstance(catphase.chi(state, 0.3 + 0.1j, -0.2j, 0.4), complex)
+    assert "numpy" not in sys.modules
     assert "n_used=" in run("phase-dist", "--n-phi", "5")
     assert "numpy" in sys.modules
     assert catphase.quadrature_normalization is catphase.oracle.quadrature_normalization

@@ -42,9 +42,8 @@ from catphase.oracle import (
     _poisson_tail,
     _rules,
 )
-from catphase.states import _unit_weights
 
-from conftest import PRESETS, preset_state
+from conftest import BOX_POINTS, BOX_STATES, PRESETS, preset_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,25 +264,9 @@ class TestSeparableIntegrand:
         self._assert_close(pairs)
 
 
-# Random states in the validated box: any amplitude phases, renormalized
-# complex weights, |alpha|, |beta| <= sqrt(3).
-_BOX_AMPLITUDES = st.builds(
-    cmath.rect, st.floats(0.0, math.sqrt(3.0)), st.floats(-math.pi, math.pi)
-)
-_ANY_WEIGHT = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
-_RANDOM_STATES = st.builds(
-    lambda alpha, beta, mu, nu: QuasiBellState(alpha, beta, *_unit_weights(mu, nu)),
-    _BOX_AMPLITUDES,
-    _BOX_AMPLITUDES,
-    _ANY_WEIGHT.filter(lambda z: abs(z) > 1e-3),
-    _ANY_WEIGHT,
-)
-_BOX_POINTS = st.builds(cmath.rect, st.floats(0.0, 2.0), st.floats(-math.pi, math.pi))
-
-
 class TestRandomStates:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(state=_RANDOM_STATES, xi=_BOX_POINTS, eta=_BOX_POINTS, s=st.floats(-1.0, 0.4))
+    @given(state=BOX_STATES, xi=BOX_POINTS, eta=BOX_POINTS, s=st.floats(-1.0, 0.4))
     def test_fock_trace_matches_chi(self, state, xi, eta, s):
         # |xi|, |eta| <= 2 and s in [-1, 0.4], as in validate.
         with warnings.catch_warnings():
@@ -292,7 +275,7 @@ class TestRandomStates:
             assert abs(traced.value - chi(state, xi, eta, s)) < 1e-8
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(state=_RANDOM_STATES, xi=_BOX_POINTS, eta=_BOX_POINTS)
+    @given(state=BOX_STATES, xi=BOX_POINTS, eta=BOX_POINTS)
     def test_overlaps_match_mpmath(self, state, xi, eta):
         # Both modes in one batch, at the cutoff validate uses.
         amps = (state.alpha, state.beta)
@@ -326,7 +309,32 @@ class TestRandomStates:
             assert abs(traced.value - chi(state, xi, 0.3, 0.0)) <= traced.bound + 1e-12
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(state=_RANDOM_STATES, s=st.floats(-1.0, 0.97), n_radial=st.sampled_from([16, 17]))
+    @given(
+        r=st.floats(4.5, 37.64),
+        angle=st.floats(-math.pi, math.pi),
+        stretch=st.floats(0.0, 3.0),
+        xi_angle=st.floats(-math.pi, math.pi),
+        kind=st.sampled_from(PRESETS),
+    )
+    def test_bound_covers_the_columns_rounding_up_to_the_normal_floor(
+        self, r, angle, stretch, xi_angle, kind
+    ):
+        # Up to |alpha| = 37.64, where the columns' first coefficient
+        # e^(-|alpha|^2/2) is still a normal float, with the advised cutoff and
+        # |xi| <= 3/|alpha|.  Their relative rounding grows as eps |alpha|^2; at
+        # |alpha| = 37.6, xi = 0 a 16 eps bound was off by 7 times.
+        state = QuasiBellState(cmath.rect(r, angle), 0.5j, *_weights(kind))
+        xi = cmath.rect(stretch / r, xi_angle)
+        n_cut = int(4.0 * r * r) + 40
+        try:
+            traced = fock_chi_oracle(state, xi, 0.3, 0.0, n_cut=n_cut)
+        except DomainError as error:
+            assert "rounding estimate" in str(error)
+        else:
+            assert abs(traced.value - chi(state, xi, 0.3, 0.0)) <= traced.bound
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(state=BOX_STATES, s=st.floats(-1.0, 0.97), n_radial=st.sampled_from([16, 17]))
     def test_factors_rebuild_w(self, state, s, n_radial):
         # Both angles on the angular nodes, gamma on axes 0-1 and delta on axes 2-3.
         spec = QuadratureSpec(n_radial=n_radial, n_angular=32)
@@ -370,7 +378,7 @@ class TestJointCoefficients:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
-        state=_RANDOM_STATES,
+        state=BOX_STATES,
         s=st.floats(-1.0, 0.4),
         phis=st.lists(
             st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
@@ -479,7 +487,7 @@ class TestAgainstBruteForce:
         assert max(self._deviations(state, s, self.ODD_SPEC)) <= 1e-14
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(state=_RANDOM_STATES, s=st.floats(-1.0, 0.4), odd=st.booleans())
+    @given(state=BOX_STATES, s=st.floats(-1.0, 0.4), odd=st.booleans())
     def test_random_states_in_the_validated_box(self, state, s, odd):
         # validate's box: |alpha|, |beta| <= sqrt(3), any phases and weights, s <= 0.4.
         # W's interference terms reach N^2 |mu nu| e^(2s(|alpha|^2+|beta|^2)/(1-s)) times
@@ -703,6 +711,25 @@ class TestFockChiOracle:
         # Away from the peak the same state is traced to within 1e-8 of chi.
         traced = fock_chi_oracle(state, 0.5, 0.1, 0.0, n_cut=84)
         assert abs(traced.value - chi(state, 0.5, 0.1, 0.0)) < 1e-8
+
+    @pytest.mark.parametrize("amp", [37.3, 37.6, 37.64])
+    def test_trace_of_rho_within_its_bound_below_the_normal_floor(self, amp):
+        state = make_preset("even_cat", amp, 0.5)
+        traced = fock_chi_oracle(state, 0.0, 0.0, 0.0, n_cut=int(4.0 * amp * amp) + 40)
+        assert abs(traced.value - 1.0) <= traced.bound
+
+    @pytest.mark.parametrize("amp", [37.7, 38.5, 40.0])
+    @pytest.mark.parametrize("mode", ["alpha", "beta"])
+    def test_amplitude_past_the_normal_floor_is_refused(self, amp, mode):
+        # e^(-|alpha|^2/2) is subnormal from |alpha| = 37.65 and 0 near 38.6: the
+        # trace of rho was off by 3.7e-14 at 37.7 (bound 1.4e-14), read 1.0349 at
+        # 38.5 and exactly 0 at 40.  The refusal comes before the cutoff's.
+        amps = {"alpha": 0.5, "beta": 0.5, mode: amp}
+        state = make_preset("even_cat", amps["alpha"], amps["beta"])
+        refusal = rf"^\|{mode}\| = {amp!r} is past the number-basis trace's range: "
+        for n_cut in (int(4.0 * amp * amp) + 40, 40):
+            with pytest.raises(DomainError, match=refusal):
+                fock_chi_oracle(state, 0.0, 0.0, 0.0, n_cut=n_cut)
 
     def test_bound_decreases_with_cutoff(self):
         state = preset_state("even_cat", 1.4)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catphase import (
     DomainError,
@@ -30,7 +32,7 @@ from catphase import (
     wrap_angle,
 )
 
-from conftest import preset_state
+from conftest import BOX_POINTS, BOX_STATES, preset_state
 
 
 def chi_complex_s(state, xi, eta, s):
@@ -175,6 +177,88 @@ class TestChiComplexS:
             lhs = chi_complex_s(state, xi, eta, s).conjugate()
             rhs = chi_complex_s(state, -xi, -eta, s.conjugate())
             assert lhs == pytest.approx(rhs, abs=1e-13)
+
+
+def _rounding_scale(state, xi, eta, s):
+    """The sum over chi's four terms of |term| (1 + |exponent|).
+
+    The scalar and array routes round each exponent differently (NumPy's
+    complex modulus and product are not CPython's), and an exponent E off by
+    eps |E| moves its term by eps |E| |term|.
+    """
+    gauss = -0.5 * (1.0 - s) * (abs(xi) ** 2 + abs(eta) ** 2)
+    along = xi * state.alpha.conjugate() + eta * state.beta.conjugate()
+    g, h = 2.0 * along.imag, 2.0 * along.real
+    asq = state.amplitude_sq_sum
+    terms = [
+        (abs(state.mu) ** 2, complex(gauss, g)),
+        (abs(state.nu) ** 2, complex(gauss, -g)),
+        (abs(state.weight_overlap), complex(gauss + h - 2.0 * asq)),
+        (abs(state.weight_overlap), complex(gauss - h - 2.0 * asq)),
+    ]
+    total = sum(weight * math.exp(e.real) * (1.0 + abs(e)) for weight, e in terms)
+    return normalization_constant(state) ** 2 * total
+
+
+class TestScalarRoute:
+    """A point of numbers runs in cmath, and agrees with a one-element array call."""
+
+    STATE = make_preset("odd_cat", 1.0, 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(state=BOX_STATES, xi=BOX_POINTS, eta=BOX_POINTS, s=st.floats(-3.0, 3.0))
+    def test_matches_a_one_element_array(self, state, xi, eta, s):
+        got = chi(state, xi, eta, s)
+        entry = chi(state, np.array([xi]), np.array([eta]), s)[0]
+        assert type(got) is complex
+        assert abs(got - entry) <= 8.0 * np.finfo(float).eps * _rounding_scale(state, xi, eta, s)
+
+    def test_numpy_scalars_take_the_scalar_route(self):
+        xi, eta = np.float32(0.3), np.complex64(0.2 - 0.1j)
+        got = chi(self.STATE, xi, eta, np.float64(0.4))
+        assert type(got) is complex
+        assert got == chi(self.STATE, float(xi), complex(eta), 0.4)
+
+    @pytest.mark.parametrize(
+        "xi,eta,s",
+        [
+            (True, 0.2, 0.0),
+            (0.1, np.True_, 0.0),
+            ("0.1", 0.2, 0.0),
+            (0.1, None, 0.0),
+            (math.nan, 0.2, 0.0),
+            (0.1, complex(0.3, -math.inf), 0.0),
+            (10**400, 0.2, 0.0),
+            (0.1, -(10**400), 0.0),
+            # A term past the float range: cmath's own OverflowError, near s = 1
+            # and at s >= 1, is chi's.
+            (2e6, 0, 0.999999),
+            (1e200, 0, 1.0),
+            (1e200, 0, 2.0),
+            (30.0, 0, 3.0),
+            (1.0, 0, 1e308),
+        ],
+    )
+    def test_refusals_match_a_one_element_array(self, xi, eta, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Exception) as scalar:
+                chi(self.STATE, xi, eta, s)
+            with pytest.raises(Exception) as array:
+                chi(self.STATE, [xi], [eta], s)
+        assert type(scalar.value) is type(array.value)
+        assert str(scalar.value) == str(array.value)
+
+    @pytest.mark.parametrize(
+        "xi,eta,s", [(1e200, 0, 0.0), (1e154, 1e154j, -2.0), (0.3, 1e300, 0.9)]
+    )
+    def test_far_point_is_an_exact_zero_on_both_routes(self, xi, eta, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chi(self.STATE, xi, eta, s)
+            array = chi(self.STATE, [xi], [eta], s)
+        assert type(got) is complex
+        assert np.array([got]).tobytes() == array.tobytes() == np.array([0j]).tobytes()
 
 
 class TestW:

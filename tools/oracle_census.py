@@ -21,7 +21,8 @@ complex weights on the unit sphere):
 then ``EDGE_CALLS``: refusals and the values next to them (W past the float
 range, a radius whose square is not finite, s far below 0 or at 1, phi not
 finite, a bool s, a Fock cutoff too small, a trace past the float range or
-lost to rounding, a spectrum that does not converge by n_max); and the
+lost to rounding, an amplitude whose coherent columns start below the
+smallest normal float, a spectrum that does not converge by n_max); and the
 argument rules: a value and the refusals of a number that is not finite, a
 bool and a string, in ``chi``, ``w``, ``w_symmetrized``, ``trig_moments``,
 ``phase_mean_var``, the special functions, ``LogScaledValue.from_value`` and
@@ -235,6 +236,10 @@ EDGE_CALLS = (
     ("state_from_descriptor", ({**DESCRIPTOR, "renormalize": None},)),
     ("LogScaledValue.scaled", (1, 1e308, 1e308)),
     ("fock_chi_oracle", (EVEN_1, 0.1, 0.1, 0.0, 2**16 + 1)),
+    # Past |alpha| = 37.64 the coherent columns' e^(-|alpha|^2/2) is not a normal float.
+    ("fock_chi_oracle", ((37.7 + 0j, 0.5 + 0j, *PRESET_WEIGHTS["even_cat"]), 0j, 0j, 0.0, 5725)),
+    ("fock_chi_oracle", ((38.5 + 0j, 0.5 + 0j, *PRESET_WEIGHTS["even_cat"]), 0j, 0j, 0.0, 5969)),
+    ("fock_chi_oracle", ((40.0 + 0j, 0.5 + 0j, *PRESET_WEIGHTS["even_cat"]), 0j, 0j, 0.0, 6440)),
 )
 
 
