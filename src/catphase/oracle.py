@@ -283,6 +283,13 @@ def quadrature_phase_dist(
     phi_gamma = (phi_plus - phi_minus)/2 = a_j/2 for every phi (mode 1's sums
     are taken once) and phi_delta = phi -+ a_j/2.  ``phi`` may be a scalar or
     an array of any shape; a phi that is not finite is a DomainError.
+
+    phi is first reduced modulo the float 2pi (``np.mod``): unreduced, the
+    node angles phi -+ a_j/2 would round at ulp(phi).  The reduction carries
+    about |phi| 3.9e-17 rad, so at large |phi| this oracle is off the series,
+    which is taken at the exact offset, by that angle times the density's
+    slope: up to 4.2e-12 at phi = 0.3 + 1e6 and 2.1e-5 at 0.3 + 1e12 for the
+    odd cat, |alpha| = |beta| = 1, s = 0.3.
     """
     sign = _branch_sign(branch)
     s = _require_s_below_one(s)

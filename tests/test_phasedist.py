@@ -29,6 +29,7 @@ from catphase import (
     normalization_constant,
     one_mode_coefficients,
     phase_mean_var,
+    quadrature_one_mode,
     quadrature_phase_dist,
     trig_moments,
     wrap_angle,
@@ -237,8 +238,8 @@ class TestEvalPhaseDist:
 
     def test_one_mode_series_matches_mpmath(self):
         # Mode 1 of this state at s = 0.9 and 0.97 sums 108 and 286 terms;
-        # the reference is taken at the evaluator's own wrapped offset, so
-        # only the summation is checked, at 2e-15 of the density's scale.
+        # the reference is taken at the evaluator's own offset phi - phi_ref,
+        # so only the summation is checked, at 2e-15 of the density's scale.
         state = QuasiBellState(1.3, 0.9, 0.6, 0.8)
         offsets = np.linspace(-math.pi, math.pi, 40, endpoint=False) + 0.1
         with mpmath.workdps(30):
@@ -252,7 +253,7 @@ class TestEvalPhaseDist:
                     + 2.0 * np.sum(np.abs(spectrum.sin_coeffs))
                 ) / TWO_PI
                 for phi, value in zip(phis, got):
-                    delta = mpmath.mpf(wrap_angle(phi - spectrum.phi_ref))
+                    delta = mpmath.mpf(phi - spectrum.phi_ref)
                     total = 1 + 2 * mpmath.fsum(
                         mpmath.mpf(c) * mpmath.cos(n * delta)
                         + mpmath.mpf(d) * mpmath.sin(n * delta)
@@ -268,6 +269,38 @@ class TestEvalPhaseDist:
         assert arr.shape == (3,)
         for k, p in enumerate(phis):
             assert arr[k] == eval_phase_dist(spectrum, float(p))
+
+
+# Real amplitudes give phi_ref = 0, so the float phi is the series' exact offset.
+_LARGE_OFFSETS = [0.3 + 10.0**k for k in range(13)]
+
+
+class TestLargeOffsets:
+    STATE = make_preset("odd_cat", 1.0, 1.0)
+    S = 0.3
+
+    @pytest.mark.parametrize("mode", [1, 2])
+    @pytest.mark.parametrize("phi", _LARGE_OFFSETS)
+    def test_one_mode_matches_its_quadrature_oracle(self, mode, phi):
+        # The oracle takes the mode's own angle phi as it is, unreduced.
+        spectrum = one_mode_coefficients(self.STATE, self.S, mode)
+        got = eval_one_mode_dist(spectrum, phi)
+        assert abs(got - quadrature_one_mode(self.STATE, self.S, mode, phi)) <= 1e-13
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("phi", _LARGE_OFFSETS)
+    def test_branch_series_matches_mpmath_at_the_float_offset(self, branch, phi):
+        spectrum = build_spectrum(self.STATE, self.S, branch)
+        assert spectrum.phi_ref == 0.0
+        scale = (1.0 + 2.0 * np.sum(np.abs(spectrum.cos_coeffs))) / TWO_PI
+        with mpmath.workdps(30):
+            delta = mpmath.mpf(phi)
+            total = 1 + 2 * mpmath.fsum(
+                mpmath.mpf(c) * mpmath.cos(n * delta)
+                for n, c in enumerate(spectrum.cos_coeffs, start=1)
+            )
+            want = float(total / (2 * mpmath.pi))
+        assert abs(eval_phase_dist(spectrum, phi) - want) <= 2e-15 * scale
 
 
 class TestPhaseCovariance:
