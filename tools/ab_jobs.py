@@ -1,24 +1,26 @@
 """Interleaved A/B timing of two checkouts on one perfbench job stream.
 
 Starts one worker process per checkout.  Each imports that checkout's
-``src/catphase`` and the job bodies of ``perfbench/jobs.py`` beside this
-tool, and draws the same seeded stream, ``jobs.job_stream(workload, seed)``.
-This process then has the two workers run the stream in alternating blocks
-(A then B, then B then A, ...), so both sides see the same jobs and the same
-stretches of machine speed.  Each job is timed alone with ``perf_counter``
-around ``jobs.run_job``, and checked afterwards, outside the timing, with
-``jobs.check_job``; a job that raises or fails its check counts as failed.
-Each worker runs ``jobs.warmup_job`` once before its first block.
+``src/catphase``, then ``perfbench/jobs.py`` and ``perfbench/worker.py``
+beside this tool, and draws the same seeded stream,
+``jobs.job_stream(workload, seed)``.  This process then has the two workers
+run the stream in alternating blocks of ``BLOCK`` jobs (A then B, then B
+then A, ...), so both sides see the same jobs and the same stretches of
+machine speed.  Each job is timed and judged by perfbench's own
+``worker.Workload``: timed alone with ``perf_counter`` around
+``jobs.run_job``, then checked with ``jobs.check_job`` outside the timing;
+a job that raises or fails its check counts as failed.  Each worker runs
+``jobs.warmup_job`` once before its first block.
 
-It reports for each side the jobs run, failed and refused, jobs/s (passed
-jobs over the summed job times), and the job-time p50 and p90 (linear
-percentiles, as perfbench's), and the ratios B/A.  Run A against A as a
-control: its ratios show what the box's noise alone reads.
+It reports for each side the jobs run, failed and refused, and perfbench's
+timing metrics (``worker._timing_metrics``: jobs/s over the summed job
+times, job-time p50 and p90), raw and not probe-scaled, and the ratios B/A.
+Run A against A as a control: its ratios show what the box's noise alone
+reads.
 
 Usage, from the repository root (0 if no job failed on either side):
 
-    python tools/ab_jobs.py A_ROOT B_ROOT --workload sweep --seed 71 \\
-        --jobs 4000 --block 25
+    python tools/ab_jobs.py A_ROOT B_ROOT --workload sweep --seed 71 --jobs 4000
 
 Only ``sweep`` and ``validate`` run in process; ``cli`` jobs start a
 subprocess each and are left to perfbench.
@@ -27,57 +29,51 @@ subprocess each and are left to perfbench.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
-import statistics
 import subprocess
 import sys
-import time
+from itertools import islice
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = ("sweep", "validate")
-
-
-def _percentile(values: list[float], q: int) -> float:
-    """numpy.percentile's default (linear) percentile, q a whole percent."""
-    if len(values) == 1:
-        return values[0]
-    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
+BLOCK = 25  # jobs per alternating block
+METRICS = ("jobs_per_s", "job_s_p50", "job_s_p90")
 
 
 def _serve(src: str, workload: str, seed: int) -> None:
-    """Worker loop: read a block size per stdin line, answer one JSON line per block."""
-    sys.path[:0] = [str(Path(src).resolve()), str(PERFBENCH)]
-    import jobs  # noqa: E402  (perfbench/jobs.py, on the path just set)
-
+    """Worker loop: run a block of jobs per stdin line, then print the side's summary."""
+    sys.path.insert(0, str(Path(src).resolve()))
     import catphase
 
     if Path(catphase.__file__).resolve().parents[1] != Path(src).resolve():
         raise SystemExit(f"catphase loaded from {catphase.__file__}, not from {src}")
+    # worker.py puts its own tree's src on the path; catphase is loaded already.
+    sys.path.insert(0, str(PERFBENCH))
+    import jobs  # noqa: E402  (perfbench's, read-only)
+    import worker  # noqa: E402
+
+    wl = worker.Workload(workload, jobs)
+    wl.run(jobs.warmup_job(workload))
     stream = jobs.job_stream(workload, seed)
-    jobs.run_job(jobs.warmup_job(workload))
+    times, statuses = [], []
     for line in sys.stdin:
-        times, failures, refused = [], [], 0
-        for _ in range(int(line)):
-            job = next(stream)
-            start = time.perf_counter()
-            try:
-                result = jobs.run_job(job)
-            except Exception as exc:  # a raising job fails; its type is reported
-                times.append(time.perf_counter() - start)
-                failures.append(f"{type(exc).__name__}: {exc}")
-                continue
-            times.append(time.perf_counter() - start)
-            try:
-                why = jobs.check_job(job, result)
-            except Exception as exc:  # a check that cannot read the output fails the job
-                why = f"check raised {type(exc).__name__}: {exc}"
-            if why is not None:
-                failures.append(why)
-            elif jobs.refused_status(job, result):
-                refused += 1
-        print(json.dumps({"times": times, "failures": failures, "refused": refused}), flush=True)
+        for job in islice(stream, int(line)):
+            latency, result = wl.run(job)
+            times.append(latency)
+            statuses.append(wl.judge(job, result))
+        print(flush=True)  # block done
+    passed = sum(not status.startswith("failed") for status in statuses)
+    summary = {
+        "jobs": len(statuses),
+        "failed": len(statuses) - passed,
+        "refused": sum(status.startswith("refused") for status in statuses),
+        **worker._timing_metrics(times, passed),
+        "failures": wl.failures[:5],
+    }
+    print(json.dumps(summary), flush=True)
 
 
 def _start(root: str, workload: str, seed: int) -> subprocess.Popen:
@@ -88,53 +84,41 @@ def _start(root: str, workload: str, seed: int) -> subprocess.Popen:
     return subprocess.Popen(cmd, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
 
-def _block(proc: subprocess.Popen, n: int) -> dict:
-    proc.stdin.write(f"{n}\n")
-    proc.stdin.flush()
+def _died(proc: subprocess.Popen) -> RuntimeError:
+    return RuntimeError(f"worker {proc.args[3]} exited {proc.wait()}")
+
+
+def _block(proc: subprocess.Popen, n: int) -> None:
+    with contextlib.suppress(BrokenPipeError):  # a dead worker is reported below
+        proc.stdin.write(f"{n}\n")
+        proc.stdin.flush()
+    if not proc.stdout.readline():
+        raise _died(proc)
+
+
+def _finish(proc: subprocess.Popen) -> dict:
+    proc.stdin.close()
     line = proc.stdout.readline()
     if not line:
-        raise RuntimeError(f"worker {proc.args[3]} exited {proc.wait()}")
+        raise _died(proc)
     return json.loads(line)
 
 
-def _summary(record: dict) -> dict:
-    times = record["times"]
-    passed = len(times) - len(record["failures"])
-    return {
-        "jobs": len(times),
-        "failed": len(record["failures"]),
-        "refused": record["refused"],
-        "jobs_per_s": passed / sum(times),
-        "job_s_p50": _percentile(times, 50),
-        "job_s_p90": _percentile(times, 90),
-        "failures": record["failures"][:5],
-    }
-
-
-def run(a_root: str, b_root: str, workload: str, seed: int, n_jobs: int, block: int) -> dict:
+def run(a_root: str, b_root: str, workload: str, seed: int, n_jobs: int) -> dict:
     """Both sides' summaries, and B/A for jobs/s, p50 and p90."""
     procs = {side: _start(root, workload, seed) for side, root in (("A", a_root), ("B", b_root))}
-    records = {side: {"times": [], "failures": [], "refused": 0} for side in procs}
     try:
-        done = 0
-        for k in range(-(-n_jobs // block)):
-            n = min(block, n_jobs - done)
+        for k, done in enumerate(range(0, n_jobs, BLOCK)):
             for side in ("A", "B") if k % 2 == 0 else ("B", "A"):
-                out = _block(procs[side], n)
-                for name in ("times", "failures"):
-                    records[side][name] += out[name]
-                records[side]["refused"] += out["refused"]
-            done += n
+                _block(procs[side], min(BLOCK, n_jobs - done))
+        report = {side: _finish(proc) for side, proc in procs.items()}
     finally:
         for proc in procs.values():
-            proc.stdin.close()
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
             proc.stdout.close()
             proc.wait(timeout=60)
-    report = {side: _summary(record) for side, record in records.items()}
-    report["B/A"] = {
-        name: report["B"][name] / report["A"][name]
-        for name in ("jobs_per_s", "job_s_p50", "job_s_p90")
-    }
+    report["B/A"] = {name: report["B"][name] / report["A"][name] for name in METRICS}
     return report
 
 
@@ -149,9 +133,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, default="sweep")
     parser.add_argument("--seed", type=int, default=71)
     parser.add_argument("--jobs", type=int, default=4000, help="jobs per side")
-    parser.add_argument("--block", type=int, default=25, help="jobs per alternating block")
     args = parser.parse_args(argv)
-    report = run(args.a_root, args.b_root, args.workload, args.seed, args.jobs, args.block)
+    report = run(args.a_root, args.b_root, args.workload, args.seed, args.jobs)
     print(json.dumps(report, indent=2))
     return 1 if report["A"]["failed"] or report["B"]["failed"] else 0
 
