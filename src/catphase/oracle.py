@@ -33,8 +33,11 @@ small bounded cache: the Gauss-Legendre rule per radial node count, and per
 Fock cutoff the integers, their square roots and the signs.  Nothing that
 depends on the state is cached.
 
-Node sums use NumPy's pairwise summation on fixed shapes, so results are
-bit-stable across runs for a fixed spec.
+Each radial sum is one einsum contraction over the radial nodes, which
+takes no BLAS path, so each output's summation order depends only on the
+radial node count: results are bit-stable across runs for a fixed spec and
+do not depend on how many phases are asked for, or in what shape.  The
+angular sums use NumPy's pairwise summation on fixed shapes.
 """
 
 from __future__ import annotations
@@ -118,6 +121,9 @@ class QuadratureSpec:
             raise ValueError(f"radial_cutoff_sigma must be positive, got {sigma!r}")
 
 
+_DEFAULT_SPEC = QuadratureSpec()
+
+
 def _read_only(*arrays):
     for array in arrays:
         array.flags.writeable = False
@@ -143,7 +149,7 @@ def _rules(state: QuasiBellState, s: float, spec: QuadratureSpec | None):
     so one W at the innermost radial node pair raises quasiprob's
     OverflowError exactly when W (or W_sym) on the whole node grid would.
     """
-    spec = spec or QuadratureSpec()
+    spec = spec or _DEFAULT_SPEC
     radius = max(abs(state.alpha), abs(state.beta)) + spec.radial_cutoff_sigma * math.sqrt(
         (1.0 - s) / 2.0
     )
@@ -173,7 +179,8 @@ def _radial_sums(amp: complex, r, rw, angles, s: float, log_gauss: float, log_in
 
     The Gaussians are formed node by node in one buffer, from the radii and
     the along parts scaled by k = sqrt(2/(1-s)) once on their own axes, as
-    e^(log_gauss - 2 across^2/(1-s) - (k r -+ k along)^2).  The interference
+    e^(log_gauss - 2 across^2/(1-s) - (k r -+ k along)^2), and both are
+    contracted with rw in one einsum.  The interference
     modulus depends on r alone: with a_i the radial weight times it at node
     i and theta_i = 4 r_i across/(1-s), its part is sum_i a_i e^(i theta_i).
     The Gauss-Legendre radii are symmetric, r_(n-1-i) = R - r_i with
@@ -185,9 +192,12 @@ def _radial_sums(amp: complex, r, rw, angles, s: float, log_gauss: float, log_in
 
     an odd n adds its middle node, at theta = T/2, to the first sum with its
     own phase.  One cosine and one sine of each inner phase serve both sums,
-    which are taken in real arithmetic.  The inner nodes, where the modulus
-    peaks, keep their phases as formed; only the outer nodes, where it is
-    smallest, take theirs through T.
+    which are taken in real arithmetic: each of the four is one einsum of
+    the cosines or sines against a_i or b_i, with no product array formed.
+    The inner nodes, where the modulus peaks, keep their phases as formed;
+    only the outer nodes, where it is smallest, take theirs through T.
+    einsum is called without ``optimize``, so it takes no BLAS path, whose
+    rounding would depend on the shape of the angle axes.
     """
     one_minus = 1.0 - s
     scale = math.sqrt(2.0 / one_minus)
@@ -202,8 +212,7 @@ def _radial_sums(amp: complex, r, rw, angles, s: float, log_gauss: float, log_in
     np.square(gauss, out=gauss)
     np.subtract(rest, gauss, out=gauss)
     np.exp(gauss, out=gauss)
-    np.multiply(gauss, rw, out=gauss)
-    gauss_minus, gauss_plus = np.sum(gauss, axis=-1)
+    gauss_minus, gauss_plus = np.einsum("...i,i->...", gauss, rw)
 
     weights = rw * np.exp(log_interf + 2.0 * (s * abs(amp) ** 2 - r**2) / one_minus)
     upper = r.size // 2
@@ -212,9 +221,9 @@ def _radial_sums(amp: complex, r, rw, angles, s: float, log_gauss: float, log_in
     cos = np.cos(theta)
     sin = np.sin(theta, out=theta)
     inner, mirrored = weights[:lower], weights[::-1][:upper]  # a_i and b_i = a_(n-1-i)
-    real, imag = np.sum(cos * inner, axis=-1), np.sum(sin * inner, axis=-1)
-    real_up = np.sum(cos[..., :upper] * mirrored, axis=-1)
-    imag_up = np.sum(sin[..., :upper] * mirrored, axis=-1)
+    real, imag = np.einsum("...i,i->...", cos, inner), np.einsum("...i,i->...", sin, inner)
+    real_up = np.einsum("...i,i->...", cos[..., :upper], mirrored)
+    imag_up = np.einsum("...i,i->...", sin[..., :upper], mirrored)
     turn = across[..., 0] * (4.0 * (r[0] + r[-1]) / one_minus)
     cos_turn, sin_turn = np.cos(turn), np.sin(turn)
     interference = np.empty(turn.shape, dtype=complex)
@@ -284,18 +293,20 @@ def quadrature_phase_dist(
     are taken once) and phi_delta = phi -+ a_j/2.  ``phi`` may be a scalar or
     an array of any shape; a phi that is not finite is a DomainError.
 
-    phi is first reduced modulo the float 2pi (``np.mod``): unreduced, the
-    node angles phi -+ a_j/2 would round at ulp(phi).  The reduction carries
-    about |phi| 3.9e-17 rad, so at large |phi| this oracle is off the series,
-    which is taken at the exact offset, by that angle times the density's
-    slope: up to 4.2e-12 at phi = 0.3 + 1e6 and 2.1e-5 at 0.3 + 1e12 for the
-    odd cat, |alpha| = |beta| = 1, s = 0.3.
+    phi is first reduced to [-pi, pi] as arctan2(sin phi, cos phi):
+    unreduced, the node angles phi -+ a_j/2 would round at ulp(phi).  The
+    sine and cosine reduce their argument exactly, so the reduced angle is
+    within about 2e-16 rad of the exact phi modulo 2pi at any offset, and
+    the oracle agrees with the series, which is taken at the exact offset, to
+    about 4e-15 up to phi = 0.3 + 1e12 (odd cat, |alpha| = |beta| = 1,
+    s = 0.3).  A reduction modulo the float 2pi would carry |phi| 3.9e-17
+    rad and move the density by 2.1e-5 there.
     """
     sign = _branch_sign(branch)
     s = _require_s_below_one(s)
     phi = _finite_array(phi, float, "phi")
     r_nodes, rw, a_nodes, a_weight = _rules(state, s, spec)
-    fixed = np.mod(np.atleast_1d(phi), _TWO_PI)[..., None]
+    fixed = np.atleast_1d(np.arctan2(np.sin(phi), np.cos(phi)))[..., None]
     half = 0.5 * a_nodes
     g, d = _mode_sums(state, s, r_nodes, rw, half, fixed - sign * half)
     out = a_weight * np.sum(_combine(state, g, d, True), axis=-1)

@@ -1,11 +1,11 @@
-"""Library oracle census: a hash of each fixed call's output, or its refusal.
+"""Library oracle census: a hash and the numbers of each fixed call's output, or its refusal.
 
 Runs a fixed, seeded list of library calls and writes, per call,
-``["value", sha256 of its output bytes]`` or ``[error type, message]`` as
-JSON.  Two censuses taken on two versions of the code show which calls
-changed a bit of their output, or the type or text of their refusal.  It is
-the library-side partner of ``tools/cli_census.py``, whose ``compare`` it
-uses.
+``["value", sha256 of its output bytes, its numbers]`` or ``[error type,
+message]`` as JSON.  Two censuses taken on two versions of the code show
+which calls changed a bit of their output, or the type or text of their
+refusal, and how far each moved output moved.  It is the library-side
+partner of ``tools/cli_census.py``.
 
 The calls, on the four presets at |alpha| = |beta| = 1 and on ``N_RANDOM``
 states drawn from ``random.Random(SEED)`` (|alpha|, |beta| <= 2, any phases,
@@ -35,29 +35,36 @@ takes (sign, log_mag, log_factor); every other call takes a state first.
 
 An output's bytes are, for an ndarray, its dtype, shape and raw buffer;
 for anything else its ``repr``, which spells each float to the last bit.
-Calls are keyed by their name and arguments, and are only ever appended.
+Its numbers are recorded exactly: a float as ``float.hex``, a complex as
+its two parts, an ndarray as its dtype, shape and values, and a tuple, a
+list or a dataclass (``FockChiResult``, ``Spectrum``) field by field; a
+string, a bool or ``None`` records nothing.  Calls are keyed by their name
+and arguments, and are only ever appended.
 
 Usage, from the repository root:
 
     PYTHONPATH=src python tools/oracle_census.py --out oracle.json
     PYTHONPATH=src python tools/oracle_census.py --compare before.json after.json
 
-``--compare`` prints each call whose entry differs or is missing from one
-side, and exits 1 if there is one.
+``--compare`` prints each call whose hash or refusal differs or that is
+missing from one side, and exits 1 if there is one.  Where both sides
+recorded the numbers of a moved value, it adds the largest absolute move
+and that move over the call's largest |output| (both sides, finite
+numbers).  A census written before the numbers were recorded compares by
+hash alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import hashlib
-import importlib.util
 import json
 import math
 import random
 import sys
-from pathlib import Path
 
 from catphase import PRESET_WEIGHTS
 
@@ -328,25 +335,99 @@ def _output_bytes(value) -> bytes:
     return repr(value).encode()
 
 
-def run(call: tuple[str, tuple]) -> list[str]:
-    """``["value", sha256 of the output bytes]``, or ``[error type, message]`` of a refusal."""
+def numbers(value):
+    """The output's numbers, exactly and in JSON: see the module docstring."""
+    import numpy as np
+
+    if value is None or isinstance(value, (bool, str)):
+        return None
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, int):
+        return value
+    if isinstance(value, complex):
+        return [value.real.hex(), value.imag.hex()]
+    if isinstance(value, np.ndarray):
+        return {
+            "dtype": value.dtype.str,
+            "shape": list(value.shape),
+            "values": [numbers(x) for x in value.ravel().tolist()],
+        }
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {field: numbers(getattr(value, field)) for field in value._fields}
+    if isinstance(value, (tuple, list)):
+        return [numbers(x) for x in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: numbers(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return None
+
+
+def _leaves(record, path=()):
+    """(path, float) per number of a record, in order; an array's dtype and shape join the path."""
+    if isinstance(record, str):
+        yield path, float.fromhex(record)
+    elif isinstance(record, int):
+        yield path, float(record)
+    elif isinstance(record, dict) and record.keys() == {"dtype", "shape", "values"}:
+        yield from _leaves(record["values"], path + (record["dtype"], tuple(record["shape"])))
+    elif isinstance(record, dict):
+        for name, item in record.items():
+            yield from _leaves(item, path + (name,))
+    elif isinstance(record, list):
+        for k, item in enumerate(record):
+            yield from _leaves(item, path + (k,))
+
+
+def move(before, after) -> tuple[float, float] | None:
+    """The largest absolute move between two records, and it over the largest finite |output|.
+
+    None where the records differ in structure (a dtype, a shape, a field or
+    a length).  Equal numbers, infinities and NaNs included, move by 0; a
+    number that turns NaN or infinite, or back, moves by inf.
+    """
+    first, second = list(_leaves(before)), list(_leaves(after))
+    if [path for path, _ in first] != [path for path, _ in second]:
+        return None
+    largest, size = 0.0, 0.0
+    for (_, a), (_, b) in zip(first, second):
+        size = max([size] + [abs(x) for x in (a, b) if math.isfinite(x)])
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        diff = abs(a - b)
+        largest = max(largest, diff if math.isfinite(diff) else math.inf)
+    if not largest:
+        return 0.0, 0.0
+    return largest, largest / size if size else math.inf
+
+
+def run(call: tuple[str, tuple]) -> list:
+    """``["value", sha256 of the output bytes, numbers(output)]``, or ``[error type, message]``."""
     try:
         value = _invoke(*call)
     except Exception as exc:  # a refusal is a result too
         return [type(exc).__name__, str(exc)]
-    return ["value", hashlib.sha256(_output_bytes(value)).hexdigest()]
+    return ["value", hashlib.sha256(_output_bytes(value)).hexdigest(), numbers(value)]
 
 
-def census() -> dict[str, list[str]]:
+def census() -> dict[str, list]:
     return {key(call): run(call) for call in calls()}
 
 
-def _cli_census():
-    path = Path(__file__).resolve().with_name("cli_census.py")
-    spec = importlib.util.spec_from_file_location("cli_census", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def compare(before: dict, after: dict) -> list[str]:
+    """Calls whose hash or refusal differs, or that only one census has."""
+    keys = sorted(before.keys() | after.keys())
+    return [key for key in keys if (before.get(key) or [])[:2] != (after.get(key) or [])[:2]]
+
+
+def _report(first, second) -> str:
+    """One moved call: both entries' heads, and the move where both recorded numbers."""
+    line = f"{first and first[:2]} -> {second and second[:2]}"
+    if first and second and len(first) == len(second) == 3:
+        moved = move(first[2], second[2])
+        if moved is None:
+            return f"{line}; its numbers changed structure"
+        return f"{line}; largest move {moved[0]:.3e}, {moved[1]:.3e} of its largest |output|"
+    return line
 
 
 def _load(path: str) -> dict:
@@ -361,9 +442,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         first, second = (_load(path) for path in args.compare)
-        differ = _cli_census().compare(first, second)
+        differ = compare(first, second)
         for entry in differ:
-            print(f"{entry}: {first.get(entry)} -> {second.get(entry)}")
+            print(f"{entry}: {_report(first.get(entry), second.get(entry))}")
         print(f"{len(differ)} of {len(first.keys() | second.keys())} calls differ")
         return 1 if differ else 0
     text = json.dumps(census(), indent=1, sort_keys=True) + "\n"
