@@ -40,6 +40,12 @@ class CutoffTooSmallError(CatPhaseError, ValueError):
 # keeps 1/(1-s) from blowing up catastrophically.
 _S_UPPER = 1.0 - 1e-9
 
+# The largest index of a Bessel combination, a Fourier coefficient or a Fock
+# cutoff (a moment order reads c_2n, so it stops at half of it).  It bounds the
+# work: one combination table holds at most 2 * _INDEX_CAP floats, and a cutoff
+# n allocates arrays of n + 1.
+_INDEX_CAP = 2**16
+
 
 def _number(value, what: str, real: bool = True):
     """A real (any if not ``real``) number but a bool, as a float (complex); else DomainError."""
@@ -62,8 +68,11 @@ def _finite(value, what: str, real: bool = True):
     return value
 
 
-def _integer(value, what: str, least: int | None = None) -> int:
-    """``value`` as an int >= ``least`` (if given): any integer type but bool, else DomainError."""
+def _integer(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` as an int in [``least``, ``most``] (each if given): any integer type but bool.
+
+    Else DomainError, which says ``most`` when the integer is above it.
+    """
     if not isinstance(value, bool):
         try:
             index = operator.index(value)
@@ -71,6 +80,8 @@ def _integer(value, what: str, least: int | None = None) -> int:
             pass
         else:
             if least is None or index >= least:
+                if most is not None and index > most:
+                    raise DomainError(f"{what} must be <= {most}, got {index}")
                 return index
     bound = "" if least is None else f" >= {least}"
     raise DomainError(f"{what} must be an integer{bound}, got {value!r}")

@@ -52,6 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    _INDEX_CAP,
     CutoffTooSmallError,
     DomainError,
     _branch_sign,
@@ -81,8 +82,6 @@ _TWO_PI = 2.0 * math.pi
 
 # A reported Fock truncation bound above this raises CutoffTooSmallError.
 _FOCK_BOUND_TOL = 1e-6
-# The largest Fock cutoff, as i_n_combo's index cap: a cutoff n allocates arrays of n + 1.
-_N_CUT_CAP = 2**16
 # Rounding of one overlap block per unit of e^(2|amp||xi| - |xi|^2/2) (see _overlaps): four
 # times the largest ratio seen against 50-digit mpmath, |amp| <= 4.5, n_cut <= 8|amp|^2 + 40.
 _ROUNDING_SCALE = 16.0 * sys.float_info.epsilon
@@ -496,9 +495,7 @@ def fock_chi_oracle(
     read 1.0349 at |alpha| = 38.5 and 0 at 40), and the amplitude is a
     DomainError naming it, before the cutoff is checked.
     """
-    n_cut = _integer(n_cut, "n_cut", 1)
-    if n_cut > _N_CUT_CAP:
-        raise DomainError(f"n_cut must be <= {_N_CUT_CAP}, got {n_cut}")
+    n_cut = _integer(n_cut, "n_cut", 1, _INDEX_CAP)
     s = _finite(s, "s")
     xi = _number(xi, "xi", real=False)
     eta = _number(eta, "eta", real=False)

@@ -30,8 +30,7 @@ through :func:`~catphase.specfun.i_n_combo`.  A mode off the line gives sign 1
 and log 0.  Each row's two terms are fused in log space into plain floats, and
 one truncation loop stops once two consecutive rows drop below ``eps_tail``
 (the decay is super-geometric, so a two-term test is safe against even/odd
-alternation).  NumPy is imported on first use by ``wrap_angle`` and the
-series evaluator.
+alternation).  NumPy is imported on first use by the series evaluator.
 
 One complex Horner pass sums the series: with z = e^(i delta), delta the
 float phi - phi_ref as it is, Re sum_n a_n z^n = sum_n (c_n cos n delta + d_n sin n delta).
@@ -53,6 +52,7 @@ from itertools import count, cycle, repeat
 from typing import NamedTuple
 
 from .errors import (
+    _INDEX_CAP,
     DomainError,
     NoConvergenceError,
     _branch_sign,
@@ -70,7 +70,6 @@ __all__ = [
     "Spectrum",
     "TrigMoments",
     "PhaseStats",
-    "wrap_angle",
     "fourier_coefficient",
     "build_spectrum",
     "eval_phase_dist",
@@ -150,19 +149,6 @@ class TrigMoments(NamedTuple):
 class PhaseStats(NamedTuple):
     mean: float
     variance: float
-
-
-def wrap_angle(phi):
-    """Reduce angles to (-pi, pi] modulo the float 2pi; DomainError names the first one not finite.
-
-    The float 2pi falls short of 2pi by about 2.4e-16, so an angle reduced k
-    turns carries k times that: about |phi| 3.9e-17 rad.
-    """
-    import numpy as np
-
-    out = np.asarray(np.mod(_finite_array(phi, float, "angle"), _TWO_PI))
-    np.subtract(out, _TWO_PI, out, where=out > math.pi)
-    return out if out.ndim else float(out)
 
 
 def _fused(sign_a, log_a, sign_b, log_b, log_scale: float, label: str, n: int) -> float:
@@ -287,10 +273,13 @@ def _spectrum(state: QuasiBellState, s: float, line, policy: TruncationPolicy | 
 
 
 def fourier_coefficient(state: QuasiBellState, s: float, n: int, branch: str) -> float:
-    """c_n = C(n, n) of the phase-sum (plus) or C(-n, n) of the phase-difference (minus) line."""
+    """c_n = C(n, n) of the phase-sum (plus) or C(-n, n) of the phase-difference (minus) line.
+
+    n is an integer from 1 to 2**16.
+    """
     _branch_sign(branch)
     s = _require_s_below_one(s)
-    n = _integer(n, "coefficient index n", 1)
+    n = _integer(n, "coefficient index n", 1, _INDEX_CAP)
     cos: list[float] = []
     next(_rows(state, s, branch, cos, [], n))
     return cos[0]
@@ -390,11 +379,11 @@ def trig_moments(spectrum: Spectrum, n: int) -> TrigMoments:
     """Central trigonometric moments of order n of a phase-sum or phase-difference spectrum.
 
     <cos n(phi-phi')> = c_n and <sin n(phi-phi')> = 0; the variances need
-    c_2n, which is recomputed on demand if it falls past the truncation.  A
-    mode line, whose d_n these ignore, is a DomainError.
+    c_2n, which is recomputed on demand if it falls past the truncation, so
+    n goes up to 2**15.  A mode line, whose d_n these ignore, is a DomainError.
     """
     _branch_line(spectrum, "trig_moments")
-    n = _integer(n, "moment order", 1)
+    n = _integer(n, "moment order", 1, _INDEX_CAP // 2)
     c_n = _coefficient(spectrum, n)
     c_2n = _coefficient(spectrum, 2 * n)
     return TrigMoments(

@@ -9,8 +9,11 @@ underflow, gives exactly 0.  The ordering parameter s is a real number, not
 a bool, throughout the public API; the quasi-probability exists for s < 1
 only, with a guard band below 1 to keep the 1/(1-s) factors finite.  NumPy
 is imported on the first call that makes arrays, so importing this module
-does not load it; chi at a point of numbers runs in cmath without it.
-The argument rules are those of :mod:`catphase.errors`.
+does not load it.  chi has one route, cmath at one point: a point of
+numbers runs without NumPy, and an array is evaluated point by point, each
+entry bit for bit the point's own call, at about 2.5 us a point; W is
+evaluated on whole arrays.  The argument rules are those of
+:mod:`catphase.errors`.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ _EXP_LIMIT = 700.0
 def _clear_far(p, q):
     """(p, q, |p|^2 + |q|^2, far): ``far`` marks where that sum passes the float range, or is None.
 
-    At those points p, q and the sum are set to 0, so that no term of chi or
-    W forms inf - inf; the caller puts its exact 0 there.
+    At those points p, q and the sum are set to 0, so that no term of W
+    forms inf - inf; the caller puts its exact 0 there.
     """
     import numpy as np
 
@@ -59,74 +62,45 @@ def chi(state: QuasiBellState, xi, eta, s: float):
     """s-ordered characteristic function chi(xi, eta; s), closed form.
 
     Entire in s (any real value is accepted); chi(0, 0; s) = 1.  ``xi`` and
-    ``eta`` may be complex scalars or broadcastable arrays.  A point whose
-    xi and eta are both numbers (NumPy scalars included) is evaluated in
-    cmath, without NumPy, and returns a complex; its bits may differ from
-    the same point's entry in an array call by rounding.  The Gaussian
-    factor exp(-(1-s)(|xi|^2+|eta|^2)/2) is fused into the exponent of each
-    of the four terms, so no term meets an overflow where chi underflows.
-    At s = 1 that factor is exactly 1, however far out the point.  A point
-    where a term of chi passes the float range (for s < 1, an interference
-    term close to s = 1) is an OverflowError naming xi, eta and s; where
-    mu nu* = 0 the interference terms add exact zeros.  A xi or eta that is
-    not finite is a DomainError.
+    ``eta`` may be complex scalars or broadcastable arrays.  Every point is
+    evaluated alone, in cmath: a point whose xi and eta are both numbers
+    (NumPy scalars included) runs without NumPy and returns a complex, and
+    an array call evaluates its broadcast pairs one by one in C order, so
+    each entry has the bits of that point's own call and a refusal names
+    the first point that fails.  That costs about 2.5 us a point.  The
+    Gaussian factor exp(-(1-s)(|xi|^2+|eta|^2)/2) is fused into the
+    exponent of each of the four terms, so no term meets an overflow where
+    chi underflows.  At s = 1 that factor is exactly 1, however far out the
+    point.  A point where a term of chi passes the float range (for s < 1,
+    an interference term close to s = 1) is an OverflowError naming xi, eta
+    and s; where mu nu* = 0 the interference terms add exact zeros.  A xi
+    or eta that is not finite is a DomainError.
     """
     s = _finite(s, "s")
     if isinstance(xi, numbers.Number) and isinstance(eta, numbers.Number):
         return _chi_point(state, _finite(xi, "xi", False), _finite(eta, "eta", False), s)
     import numpy as np
 
-    xi = _finite_array(xi, complex, "xi")
-    eta = _finite_array(eta, complex, "eta")
-    scalar = xi.ndim == 0 and eta.ndim == 0
-    far = None
-    # A term past the float range is refused below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if s < 1.0:  # chi decays as a Gaussian in |xi|^2 + |eta|^2
-            xi, eta, rsq, far = _clear_far(xi, eta)
-            gauss = -0.5 * (1.0 - s) * rsq
-        else:  # and grows (s > 1) or keeps a unit Gaussian factor (s = 1)
-            gauss = -0.5 * (1.0 - s) * (np.abs(xi) ** 2 + np.abs(eta) ** 2) if s > 1.0 else -0.0
-        out = _chi_terms(state, xi, eta, gauss, np.exp)
-    finite = np.isfinite(out)
-    if not (finite.all() if finite.ndim else finite):
-        xi, eta = (np.broadcast_to(a, out.shape)[~finite][0].item() for a in (xi, eta))
-        raise _term_past_range(xi, eta, s)
-    if far is not None:
-        out = np.where(far, 0j, out)
-    return complex(out) if scalar else out
+    pairs = np.broadcast(_finite_array(xi, complex, "xi"), _finite_array(eta, complex, "eta"))
+    values = [_chi_point(state, complex(p), complex(q), s) for p, q in pairs]
+    return np.array(values, complex).reshape(pairs.shape) if pairs.shape else values[0]
 
 
 def _chi_point(state: QuasiBellState, xi: complex, eta: complex, s: float) -> complex:
-    """chi at one finite point, the array route's steps on Python numbers in cmath."""
-    rsq = abs(xi) * abs(xi) + abs(eta) * abs(eta)  # inf past the float range, as NumPy's square
-    if s < 1.0 and rsq == math.inf:
-        return 0j  # chi underflows there (see _clear_far)
-    gauss = -0.5 * (1.0 - s) * rsq if s != 1.0 else -0.0
-    try:
-        out = _chi_terms(state, xi, eta, gauss, cmath.exp)
-    except OverflowError:  # a real exponent past the float range, which np.exp takes to inf
-        out = math.inf
-    if not cmath.isfinite(out):
-        raise _term_past_range(xi, eta, s)
-    return out
+    """chi at one finite point of Python numbers: N^2 times its four terms, in cmath.
 
-
-def _term_past_range(xi: complex, eta: complex, s: float) -> OverflowError:
-    return OverflowError(
-        f"a term of chi passes the float range at xi = {xi!r}, eta = {eta!r}, s = {s!r}"
-    )
-
-
-def _chi_terms(state: QuasiBellState, xi, eta, gauss, exp):
-    """N^2 times chi's four terms, each with the Gaussian exponent ``gauss`` fused in.
-
-    ``exp`` is cmath.exp for a point of Python numbers and np.exp for
-    arrays.  Where mu nu* = 0 the interference terms are signed zeros
-    whatever their exponent, so h is dropped from it:
-    e^(gauss - 2(|alpha|^2+|beta|^2)) is finite wherever e^gauss, the
-    modulus of the other two terms, is, and 0 * inf cannot arise.
+    Where mu nu* = 0 the interference terms are signed zeros whatever their
+    exponent, so h is dropped from it: e^(gauss - 2(|alpha|^2+|beta|^2)) is
+    finite wherever e^gauss, the modulus of the other two terms, is, and
+    0 * inf cannot arise.
     """
+    try:
+        rsq = abs(xi) * abs(xi) + abs(eta) * abs(eta)  # inf past the float range
+    except OverflowError:  # a modulus past the float range
+        rsq = math.inf
+    if s < 1.0 and rsq == math.inf:
+        return 0j  # chi underflows there
+    gauss = -0.5 * (1.0 - s) * rsq if s != 1.0 else -0.0
     mu, nu = state.mu, state.nu
     asq = state.amplitude_sq_sum
     cross = state.weight_overlap  # mu nu*
@@ -134,12 +108,21 @@ def _chi_terms(state: QuasiBellState, xi, eta, gauss, exp):
     xa, eb = xi * state.alpha.conjugate(), eta * state.beta.conjugate()
     g = 2j * (xa.imag + eb.imag)
     h = 2.0 * (xa.real + eb.real) if cross else 0.0
-    return normalization_constant(state) ** 2 * (
-        abs(mu) ** 2 * exp(gauss + g)
-        + abs(nu) ** 2 * exp(gauss - g)
-        + cross.conjugate() * exp(gauss + h - 2.0 * asq)
-        + cross * exp(gauss - h - 2.0 * asq)
-    )
+    n_sq = normalization_constant(state) ** 2
+    try:
+        out = n_sq * (
+            abs(mu) ** 2 * cmath.exp(gauss + g)
+            + abs(nu) ** 2 * cmath.exp(gauss - g)
+            + cross.conjugate() * cmath.exp(gauss + h - 2.0 * asq)
+            + cross * cmath.exp(gauss - h - 2.0 * asq)
+        )
+    except (OverflowError, ValueError):  # a real exponent past the float range; an infinite phase
+        out = math.inf
+    if not cmath.isfinite(out):
+        raise OverflowError(
+            f"a term of chi passes the float range at xi = {xi!r}, eta = {eta!r}, s = {s!r}"
+        )
+    return out
 
 
 def w(state: QuasiBellState, gamma, delta, s: float):

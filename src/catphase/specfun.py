@@ -36,7 +36,15 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, NoConvergenceError, _branch_sign, _finite, _integer, _number
+from .errors import (
+    _INDEX_CAP,
+    DomainError,
+    NoConvergenceError,
+    _branch_sign,
+    _finite,
+    _integer,
+    _number,
+)
 
 __all__ = [
     "LogScaledValue",
@@ -53,10 +61,8 @@ _SERIES_CAP = 10000
 
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 
-# i_n_combo tables cover n = 1..top, top a power of two >= _TABLE_MIN_TOP;
-# n past _N_CAP is refused, so one table holds at most 2 * _N_CAP floats.
+# i_n_combo tables cover n = 1..top, top a power of two >= _TABLE_MIN_TOP.
 _TABLE_MIN_TOP = 64
-_N_CAP = 1 << 16
 
 
 class LogScaledValue(NamedTuple):
@@ -181,8 +187,8 @@ def _log_seeds(x: float) -> tuple[float, float]:
 
 
 def _check_combo_args(n: int, x: float) -> tuple[int, float]:
-    """(n, x) as a Python int and float, once n >= 1 and x >= 0 are checked."""
-    n = _integer(n, "combination index n", 1)
+    """(n, x) as a Python int and float, once 1 <= n <= 2**16 and x >= 0 are checked."""
+    n = _integer(n, "combination index n", 1, _INDEX_CAP)
     if _finite(x, "combination argument x") < 0.0:
         raise DomainError(f"combination argument x must be finite and >= 0, got {x!r}")
     return n, float(x)
@@ -265,8 +271,6 @@ def i_n_combo(n: int, x: float, branch: str) -> LogScaledValue:
     """
     sign = _branch_sign(branch)
     n, x = _check_combo_args(n, x)
-    if n > _N_CAP:
-        raise DomainError(f"combination index n must be <= {_N_CAP}, got {n}")
     if x == 0.0:
         return LogScaledValue.zero()
     plus, minus = _combo_table(x, _table_top(n))
@@ -330,7 +334,8 @@ def i_n_combo_kummer(n: int, x: float, branch: str) -> LogScaledValue:
 
     A reference only: the Kummer series needs about 2x terms, so from
     x ~ 4.6e3 (n <= 100) it passes the 10,000-term cap and raises
-    NoConvergenceError, where the Bessel route still converges.
+    NoConvergenceError, where the Bessel route still converges.  Its
+    arguments are checked as i_n_combo's, n <= 2**16 included.
     """
     sign = _branch_sign(branch)
     n, x = _check_combo_args(n, x)

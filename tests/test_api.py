@@ -132,7 +132,6 @@ CALLS = {
     "LogScaledValue.from_value": (catphase.LogScaledValue.from_value, (-2.5,)),
     "LogScaledValue.scaled": (catphase.LogScaledValue(-1, 0.5).scaled, (2.0,)),
     "TruncationPolicy": (catphase.TruncationPolicy, (1e-12, 3, 100)),
-    "wrap_angle": (catphase.wrap_angle, (4.0,)),
     "fourier_coefficient": (catphase.fourier_coefficient, (STATE, 0.2, 3, "plus")),
     "build_spectrum": (catphase.build_spectrum, (STATE, 0.2, "minus")),
     "eval_phase_dist": (catphase.eval_phase_dist, (SUM, 0.3)),
@@ -269,3 +268,29 @@ def test_fuzz_listed_values(name, position, path, parameter):
 )
 def test_fuzz_hypothesis_values(slot, value):
     _check(*slot, value)
+
+
+# Each entry point that takes an index, with the name its refusals use and its cap:
+# errors._INDEX_CAP, or half of it for a moment order, which reads c_2n.
+CAPPED = {
+    "i_n_combo": (lambda n: catphase.i_n_combo(n, 1.0, "plus"), "combination index n", 2**16),
+    "i_n_combo_kummer": (
+        lambda n: catphase.i_n_combo_kummer(n, 1.0, "minus"), "combination index n", 2**16
+    ),
+    "fourier_coefficient": (
+        lambda n: catphase.fourier_coefficient(STATE, 0.3, n, "plus"), "coefficient index n", 2**16
+    ),
+    "fock_chi_oracle": (
+        lambda n: catphase.fock_chi_oracle(STATE, 0.1, 0.1, 0.0, n), "n_cut", 2**16
+    ),
+    "trig_moments": (lambda n: catphase.trig_moments(SUM, n), "moment order", 2**15),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_an_index_past_its_cap_is_refused_naming_the_argument(name):
+    call, what, cap = CAPPED[name]
+    assert _all_finite(call(cap))
+    for n in (cap + 1, 10**400):
+        with pytest.raises(catphase.DomainError, match=rf"^{what} must be <= {cap}, got {n}$"):
+            call(n)

@@ -32,7 +32,6 @@ from catphase import (
     quadrature_one_mode,
     quadrature_phase_dist,
     trig_moments,
-    wrap_angle,
 )
 from catphase import phasedist
 from catphase.cli import main
@@ -729,52 +728,7 @@ class TestDomainEdges:
         assert json.loads(capsys.readouterr().out)["error"]["type"] == error
 
 
-def _where_wrap(phi):
-    """wrap_angle as np.where over a shifted copy, the form it had before its masked subtract."""
-    out = np.mod(np.asarray(phi, dtype=float), TWO_PI)
-    out = np.where(out > math.pi, out - TWO_PI, out)
-    return out if out.ndim else float(out)
-
-
-_EDGE_ANGLES = [
-    0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, 3.0 * math.pi, -3.0 * math.pi,
-    math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 0.0),
-    math.nextafter(TWO_PI, 7.0), math.nextafter(TWO_PI, 0.0), 1e17, -1e17, 1e300, -1e300,
-]
-
-
-class TestWrapAngle:
-    @pytest.mark.parametrize(
-        "phi",
-        [
-            *_EDGE_ANGLES,
-            np.float64(-math.pi),
-            np.array(math.pi),
-            np.array(-1e300),
-            np.array(_EDGE_ANGLES),
-            np.concatenate([np.geomspace(1e-3, 1e300, 301), -np.geomspace(1e-3, 1e300, 301)]),
-            np.array(_EDGE_ANGLES).reshape(4, 4),
-        ],
-    )
-    def test_bytes_match_the_where_form(self, phi):
-        before = np.array(phi, copy=True)
-        got, want = wrap_angle(phi), _where_wrap(phi)
-        assert type(got) is type(want)
-        assert np.shape(got) == np.shape(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        assert np.asarray(phi).tobytes() == before.tobytes()  # the input is left alone
-
-    def test_range(self):
-        grid = np.linspace(-30.0, 30.0, 1001)
-        wrapped = wrap_angle(grid)
-        assert np.all(wrapped > -math.pi)
-        assert np.all(wrapped <= math.pi)
-        assert np.allclose(np.cos(wrapped), np.cos(grid), atol=1e-12)
-
-    def test_pi_maps_to_pi(self):
-        assert wrap_angle(math.pi) == pytest.approx(math.pi)
-        assert wrap_angle(-math.pi) == pytest.approx(math.pi)
-
+class TestNonFiniteAngle:
     @pytest.mark.parametrize(
         "phi,named",
         [
@@ -789,16 +743,11 @@ class TestWrapAngle:
         state = make_preset("odd_cat", 1.0, 0.7)
         pair = build_spectrum(state, 0.3, "plus")
         one_mode = one_mode_coefficients(state, 0.3, 2)
-        calls = (
-            ("angle", lambda: wrap_angle(phi)),
-            ("phi", lambda: eval_phase_dist(pair, phi)),
-            ("phi", lambda: eval_one_mode_dist(one_mode, phi)),
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for what, call in calls:
-                with pytest.raises(DomainError, match=f"{what} must be finite, got {named}$"):
-                    call()
+            for evaluate, spectrum in ((eval_phase_dist, pair), (eval_one_mode_dist, one_mode)):
+                with pytest.raises(DomainError, match=f"phi must be finite, got {named}$"):
+                    evaluate(spectrum, phi)
 
 
 # The coefficient fusion through LogScaledValue objects and math.fsum, as the

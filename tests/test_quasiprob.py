@@ -29,7 +29,6 @@ from catphase import (
     quadrature_phase_dist,
     w,
     w_symmetrized,
-    wrap_angle,
 )
 
 from conftest import BOX_POINTS, BOX_STATES, preset_state
@@ -179,29 +178,8 @@ class TestChiComplexS:
             assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
-def _rounding_scale(state, xi, eta, s):
-    """The sum over chi's four terms of |term| (1 + |exponent|).
-
-    The scalar and array routes round each exponent differently (NumPy's
-    complex modulus and product are not CPython's), and an exponent E off by
-    eps |E| moves its term by eps |E| |term|.
-    """
-    gauss = -0.5 * (1.0 - s) * (abs(xi) ** 2 + abs(eta) ** 2)
-    along = xi * state.alpha.conjugate() + eta * state.beta.conjugate()
-    g, h = 2.0 * along.imag, 2.0 * along.real
-    asq = state.amplitude_sq_sum
-    terms = [
-        (abs(state.mu) ** 2, complex(gauss, g)),
-        (abs(state.nu) ** 2, complex(gauss, -g)),
-        (abs(state.weight_overlap), complex(gauss + h - 2.0 * asq)),
-        (abs(state.weight_overlap), complex(gauss - h - 2.0 * asq)),
-    ]
-    total = sum(weight * math.exp(e.real) * (1.0 + abs(e)) for weight, e in terms)
-    return normalization_constant(state) ** 2 * total
-
-
 class TestScalarRoute:
-    """A point of numbers runs in cmath, and agrees with a one-element array call."""
+    """A point of numbers runs in cmath, and an array call's entries are its points' calls."""
 
     STATE = make_preset("odd_cat", 1.0, 1.0)
 
@@ -211,7 +189,7 @@ class TestScalarRoute:
         got = chi(state, xi, eta, s)
         entry = chi(state, np.array([xi]), np.array([eta]), s)[0]
         assert type(got) is complex
-        assert abs(got - entry) <= 8.0 * np.finfo(float).eps * _rounding_scale(state, xi, eta, s)
+        assert np.array([got]).tobytes() == np.array([entry]).tobytes()
 
     def test_numpy_scalars_take_the_scalar_route(self):
         xi, eta = np.float32(0.3), np.complex64(0.2 - 0.1j)
@@ -237,6 +215,10 @@ class TestScalarRoute:
             (1e200, 0, 2.0),
             (30.0, 0, 3.0),
             (1.0, 0, 1e308),
+            # An infinite phase (cmath's ValueError), and a modulus past the float range.
+            (1e308j, 0, 1.0),
+            (1e308j, 0, 2.0),
+            (1.5e308 + 1.5e308j, 0, 1.0),
         ],
     )
     def test_refusals_match_a_one_element_array(self, xi, eta, s):
@@ -250,7 +232,8 @@ class TestScalarRoute:
         assert str(scalar.value) == str(array.value)
 
     @pytest.mark.parametrize(
-        "xi,eta,s", [(1e200, 0, 0.0), (1e154, 1e154j, -2.0), (0.3, 1e300, 0.9)]
+        "xi,eta,s",
+        [(1e200, 0, 0.0), (1e154, 1e154j, -2.0), (0.3, 1e300, 0.9), (1.5e308 + 1.5e308j, 0, 0.3)],
     )
     def test_far_point_is_an_exact_zero_on_both_routes(self, xi, eta, s):
         with warnings.catch_warnings():
@@ -259,6 +242,29 @@ class TestScalarRoute:
             array = chi(self.STATE, [xi], [eta], s)
         assert type(got) is complex
         assert np.array([got]).tobytes() == array.tobytes() == np.array([0j]).tobytes()
+
+    XI = np.array([[0.3 - 0.2j, 1e308j, 1.2], [0.0, -0.7j, 2e6]])
+    ETA = np.array([0.1j, 0.0, -0.4 + 0.5j])
+
+    @pytest.mark.parametrize("s", [-1.0, 0.0, 0.4, 1.0, 2.0])
+    def test_broadcast_entries_are_the_scalar_calls(self, s):
+        # A (2, 3) xi against a length-3 eta: each entry has its pair's bits, and
+        # a refusal is that of the first pair in C order that refuses.
+        calls = []
+        for xi, eta in zip(self.XI.ravel().tolist(), np.tile(self.ETA, 2).tolist()):
+            try:
+                calls.append(chi(self.STATE, xi, eta, s))
+            except OverflowError as exc:
+                calls.append(exc)
+        refusals = [c for c in calls if isinstance(c, Exception)]
+        if refusals:
+            with pytest.raises(OverflowError) as array:
+                chi(self.STATE, self.XI, self.ETA, s)
+            assert str(array.value) == str(refusals[0])
+        else:
+            got = chi(self.STATE, self.XI, self.ETA, s)
+            assert got.shape == (2, 3) and got.dtype == complex
+            assert got.tobytes() == np.array(calls).reshape(2, 3).tobytes()
 
 
 class TestW:
@@ -549,7 +555,6 @@ class TestNonNumberArguments:
             "phi", lambda st, v: quadrature_phase_dist(st, 0.0, "minus", v)
         ),
         "quadrature_one_mode-phi": ("phi", lambda st, v: quadrature_one_mode(st, 0.0, 2, v)),
-        "wrap_angle-angle": ("angle", lambda st, v: wrap_angle(v)),
         "w_symmetrized-r_gamma": (
             "r_gamma", lambda st, v: w_symmetrized(st, v, 0.5, 0.1, 0.2, 0.0)
         ),
