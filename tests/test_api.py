@@ -294,3 +294,14 @@ def test_an_index_past_its_cap_is_refused_naming_the_argument(name):
     for n in (cap + 1, 10**400):
         with pytest.raises(catphase.DomainError, match=rf"^{what} must be <= {cap}, got {n}$"):
             call(n)
+
+
+@pytest.mark.parametrize("combo", [catphase.i_n_combo, catphase.i_n_combo_kummer])
+@pytest.mark.parametrize("x", [math.nan, -1.0])
+def test_an_index_past_its_cap_is_refused_before_a_bad_argument(combo, x):
+    n = errors._INDEX_CAP + 1
+    message = rf"^combination index n must be <= 65536, got {n}$"
+    with pytest.raises(catphase.DomainError, match=message):
+        combo(n, x, "plus")
+    with pytest.raises(catphase.DomainError, match="^combination argument x must be finite"):
+        combo(errors._INDEX_CAP, x, "plus")

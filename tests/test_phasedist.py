@@ -310,6 +310,34 @@ class TestLargeOffsets:
         assert abs(eval_phase_dist(spectrum, phi) - want) <= 2e-15 * scale
 
 
+# Angles at and next to multiples of pi, and far ones of either sign.
+_EDGE_ANGLES = [
+    0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, 3.0 * math.pi, -3.0 * math.pi,
+    math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 0.0),
+    math.nextafter(TWO_PI, 7.0), math.nextafter(TWO_PI, 0.0), 1e17, -1e17, 1e300, -1e300,
+]
+
+
+@pytest.mark.parametrize("phi", _EDGE_ANGLES)
+def test_edge_angle_matches_mpmath_at_the_float_offset(phi):
+    # No angle is reduced modulo the float 2pi, so each is summed at its own value.
+    state = TestLargeOffsets.STATE
+    for branch in ("plus", "minus"):
+        spectrum = build_spectrum(state, TestLargeOffsets.S, branch)
+        assert spectrum.phi_ref == 0.0
+        scale = (1.0 + 2.0 * np.sum(np.abs(spectrum.cos_coeffs))) / TWO_PI
+        with mpmath.workdps(30):
+            delta = mpmath.mpf(phi)
+            total = 1 + 2 * mpmath.fsum(
+                mpmath.mpf(c) * mpmath.cos(n * delta)
+                for n, c in enumerate(spectrum.cos_coeffs, start=1)
+            )
+            want = float(total / (2 * mpmath.pi))
+        got = eval_phase_dist(spectrum, phi)
+        assert abs(got - want) <= 2e-15 * scale, branch
+        assert eval_phase_dist(spectrum, np.array([phi]))[0] == got
+
+
 class TestPhaseCovariance:
     def test_coefficients_depend_on_moduli_only(self):
         base = build_spectrum(preset_state("even_cat"), 0.2, "minus")

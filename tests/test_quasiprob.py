@@ -266,6 +266,44 @@ class TestScalarRoute:
             assert got.shape == (2, 3) and got.dtype == complex
             assert got.tobytes() == np.array(calls).reshape(2, 3).tobytes()
 
+    @pytest.mark.parametrize(
+        "xi_shape,eta_shape,shape",
+        [
+            ((), (), ()),
+            ((1, 1), (), (1, 1)),
+            ((), (3,), (3,)),
+            ((3,), (), (3,)),
+            ((4,), (4,), (4,)),
+            ((2, 1), (3,), (2, 3)),
+            ((0,), (), (0,)),
+            ((0,), (1,), (0,)),
+        ],
+    )
+    def test_broadcast_shapes(self, xi_shape, eta_shape, shape):
+        # A 0-d pair is a complex; any other shape is a complex array of the
+        # broadcast shape, empty ones included, whose entries are the scalar calls.
+        rng = np.random.default_rng(7)
+        xi = (rng.normal(size=xi_shape) + 1j * rng.normal(size=xi_shape)).astype(complex)
+        eta = (rng.normal(size=eta_shape) + 1j * rng.normal(size=eta_shape)).astype(complex)
+        got = chi(self.STATE, xi, eta, 0.3)
+        want = [
+            chi(self.STATE, p, q, 0.3)
+            for p, q in zip(
+                np.broadcast_to(xi, shape).ravel().tolist(),
+                np.broadcast_to(eta, shape).ravel().tolist(),
+            )
+        ]
+        if shape == ():
+            assert type(got) is complex
+            assert np.array([got]).tobytes() == np.array(want).tobytes()
+        else:
+            assert type(got) is np.ndarray and got.dtype == complex and got.shape == shape
+            assert got.tobytes() == np.array(want, complex).reshape(shape).tobytes()
+
+    def test_shapes_that_do_not_broadcast_are_refused(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            chi(self.STATE, np.zeros(2), np.zeros(3), 0.3)
+
 
 class TestW:
     def test_coherent_peak(self):
